@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import dip as dip_mod
@@ -47,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="mlmagma",
         description="second-order multilinear magma toolkit over prime fields")
-    top.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker processes for data-parallel commands")
     sub = top.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("mul", help="multiply two vectors")
@@ -245,8 +242,7 @@ def _cmd_orbit(args) -> int:
         return 0
     if args.kind == "scan":
         ps = _params(args.params, m)
-        report = orbit_mod.scan_space(ps, full_scan_cap=args.cap,
-                                      threads=args.threads)
+        report = orbit_mod.scan_space(ps, full_scan_cap=args.cap)
         if args.out:
             orbit_mod.write_census_csv(report, args.out)
         if args.json_path:
@@ -257,7 +253,7 @@ def _cmd_orbit(args) -> int:
         a_values = _ints(args.a_values) if args.a_values else None
         b_values = _ints(args.b_values) if args.b_values else None
         sweep = orbit_mod.param_sweep(m, args.c, args.d, args.e,
-                                      a_values, b_values, threads=args.threads)
+                                      a_values, b_values)
         if args.out:
             orbit_mod.write_census_csv(sweep.reports, args.out)
         if args.json_path:

@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .magma import Vector3, right_mul_stepper
-from .orbit import orbit_length
+from .magma import right_mul_stepper
+from .orbit import orbit_length, structured_start
 from .power import pow_fast
 
 
@@ -66,7 +66,8 @@ class TimingRow(NamedTuple):
 
 
 def find_long_period_base(ps, min_period: int, tries: int = None):
-    """A start (0, s, x) whose orbit period exceeds min_period, or None.
+    """A start (0, s, x), zero-padded to ps's dimension, whose orbit
+    period exceeds min_period, or None.
 
     Long-period bases keep planted exponents below the orbit period so
     brute-force cost reflects the exponent, not a wrapped residue.
@@ -79,7 +80,7 @@ def find_long_period_base(ps, min_period: int, tries: int = None):
             if count >= tries:
                 return None
             count += 1
-            cand = Vector3(0, s, x, ps.modulus)
+            cand = structured_start(s, x, ps)
             rec = orbit_length(cand, ps)
             if rec.tail + rec.period > min_period:
                 return cand

@@ -1,8 +1,8 @@
 """Exact arithmetic over a prime field Z_p.
 
 Residues are plain ints kept canonical in [0, p).  The modulus is capped
-below 2**31 so a product of two canonical residues always fits a 64-bit
-signed intermediate, which keeps the numpy batch engines exact.
+below 2**31, inside the range where the Miller-Rabin witness set below
+is deterministic.
 """
 
 from dataclasses import dataclass
@@ -12,8 +12,6 @@ MAX_MODULUS = 2**31
 # Deterministic Miller-Rabin witness set, valid for all n < 3,215,031,751
 # (covers the full supported range p < 2**31).
 _MR_WITNESSES = (2, 3, 5, 7)
-
-Residue = int
 
 
 class NotPrimeError(ValueError):
@@ -62,15 +60,3 @@ class PrimeModulus:
 
 def make_modulus(p: int) -> PrimeModulus:
     return PrimeModulus(p)
-
-
-def mod_add(x: Residue, y: Residue, m: PrimeModulus) -> Residue:
-    return (x + y) % m.p
-
-
-def mod_sub(x: Residue, y: Residue, m: PrimeModulus) -> Residue:
-    return (x - y) % m.p
-
-
-def mod_mul(x: Residue, y: Residue, m: PrimeModulus) -> Residue:
-    return x * y % m.p

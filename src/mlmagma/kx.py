@@ -21,7 +21,6 @@ or authentication is attempted.
 
 from __future__ import annotations
 
-import json
 import random
 import socket
 import struct
@@ -455,7 +454,3 @@ def connect(host: str, port: int, pub: KxPublicParams, exponent_bits: int = 64,
     with socket.create_connection((host, port), timeout=timeout) as sock:
         return run_session(ROLE_INITIATOR, sock, pub, exponent_bits,
                            timeout=timeout, mode=mode)
-
-
-def transcript_json(result: SessionResult) -> str:
-    return json.dumps(result.to_dict(), sort_keys=True)

@@ -1,29 +1,36 @@
-"""Orbit and cycle census of left-associative power sequences over Z_p^3.
+"""Orbit and cycle census of left-associative power sequences.
 
 For a start vector a the trajectory is a, a*a, (a*a)*a, ... i.e. the
-successor map y -> y * a.  Each start is classified by Brent cycle
-detection into (tail, period, canonical cycle representative); a census
-aggregates every start of the full space.
+successor map y -> y * a.  `orbit_length` classifies one start of Z_p^3
+or Z_p^4 by Brent cycle detection into (tail, period, lexicographically
+minimal cycle state); a census aggregates every start of Z_p^3.
 
 "Proportion of orbits" is ambiguous, so three measures are reported:
 
 * element-weighted: each of the p^3 starts counted once by its period;
-* cycle-weighted: distinct (cycle minimum, period) pairs counted once;
+* cycle-weighted: distinct (cycle minimum, period) pairs counted once.
+  Cycles with the same minimum and period count once, so every unit
+  cycle of one period is one key: it contains the identity (0,0,0),
+  the lexicographically smallest state.  At p=23 (9,19,1,1,2), 3680
+  starts have period 528 but cycle_periods[528] == 1;
 * first-visit walks: starts are enumerated lexicographically, a start
   launches a walk only if no earlier trajectory already visited it, and
   each launched walk is counted once by its period.  This is the
   partition-style bookkeeping in which each state belongs to exactly
-  one counted orbit, and it is computed order-independently: a start
-  launches iff it is the smallest element whose trajectory contains it
-  (trajectories of visited elements are subsets of their visitor's, by
-  the power identity).
+  one counted orbit.
 
 Power orbits of different starts may overlap, so none of the measures
 assumes cycles partition the space.
 
-The full-space engine is vectorized: fixing the right factor makes each
-step affine in the current state, so one census step is a handful of
-fused array operations over every still-active start.
+The census is one pass of those first-visit walks, and it is exact
+because powers are associative: (a^i)^n = a^(i*n).  If the walk of a
+visits a^1 .. a^(mu+lambda) before a^(mu+lambda+1) = a^(mu+1), the
+start a^i walks the subsequence a^i, a^(2i), ...  Its tail is mu // i
+and its period lambda // gcd(lambda, i), and its cycle is the states
+a^e of a's cycle with gcd(lambda, i) | e, which is also the cycle of
+the start a^gcd(lambda, i).  Every start is a power of the walk that
+visits it first, so that walk classifies it, and the cycles of the
+starts a^g, g | lambda, over all walks are all the cycles.
 """
 
 from __future__ import annotations
@@ -32,17 +39,14 @@ import csv
 import json
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
+from math import gcd, isqrt
 
 from .cycles import cycle_minimum, find_cycle
-from .field import PrimeModulus
-from .magma import Params3, Vector3, right_mul_stepper
+from .magma import (ModulusMismatchError, Params3, Params4, Vector3, Vector4,
+                    right_mul_stepper, vector)
 
 DEFAULT_FULL_SCAN_CAP = 127
-_ENGINE_MAX_P = 1400  # keeps (rep_key, period) packable into one int64
 
 
 class BudgetExceededError(RuntimeError):
@@ -51,21 +55,24 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class OrbitRecord:
-    start: Vector3
+    start: Vector3 | Vector4
     tail: int
     period: int
-    cycle_rep: Vector3
+    cycle_rep: Vector3 | Vector4
 
 
-def orbit_length(a: Vector3, ps: Params3) -> OrbitRecord:
+def orbit_length(a: Vector3 | Vector4, ps: Params3 | Params4) -> OrbitRecord:
     """Classify one start: tail, period, lexicographically minimal cycle state."""
+    if a.dim != ps.dim:
+        raise ModulusMismatchError(
+            f"dimension mismatch: start {a.dim}, params {ps.dim}")
     step = right_mul_stepper(a, ps)
     tail, period = find_cycle(step, a.components)
     on_cycle = a.components
     for _ in range(tail):
         on_cycle = step(on_cycle)
     rep = cycle_minimum(step, on_cycle, period)
-    return OrbitRecord(a, tail, period, Vector3(*rep, a.modulus))
+    return OrbitRecord(a, tail, period, vector(rep, a.modulus))
 
 
 MEASURES = ("cycle", "element", "walk")
@@ -84,7 +91,7 @@ class CensusReport:
     total_walks: int
     zero_tail_starts: int
     cycle_period_sum: int           # sum of periods over distinct cycles
-    engine: str = "numpy"
+    engine: str = "walk"
     elapsed: float = field(default=0.0, compare=False)
 
     @property
@@ -197,166 +204,6 @@ def write_census_json(report: CensusReport, path) -> None:
         fh.write("\n")
 
 
-# ---------------------------------------------------------------------------
-# vectorized census engine
-
-_VISITOR_NONE = np.uint32(0xFFFFFFFF)
-
-
-def _census_chunk(p: int, coefs: tuple, lo: int, hi: int):
-    """Classify starts with lexicographic indices [lo, hi).
-
-    Returns (periods, tails, rep_keys, visitor) where the first three are
-    int64 arrays aligned with the index range (rep_key = (r0*p + r1)*p + r2
-    of the cycle minimum, which equals the lexicographic index of that
-    state) and visitor is a uint32 array over the whole space holding the
-    smallest start index in [lo, hi) whose trajectory visits each state.
-    """
-    A, B, C, D, E = coefs
-    total = p**3
-    idx = np.arange(lo, hi, dtype=np.int64)
-    n = idx.size
-    s0 = idx // (p * p)
-    s1 = (idx // p) % p
-    s2 = idx % p
-
-    # affine coefficients of y -> y * a, fixed per start
-    u = (1 + s0) % p
-    q1 = (A * s1) % p
-    q2 = (C * s1 + B * s2) % p
-    v = (1 + s0 + D * s1 + E * s2) % p
-
-    # --- phase 1: periods via Brent with a shared anchor schedule ---------
-    periods = np.zeros(n, dtype=np.int64)
-    live = np.arange(n)
-    cs0, cs1, cs2, cu, cq1, cq2, cv = s0, s1, s2, u, q1, q2, v
-    x0, x1, x2 = cs0.copy(), cs1.copy(), cs2.copy()
-    a0, a1, a2 = x0.copy(), x1.copy(), x2.copy()
-    active = np.ones(n, dtype=bool)
-    n_active = n
-    anchor_pos = 0
-    next_refresh = 1
-    k = 0
-    cap = 4 * total + 64
-    while n_active:
-        k += 1
-        if k > cap:
-            raise RuntimeError("cycle detection exceeded the state-space bound")
-        n0 = (cs0 + x0 * cu + x1 * cq1 + x2 * cq2) % p
-        n1 = (cs1 + x0 * cs1 + x1 * cv) % p
-        n2 = (cs2 + x0 * cs2 + x2 * cv) % p
-        x0, x1, x2 = n0, n1, n2
-        met = (x0 == a0)
-        met &= (x1 == a1)
-        met &= (x2 == a2)
-        met &= active
-        nmet = int(met.sum())
-        if nmet:
-            periods[live[met]] = k - anchor_pos
-            active &= ~met
-            n_active -= nmet
-            if n_active and n_active < (live.size * 3) // 4:
-                keep = active
-                live = live[keep]
-                cs0, cs1, cs2 = cs0[keep], cs1[keep], cs2[keep]
-                cu, cq1, cq2, cv = cu[keep], cq1[keep], cq2[keep], cv[keep]
-                x0, x1, x2 = x0[keep], x1[keep], x2[keep]
-                a0, a1, a2 = a0[keep], a1[keep], a2[keep]
-                active = np.ones(live.size, dtype=bool)
-        if k == next_refresh:
-            a0, a1, a2 = x0.copy(), x1.copy(), x2.copy()
-            anchor_pos = k
-            next_refresh = 2 * k + 1
-
-    # --- phase 2: tails, cycle minima, and trajectory coverage ------------
-    order = np.argsort(-periods, kind="stable")
-    rho = periods[order]
-    neg_rho = -rho  # ascending, for prefix counting
-    os0, os1, os2 = s0[order], s1[order], s2[order]
-    ou, oq1, oq2, ov = u[order], q1[order], q2[order], v[order]
-    oidx = idx[order].astype(np.uint32)
-
-    visitor = np.full(total, _VISITOR_NONE, dtype=np.uint32)
-    start_keys = (os0 * p + os1) * p + os2  # == idx[order]
-    np.minimum.at(visitor, start_keys, oidx)
-
-    # hare: advance rho_i steps from position 0, tracking the min key seen
-    # and recording every visited state for the first-visit walk census
-    h0, h1, h2 = os0.copy(), os1.copy(), os2.copy()
-    minkey = start_keys.copy()
-    s = 0
-    while True:
-        cnt = int(np.searchsorted(neg_rho, -s, side="left"))  # rho > s
-        if cnt == 0:
-            break
-        sl = slice(0, cnt)
-        n0 = (os0[sl] + h0[sl] * ou[sl] + h1[sl] * oq1[sl] + h2[sl] * oq2[sl]) % p
-        n1 = (os1[sl] + h0[sl] * os1[sl] + h1[sl] * ov[sl]) % p
-        n2 = (os2[sl] + h0[sl] * os2[sl] + h2[sl] * ov[sl]) % p
-        h0[sl], h1[sl], h2[sl] = n0, n1, n2
-        key = (n0 * p + n1) * p + n2
-        np.minimum.at(visitor, key, oidx[sl])
-        np.minimum(minkey[sl], key, out=minkey[sl])
-        s += 1
-
-    # tortoise from position 0 meets hare at the cycle entry after tail steps
-    t0, t1, t2 = os0.copy(), os1.copy(), os2.copy()
-    tails = np.zeros(n, dtype=np.int64)
-    act = np.flatnonzero((t0 != h0) | (t1 != h1) | (t2 != h2))
-    while act.size:
-        g = act
-        b0, b1, b2 = os0[g], os1[g], os2[g]
-        gu, g1, g2, gv = ou[g], oq1[g], oq2[g], ov[g]
-        y0, y1, y2 = t0[g], t1[g], t2[g]
-        t0[g] = (b0 + y0 * gu + y1 * g1 + y2 * g2) % p
-        t1[g] = (b1 + y0 * b1 + y1 * gv) % p
-        t2[g] = (b2 + y0 * b2 + y2 * gv) % p
-        y0, y1, y2 = h0[g], h1[g], h2[g]
-        h0[g] = (b0 + y0 * gu + y1 * g1 + y2 * g2) % p
-        h1[g] = (b1 + y0 * b1 + y1 * gv) % p
-        h2[g] = (b2 + y0 * b2 + y2 * gv) % p
-        tails[g] += 1
-        still = (t0[g] != h0[g]) | (t1[g] != h1[g]) | (t2[g] != h2[g])
-        act = g[still]
-
-    # tailed starts: the min above covered tail states too, and positions
-    # past rho were never walked; rewalk the full trajectory
-    bad = np.flatnonzero(tails > 0)
-    if bad.size:
-        b0, b1, b2 = os0[bad], os1[bad], os2[bad]
-        gu, g1, g2, gv = ou[bad], oq1[bad], oq2[bad], ov[bad]
-        bidx = oidx[bad]
-        btail = tails[bad]
-        blen = btail + rho[bad]  # distinct trajectory states
-        y0, y1, y2 = b0.copy(), b1.copy(), b2.copy()
-        mk = np.full(bad.size, np.iinfo(np.int64).max, dtype=np.int64)
-        for step_i in range(1, int(blen.max())):
-            m = blen > step_i
-            if not m.any():
-                break
-            n0 = (b0 + y0 * gu + y1 * g1 + y2 * g2) % p
-            n1 = (b1 + y0 * b1 + y1 * gv) % p
-            n2 = (b2 + y0 * b2 + y2 * gv) % p
-            y0 = np.where(m, n0, y0)
-            y1 = np.where(m, n1, y1)
-            y2 = np.where(m, n2, y2)
-            key = (y0 * p + y1) * p + y2
-            np.minimum.at(visitor, key[m], bidx[m])
-            on_cycle = m & (step_i >= btail)
-            mk = np.where(on_cycle, np.minimum(mk, key), mk)
-        minkey[bad] = mk
-
-    tails_out = np.empty(n, dtype=np.int64)
-    reps_out = np.empty(n, dtype=np.int64)
-    tails_out[order] = tails
-    reps_out[order] = minkey
-    return periods, tails_out, reps_out, visitor
-
-
-def _census_chunk_star(args):
-    return _census_chunk(*args)
-
-
 def _scan_python(ps: Params3) -> CensusReport:
     """Reference full scan built on the scalar classifier; tiny p only.
 
@@ -403,10 +250,21 @@ def _scan_python(ps: Params3) -> CensusReport:
     )
 
 
+def _divisors(n: int) -> set[int]:
+    return {d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
+
+
 def scan_space(ps: Params3, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP,
-               allow_large: bool = False, threads: int = 1,
-               chunk_size: int = 1 << 18, engine: str = "numpy") -> CensusReport:
-    """Classify every start of Z_p^3 and aggregate all census measures."""
+               allow_large: bool = False) -> CensusReport:
+    """Classify every start of Z_p^3 and aggregate all census measures.
+
+    One pass of first-visit walks: the walk of each launched start a
+    classifies every state a^i it is first to visit (module docstring).
+    """
+    if ps.dim != 3:
+        raise ValueError(
+            "full-space censuses need 3-component parameters (5 coefficients), "
+            f"got {len(ps.coefficients)} coefficients")
     p = ps.modulus.p
     total = p**3
     if p > full_scan_cap and not allow_large:
@@ -414,54 +272,45 @@ def scan_space(ps: Params3, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP,
             f"full scan needs {total} starts (p = {p} > cap {full_scan_cap}); "
             "raise the cap explicitly to proceed"
         )
-    if engine == "python":
-        return _scan_python(ps)
-    if p > _ENGINE_MAX_P:
-        raise BudgetExceededError(f"vectorized engine supports p <= {_ENGINE_MAX_P}")
 
     t_start = time.perf_counter()
-    coefs = tuple(ps.coefficients)
-    ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
-    if threads > 1 and len(ranges) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(
-                _census_chunk_star, [(p, coefs, lo, hi) for lo, hi in ranges]
-            ))
-    else:
-        results = [_census_chunk(p, coefs, lo, hi) for lo, hi in ranges]
-
-    start_hist, tail_hist = Counter(), Counter()
-    pair_arrays = []
-    all_periods = np.empty(total, dtype=np.int64)
-    visitor = np.full(total, _VISITOR_NONE, dtype=np.uint32)
-    zero_tails = 0
-    for (lo, hi), (periods, tails, reps, vis) in zip(ranges, results):
-        all_periods[lo:hi] = periods
-        np.minimum(visitor, vis, out=visitor)
-        vals, counts = np.unique(periods, return_counts=True)
-        start_hist.update(dict(zip(vals.tolist(), counts.tolist())))
-        vals, counts = np.unique(tails, return_counts=True)
-        tail_hist.update(dict(zip(vals.tolist(), counts.tolist())))
-        zero_tails += int((tails == 0).sum())
-        pair_arrays.append(np.unique(reps * np.int64(total + 1) + periods))
-    pairs = np.unique(np.concatenate(pair_arrays))
-    cycle_per = pairs % np.int64(total + 1)
-    vals, counts = np.unique(cycle_per, return_counts=True)
-    cycle_hist = dict(zip(vals.tolist(), counts.tolist()))
-
-    launched = visitor == np.arange(total, dtype=np.uint32)
-    walk_periods = all_periods[launched]
-    vals, counts = np.unique(walk_periods, return_counts=True)
-    walk_hist = dict(zip(vals.tolist(), counts.tolist()))
+    start_hist, tail_hist, walk_hist = Counter(), Counter(), Counter()
+    cycles = set()                       # (lex index of cycle minimum, period)
+    visited = bytearray(total)           # by lex index (x0*p + x1)*p + x2
+    i = visited.find(0)
+    while i != -1:
+        a = Vector3(i // (p * p), i // p % p, i % p, ps.modulus)
+        step = right_mul_stepper(a, ps)
+        seen = {}                        # lex index of a^e -> e - 1
+        x, key = a.components, i
+        while key not in seen:
+            seen[key] = len(seen)
+            x = step(x)
+            key = (x[0] * p + x[1]) * p + x[2]
+        tail = seen[key]
+        period = len(seen) - tail
+        walk_hist[period] += 1
+        keys = list(seen)
+        for e, k in enumerate(keys, 1):
+            if not visited[k]:
+                visited[k] = 1
+                start_hist[period // gcd(period, e)] += 1
+                tail_hist[tail // e] += 1
+        cycle = keys[tail:]              # a^(tail+1) .. a^(tail+period)
+        for g in _divisors(period):
+            # the cycle of a^g: the states a^e of a's cycle with g | e
+            cycles.add((min(cycle[-(tail + 1) % g::g]), period // g))
+        i = visited.find(0, i + 1)
 
     return CensusReport(
-        p=p, params=coefs, total_starts=total,
-        start_periods=dict(start_hist), cycle_periods=cycle_hist,
-        walk_periods=walk_hist, tail_lengths=dict(tail_hist),
-        total_cycles=int(pairs.size), total_walks=int(launched.sum()),
-        zero_tail_starts=zero_tails,
-        cycle_period_sum=int(cycle_per.sum()),
-        engine="numpy", elapsed=time.perf_counter() - t_start,
+        p=p, params=tuple(ps.coefficients), total_starts=total,
+        start_periods=dict(start_hist),
+        cycle_periods=dict(Counter(q for _, q in cycles)),
+        walk_periods=dict(walk_hist), tail_lengths=dict(tail_hist),
+        total_cycles=len(cycles), total_walks=sum(walk_hist.values()),
+        zero_tail_starts=tail_hist[0],
+        cycle_period_sum=sum(q for _, q in cycles),
+        engine="walk", elapsed=time.perf_counter() - t_start,
     )
 
 
@@ -509,15 +358,8 @@ class SweepResult:
         }
 
 
-def _sweep_one(args):
-    p, a, b, c, d, e, chunk_size = args
-    ps = Params3(a, b, c, d, e, PrimeModulus(p))
-    return scan_space(ps, full_scan_cap=p, chunk_size=chunk_size)
-
-
 def param_sweep(modulus, c: int, d: int, e: int, a_values=None, b_values=None,
-                *, threads: int = 1, chunk_size: int = 1 << 18,
-                full_scan_cap: int = DEFAULT_FULL_SCAN_CAP) -> SweepResult:
+                *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP) -> SweepResult:
     """One census per (A, B) pair with C, D, E fixed."""
     p = modulus.p
     if p > full_scan_cap:
@@ -526,16 +368,17 @@ def param_sweep(modulus, c: int, d: int, e: int, a_values=None, b_values=None,
         )
     a_values = list(range(p)) if a_values is None else list(a_values)
     b_values = list(range(p)) if b_values is None else list(b_values)
-    jobs = [(p, a, b, c, d, e, chunk_size) for a in a_values for b in b_values]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(_sweep_one, jobs, chunksize=8))
-    else:
-        reports = [_sweep_one(j) for j in jobs]
+    reports = [scan_space(Params3(a, b, c, d, e, modulus), full_scan_cap=p)
+               for a in a_values for b in b_values]
     return SweepResult(p, (c, d, e), reports)
 
 
-def heuristic_search(ps: Params3, budget: int | None = None,
+def structured_start(s: int, x: int, ps: Params3 | Params4) -> Vector3 | Vector4:
+    """The start (0, s, x), padded with zeros to the dimension of ps."""
+    return vector((0, s % ps.modulus.p, x) + (0,) * (ps.dim - 3), ps.modulus)
+
+
+def heuristic_search(ps: Params3 | Params4, budget: int | None = None,
                      second_components=(1, 2)) -> list[OrbitRecord]:
     """Look for maximal (p^2 - 1) orbits among structured starts (0, s, x).
 
@@ -552,8 +395,8 @@ def heuristic_search(ps: Params3, budget: int | None = None,
         for x in range(p):
             if trials >= budget:
                 return found
-            start = Vector3(0, s % p, x, ps.modulus)
-            if start.components == (0, 0, 0):
+            start = structured_start(s, x, ps)
+            if not any(start.components):
                 continue
             trials += 1
             rec = orbit_length(start, ps)

@@ -277,14 +277,6 @@ def reference_cube() -> SymVector3:
     return SymVector3(c0, a1 * bracket, a2 * bracket)
 
 
-def monomial_count(poly: SymPoly) -> int:
-    return poly.monomial_count()
-
-
-def a_monomial_count(poly: SymPoly) -> int:
-    return poly.a_monomial_count()
-
-
 def a_monomial_bound(n: int) -> int:
     """Counting bound for degree-n expansions: binom(n+3, 3) - 1."""
     return (n + 3) * (n + 2) * (n + 1) // 6 - 1

@@ -68,7 +68,7 @@ def test_orbit_commands(capsys, tmp_path):
                        "--params", "9,19,1,1,2", "--a", "1,0,0")
     assert json.loads(out)["period"] == 11
     csv_path = tmp_path / "census.csv"
-    code, out, _ = run(capsys, "--threads", "1", "orbit", "scan", "--p", "7",
+    code, out, _ = run(capsys, "orbit", "scan", "--p", "7",
                        "--params", "6,1,1,1,2", "--out", str(csv_path))
     assert code == 0
     doc = json.loads(out)
@@ -78,6 +78,17 @@ def test_orbit_commands(capsys, tmp_path):
                        "--params", "9,19,1,1,2")
     assert code == 0
     assert json.loads(out)["found"]
+
+
+def test_orbit_four_components(capsys):
+    code, out, _ = run(capsys, "orbit", "length", "--p", "5",
+                       "--params", "1,2,3,4,0,1,2,3,4", "--a", "0,1,2,3")
+    assert code == 0
+    assert len(json.loads(out)["cycle_rep"]) == 4
+    code, out, err = run(capsys, "orbit", "scan", "--p", "5",
+                         "--params", "1,2,3,4,0,1,2,3,4")
+    assert code == 2 and out == ""
+    assert "3-component" in err
 
 
 def test_orbit_scan_budget_error(capsys):
@@ -90,7 +101,7 @@ def test_orbit_scan_budget_error(capsys):
 def test_orbit_sweep(capsys, tmp_path):
     out_csv = tmp_path / "sweep.csv"
     out_json = tmp_path / "sweep.json"
-    code, out, _ = run(capsys, "--threads", "1", "orbit", "sweep", "--p", "5",
+    code, out, _ = run(capsys, "orbit", "sweep", "--p", "5",
                        "--c", "1", "--d", "1", "--e", "2",
                        "--out", str(out_csv), "--json", str(out_json))
     assert code == 0

@@ -1,8 +1,9 @@
 import pytest
 
-from mlmagma import Params3, Vector3, identity, make_modulus
+from mlmagma import Params3, Params4, Vector3, identity, make_modulus
 from mlmagma.dip import (DipInstance, dip_bruteforce, dip_timing,
                          find_long_period_base, write_timing_csv)
+from mlmagma.orbit import orbit_length
 from mlmagma.power import pow_iter
 from conftest import random_instance
 
@@ -62,6 +63,14 @@ def test_find_long_period_base():
     base = find_long_period_base(ps, min_period=2**14)
     assert base is not None
     assert base.a0 == 0
+
+
+def test_find_long_period_base_four_components():
+    ps = Params4(129, 128, 0, 1, 0, 0, 1, 2, 0, make_modulus(257))
+    base = find_long_period_base(ps, min_period=2**14)
+    assert base.components[0] == base.components[3] == 0
+    rec = orbit_length(base, ps)
+    assert rec.tail + rec.period > 2**14
 
 
 def test_timing_doubles(tmp_path):

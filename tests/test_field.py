@@ -1,7 +1,6 @@
 import pytest
 
-from mlmagma.field import (NotPrimeError, is_prime, make_modulus, mod_add,
-                           mod_mul, mod_sub)
+from mlmagma.field import NotPrimeError, is_prime, make_modulus
 
 
 def test_known_primes_accepted():
@@ -35,31 +34,3 @@ def test_is_prime_pseudoprime_traps():
     assert not is_prime(46657)       # 13 * 37 * 97, Carmichael
     assert not is_prime(46337 * 46337)  # square just under 2**31
     assert is_prime(2147483647)      # 2**31 - 1
-
-
-def test_examples():
-    m23, m61 = make_modulus(23), make_modulus(61)
-    assert mod_add(22, 1, m23) == 0
-    assert mod_add(0, 5, m23) == 5
-    assert mod_add(30, 40, m61) == 9
-    assert mod_mul(22, 22, m23) == 1
-    assert mod_mul(0, 17, m23) == 0
-    assert mod_mul(31, 30, m61) == 15
-    assert mod_sub(0, 1, m23) == 22
-    assert mod_sub(5, 5, m61) == 0
-    assert mod_sub(3, 20, m23) == 6
-
-
-def test_field_axioms_random(rng):
-    for m in (make_modulus(23), make_modulus(61)):
-        p = m.p
-        for _ in range(1000):
-            x, y, z = (rng.randrange(p) for _ in range(3))
-            assert mod_add(x, y, m) == mod_add(y, x, m)
-            assert mod_mul(x, y, m) == mod_mul(y, x, m)
-            assert mod_add(mod_add(x, y, m), z, m) == mod_add(x, mod_add(y, z, m), m)
-            assert mod_mul(mod_mul(x, y, m), z, m) == mod_mul(x, mod_mul(y, z, m), m)
-            assert mod_mul(x, mod_add(y, z, m), m) == mod_add(
-                mod_mul(x, y, m), mod_mul(x, z, m), m)
-            for r in (mod_add(x, y, m), mod_sub(x, y, m), mod_mul(x, y, m)):
-                assert 0 <= r < p

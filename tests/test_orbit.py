@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from mlmagma import Params3, Vector3, identity, make_modulus
+from mlmagma import Params3, Params4, Vector3, Vector4, identity, make_modulus
 from mlmagma.magma import right_mul_stepper
 from mlmagma.orbit import (BudgetExceededError, _scan_python,
                            heuristic_search, orbit_length, param_sweep,
@@ -51,16 +52,25 @@ def test_replay_returns_to_cycle_entry(rng):
         assert rec.cycle_rep.components == min(cyc)
 
 
+_seeded = random.Random(2026)
+SEEDED_CASES = [(p, tuple(_seeded.randrange(p) for _ in range(5)))
+                for p in (5, 7, 11, 13) for _ in range(2)]
+
+
 @pytest.mark.parametrize("p,coefs", [
     (5, (2, 3, 1, 4, 2)),
     (7, (6, 1, 1, 1, 2)),
     (7, (3, 5, 2, 1, 4)),
     (11, (9, 3, 1, 1, 2)),
-])
+    (5, (0, 0, 0, 0, 0)),     # every direction dual
+    (13, (0, 0, 0, 0, 0)),
+    (7, (1, 4, 1, 1, 2)),     # one dual direction: tail-1 starts
+    (11, (1, 2, 1, 1, 2)),
+] + SEEDED_CASES)
 def test_engines_agree(p, coefs):
     ps = Params3(*coefs, make_modulus(p))
     ref = _scan_python(ps)
-    fast = scan_space(ps, chunk_size=97)  # force several chunks
+    fast = scan_space(ps)
     assert fast.start_periods == ref.start_periods
     assert fast.cycle_periods == ref.cycle_periods
     assert fast.walk_periods == ref.walk_periods
@@ -68,17 +78,12 @@ def test_engines_agree(p, coefs):
     assert fast.total_cycles == ref.total_cycles
     assert fast.total_walks == ref.total_walks
     assert fast.zero_tail_starts == ref.zero_tail_starts
+    assert fast.cycle_period_sum == ref.cycle_period_sum
 
 
-def test_scan_is_deterministic_and_parallel_consistent():
+def test_scan_is_deterministic():
     ps = Params3(6, 1, 1, 1, 2, make_modulus(11))
-    one = scan_space(ps)
-    two = scan_space(ps, chunk_size=50)
-    par = scan_space(ps, chunk_size=200, threads=2)
-    for other in (two, par):
-        assert one.start_periods == other.start_periods
-        assert one.walk_periods == other.walk_periods
-        assert one.cycle_periods == other.cycle_periods
+    assert scan_space(ps) == scan_space(ps)
 
 
 def test_start_histogram_totals_space():
@@ -93,7 +98,7 @@ def test_start_histogram_totals_space():
 
 
 def test_walk_census_matches_sequential_definition():
-    """First-visit walks computed by the vectorized engine equal the
+    """First-visit walks computed by scan_space equal the
     literal 'skip already-visited starts' procedure."""
     p = 7
     ps = Params3(3, 2, 1, 1, 2, make_modulus(p))
@@ -147,6 +152,29 @@ def test_budget_rejection():
         param_sweep(make_modulus(131), 1, 1, 2)
 
 
+def test_census_rejects_four_components():
+    m = make_modulus(5)
+    with pytest.raises(ValueError, match="3-component"):
+        scan_space(Params4(1, 2, 3, 4, 0, 1, 2, 3, 4, m))
+
+
+def test_orbit_length_four_components(rng):
+    for _ in range(20):
+        a, ps = random_instance(rng, dim=4, primes=(23,))
+        rec = orbit_length(a, ps)
+        step = right_mul_stepper(a, ps)
+        cur = a.components
+        for _ in range(rec.tail):
+            cur = step(cur)
+        cyc = [cur]
+        for _ in range(rec.period - 1):
+            cyc.append(step(cyc[-1]))
+        assert step(cyc[-1]) == cyc[0]
+        assert rec.cycle_rep == Vector4(*min(cyc), a.modulus)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        orbit_length(Vector3(0, 1, 2, a.modulus), ps)
+
+
 def test_census_proportions_and_dict():
     ps = Params3(6, 1, 1, 1, 2, make_modulus(7))
     r = scan_space(ps)
@@ -178,7 +206,7 @@ def test_csv_and_json_output(tmp_path):
 
 
 def test_param_sweep_small():
-    sweep = param_sweep(make_modulus(5), 1, 1, 2, threads=1)
+    sweep = param_sweep(make_modulus(5), 1, 1, 2)
     assert len(sweep.reports) == 25
     agg = sweep.aggregate("walk")
     assert set(agg) == {"n_minus_1", "n2_minus_1", "half_n_minus_1",
@@ -191,7 +219,7 @@ def test_param_sweep_small():
 
 def test_census_regression_anchor_p23():
     """Frozen full census at p=23 (9,19,1,1,2), verified once against the
-    sequential reference; guards the vectorized engine against drift."""
+    sequential reference; guards scan_space against drift."""
     ps = Params3(9, 19, 1, 1, 2, make_modulus(23))
     r = scan_space(ps)
     assert r.total_starts == 12167
@@ -217,6 +245,16 @@ def test_heuristic_search_finds_maximal_orbit():
         assert rec.start.a0 == 0
     # identity start never shows up
     assert all(r.start.components != (0, 0, 0) for r in found)
+
+
+def test_heuristic_search_four_components():
+    m = make_modulus(23)
+    ps = Params4(9, 19, 0, 1, 0, 0, 1, 2, 0, m)  # (9,19,1,1,2) with a3 = 0
+    found = heuristic_search(ps, budget=2 * 23)
+    assert found
+    for rec in found:
+        assert rec.period == 23 * 23 - 1
+        assert rec.start.components[0] == rec.start.components[3] == 0
 
 
 def test_heuristic_search_budget_respected():
