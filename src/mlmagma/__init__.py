@@ -13,11 +13,8 @@ from .magma import (
     Vector4,
     identity,
     mul,
-    mul3,
-    mul4,
     params,
-    square3_gh,
-    square4_gh,
+    square_gh,
     vector,
 )
 from .power import pow_fast, pow_iter
@@ -26,7 +23,7 @@ __all__ = [
     "PrimeModulus", "make_modulus",
     "Vector3", "Vector4", "Params3", "Params4",
     "vector", "params", "identity",
-    "mul", "mul3", "mul4", "square3_gh", "square4_gh",
+    "mul", "square_gh",
     "pow_iter", "pow_fast",
 ]
 

@@ -3,7 +3,9 @@
 Both parties agree on a public base vector a; each picks a secret
 exponent and publishes its power of a.  The shared key is the peer's
 public value raised to the own secret, i.e. a^(m*n), which both sides
-reach because (a^m)^n = (a^n)^m under the power identity.
+reach because (a^m)^n = (a^n)^m under the power identity.  As
+a^n = (s_n − 1, t_n·a') (magma), a secret is a discrete log in R^*, a
+group of order p²−1, p(p−1) or (p−1)².
 
 An additive variant deriving a^(m+n) exists behind an explicit flag for
 study only: a^(m+n) = a^m * a^n is computable from the two public
@@ -381,6 +383,7 @@ def run_session(role: str, sock, pub: KxPublicParams, exponent_bits: int = 64,
     The initiator announces parameters and its public value; the
     responder checks the announcement against its own configuration,
     answers with its public value, and both sides derive the key.
+    Every failure, socket errors included, raises KxSessionError.
     """
     if role not in (ROLE_INITIATOR, ROLE_RESPONDER):
         raise ValueError(f"role must be {ROLE_INITIATOR!r} or {ROLE_RESPONDER!r}")
@@ -388,27 +391,30 @@ def run_session(role: str, sock, pub: KxPublicParams, exponent_bits: int = 64,
         sock.settimeout(timeout)
     own = keygen(pub, exponent_bits, rng)
     p = pub.modulus.p
-    if role == ROLE_INITIATOR:
-        sock.sendall(encode_message(announce_for(pub)))
-        sock.sendall(encode_message(public_message(own.public)))
-        reply = _recv_message(sock, expected_p=p)
-        if reply.kind != KIND_PUBLIC:
-            raise KxSessionError("aborted: expected a public value reply")
-        peer = vector(reply.body.components, pub.modulus)
-    else:
-        announce = _recv_message(sock, expected_p=p)
-        if announce.kind != KIND_PARAMS:
-            raise KxSessionError("aborted: expected a parameter announce")
-        body = announce.body
-        if (body.dim != pub.dim
-                or body.coefficients != tuple(pub.params.coefficients)
-                or body.base != tuple(pub.base.components)):
-            raise KxSessionError("aborted: parameter mismatch with peer")
-        first = _recv_message(sock, expected_p=p)
-        if first.kind != KIND_PUBLIC:
-            raise KxSessionError("aborted: expected the initiator public value")
-        peer = vector(first.body.components, pub.modulus)
-        sock.sendall(encode_message(public_message(own.public)))
+    try:
+        if role == ROLE_INITIATOR:
+            sock.sendall(encode_message(announce_for(pub)))
+            sock.sendall(encode_message(public_message(own.public)))
+            reply = _recv_message(sock, expected_p=p)
+            if reply.kind != KIND_PUBLIC:
+                raise KxSessionError("aborted: expected a public value reply")
+            peer = vector(reply.body.components, pub.modulus)
+        else:
+            announce = _recv_message(sock, expected_p=p)
+            if announce.kind != KIND_PARAMS:
+                raise KxSessionError("aborted: expected a parameter announce")
+            body = announce.body
+            if (body.dim != pub.dim
+                    or body.coefficients != tuple(pub.params.coefficients)
+                    or body.base != tuple(pub.base.components)):
+                raise KxSessionError("aborted: parameter mismatch with peer")
+            first = _recv_message(sock, expected_p=p)
+            if first.kind != KIND_PUBLIC:
+                raise KxSessionError("aborted: expected the initiator public value")
+            peer = vector(first.body.components, pub.modulus)
+            sock.sendall(encode_message(public_message(own.public)))
+    except OSError as exc:  # a reset or closed peer
+        raise KxSessionError(f"aborted: {exc}") from exc
     shared = derive_shared(own, peer, pub, mode)
     return SessionResult(role, own, peer, shared)
 

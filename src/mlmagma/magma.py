@@ -1,9 +1,19 @@
 """Second-order multilinear binary operations on Z_p^3 and Z_p^4.
 
-The product is defined componentwise; it is non-commutative and
-non-associative in general, has the zero vector as a two-sided identity,
-and admits the g/h closed form for squaring.  Vectors and parameter sets
-carry their modulus, and mixing moduli is rejected rather than coerced.
+With x = (x0, x'), both dimensions share one product
+
+    x*y = (x0 + y0 + x0·y0 + x'ᵀK y',  (1 + y0 + λ·y')·x' + (1 + x0)·y'),
+
+and differ only in where the paper's 5 or 9 coefficients sit in K and λ
+(_form).  It is non-commutative and non-associative in general; the zero
+vector is a two-sided identity.  Mixing moduli or dimensions is rejected.
+
+Powers are associative.  Let L = λ·a', Q = a'ᵀK a' and
+R = F_p[w]/(w² − L w − Q).  For x = (s−1, t·a') and y = (s'−1, t'·a'),
+x'ᵀK y' = t t'Q and λ·y' = t'L, so x*y = (s s' + t t'Q − 1,
+(s t' + s' t + t t'L)·a'): R's product of s + tw and s' + t'w.  So this
+plane is closed and isomorphic to R, and a^n = (s_n − 1, t_n·a') with
+s_n + t_n w = (a0 + 1 + w)^n under every parenthesization.
 """
 
 from dataclasses import dataclass
@@ -129,101 +139,81 @@ def params(coefficients, modulus: PrimeModulus) -> Params3 | Params4:
 
 def identity(dim: int, modulus: PrimeModulus) -> Vector3 | Vector4:
     """The zero vector, a two-sided multiplicative identity."""
-    if dim == 3:
-        return Vector3(0, 0, 0, modulus)
-    if dim == 4:
-        return Vector4(0, 0, 0, 0, modulus)
-    raise ValueError(f"dim must be 3 or 4, got {dim}")
+    if dim not in (3, 4):
+        raise ValueError(f"dim must be 3 or 4, got {dim}")
+    return vector((0,) * dim, modulus)
 
 
-def _require_shared_modulus(*objs) -> PrimeModulus:
-    m = objs[0].modulus
-    for o in objs[1:]:
-        if o.modulus != m:
-            raise ModulusMismatchError(
-                f"moduli differ: {m.p} vs {o.modulus.p}"
-            )
-    return m
+def _require_shared(a, b, ps) -> PrimeModulus:
+    """The one modulus of two vectors and a parameter set of one dimension."""
+    if a.dim != b.dim or a.dim != ps.dim:
+        raise ModulusMismatchError(
+            f"dimension mismatch: {a.dim}, {b.dim}, params {ps.dim}")
+    if not a.modulus == b.modulus == ps.modulus:
+        raise ModulusMismatchError(
+            f"moduli differ: {a.modulus.p}, {b.modulus.p}, params {ps.modulus.p}")
+    return a.modulus
 
 
-def mul3(a: Vector3, b: Vector3, ps: Params3) -> Vector3:
-    m = _require_shared_modulus(a, b, ps)
-    p = m.p
-    A, B, C, D, E = ps.coefficients
-    a0, a1, a2 = a.components
-    b0, b1, b2 = b.components
-    c0 = (a0 + b0 + a0 * b0 + A * a1 * b1 + C * a2 * b1 + B * a2 * b2) % p
-    c1 = (a1 + b1 + a1 * b0 + a0 * b1 + D * a1 * b1 + E * a1 * b2) % p
-    c2 = (a2 + b2 + a2 * b0 + a0 * b2 + D * a2 * b1 + E * a2 * b2) % p
-    return Vector3(c0, c1, c2, m)
-
-
-def mul4(a: Vector4, b: Vector4, ps: Params4) -> Vector4:
-    m = _require_shared_modulus(a, b, ps)
-    p = m.p
+def _form(ps):
+    """(K, λ): where the paper's 5 or 9 coefficients sit in the product."""
+    if ps.dim == 3:
+        A, B, C, D, E = ps.coefficients
+        return ((A, 0), (C, B)), (D, E)
     A, B, C, D, E, F, G, H, I = ps.coefficients
-    a0, a1, a2, a3 = a.components
-    b0, b1, b2, b3 = b.components
-    c0 = (a0 + b0 + a0 * b0 + A * a1 * b1 + E * a3 * b1 + B * a2 * b2
-          + D * a1 * b2 + F * a3 * b2 + C * a3 * b3) % p
-    c1 = (a1 + b1 + a1 * b0 + a0 * b1 + G * a1 * b1 + H * a1 * b2
-          + I * a1 * b3) % p
-    c2 = (a2 + b2 + a2 * b0 + a0 * b2 + G * a2 * b1 + H * a2 * b2
-          + I * a2 * b3) % p
-    c3 = (a3 + b3 + a3 * b0 + a0 * b3 + G * a3 * b1 + H * a3 * b2
-          + I * a3 * b3) % p
-    return Vector4(c0, c1, c2, c3, m)
+    return ((A, D, 0), (0, B, 0), (E, F, C)), (G, H, I)
+
+
+def plane(a, ps) -> tuple[int, int]:
+    """(L, Q) = (λ·a', a'ᵀK a') mod p: a's plane is F_p[w]/(w² − L w − Q)."""
+    p = _require_shared(a, a, ps).p
+    K, lam = _form(ps)
+    x = a.components[1:]
+    L = sum(l * xi for l, xi in zip(lam, x))
+    Q = sum(xi * k * xj for xi, row in zip(x, K) for k, xj in zip(row, x))
+    return L % p, Q % p
+
+
+def from_plane(a, s: int, t: int):
+    """The vector (s − 1, t·a') of a's plane, for s, t in [0, p)."""
+    m = a.modulus
+    return vector(((s - 1) % m.p, *(t * x % m.p for x in a.components[1:])), m)
 
 
 def mul(a, b, ps):
-    """Dimension-dispatching product."""
-    if a.dim != b.dim or a.dim != ps.dim:
-        raise ModulusMismatchError(
-            f"dimension mismatch: {a.dim}, {b.dim}, params {ps.dim}"
-        )
-    if a.dim == 3:
-        return mul3(a, b, ps)
-    return mul4(a, b, ps)
+    """The product a * b, in either dimension."""
+    m = _require_shared(a, b, ps)
+    return type(a)(*right_mul_stepper(b, ps)(a.components), m)
 
 
-def square3_gh(a: Vector3, ps: Params3) -> Vector3:
-    """Closed-form squaring a*a = (g(a), a1*h(a), a2*h(a))."""
-    m = _require_shared_modulus(a, ps)
-    p = m.p
-    A, B, C, D, E = ps.coefficients
-    a0, a1, a2 = a.components
-    g = ((a0 + 1) ** 2 + A * a1 * a1 + B * a2 * a2 + C * a1 * a2 - 1) % p
-    h = (D * a1 + E * a2 + 2 * (a0 + 1)) % p
-    return Vector3(g, a1 * h % p, a2 * h % p, m)
+def square_gh(a, ps):
+    """Closed-form squaring a*a = (g, h·a').
 
-
-def square4_gh(a: Vector4, ps: Params4) -> Vector4:
-    m = _require_shared_modulus(a, ps)
-    p = m.p
-    A, B, C, D, E, F, G, H, I = ps.coefficients
-    a0, a1, a2, a3 = a.components
-    g = ((a0 + 1) ** 2 + A * a1 * a1 + B * a2 * a2 + C * a3 * a3
-         + D * a1 * a2 + E * a1 * a3 + F * a2 * a3 - 1) % p
-    h = (G * a1 + H * a2 + I * a3 + 2 * (a0 + 1)) % p
-    return Vector4(g, a1 * h % p, a2 * h % p, a3 * h % p, m)
+    With s = a0 + 1, (s + w)² = (s² + Q) + (2s + L) w in a's plane, so
+    g = s² + Q − 1 and h = 2s + L, the trace of s + w.
+    """
+    L, Q = plane(a, ps)
+    p = a.modulus.p
+    s = a.components[0] + 1
+    return from_plane(a, (s * s + Q) % p, (2 * s + L) % p)
 
 
 def right_mul_stepper(b, ps):
     """Fast closure computing x -> x * b on raw component tuples.
 
-    Fixing the right factor makes the product affine in the left one, so
-    the per-step work collapses to a handful of fused coefficients.  Hot
-    loops (orbits, brute-force iteration, PRNG streams) use this instead
-    of the boxed mul().
+    x * b = (b0 + u·x0 + q·x', b' + x0·b' + v·x') with u = 1 + b0,
+    q = K b' and v = u + λ·b'.  Hot loops (orbits, brute-force iteration,
+    PRNG streams) use this instead of the boxed mul().  mul() builds one
+    per product, so q and v are also written out per dimension.
     """
     p = ps.modulus.p
+    K, lam = _form(ps)
     if b.dim == 3:
-        A, B, C, D, E = ps.coefficients
         b0, b1, b2 = b.components
+        l1, l2 = lam
         u = (1 + b0) % p
-        q1 = (A * b1) % p
-        q2 = (C * b1 + B * b2) % p
-        v = (1 + b0 + D * b1 + E * b2) % p
+        q1, q2 = [(k1 * b1 + k2 * b2) % p for k1, k2 in K]
+        v = (u + l1 * b1 + l2 * b2) % p
 
         def step3(x):
             x0, x1, x2 = x
@@ -233,13 +223,11 @@ def right_mul_stepper(b, ps):
 
         return step3
 
-    A, B, C, D, E, F, G, H, I = ps.coefficients
     b0, b1, b2, b3 = b.components
+    l1, l2, l3 = lam
     u = (1 + b0) % p
-    q1 = (A * b1 + D * b2) % p
-    q2 = (B * b2) % p
-    q3 = (E * b1 + F * b2 + C * b3) % p
-    v = (1 + b0 + G * b1 + H * b2 + I * b3) % p
+    q1, q2, q3 = [(k1 * b1 + k2 * b2 + k3 * b3) % p for k1, k2, k3 in K]
+    v = (u + l1 * b1 + l2 * b2 + l3 * b3) % p
 
     def step4(x):
         x0, x1, x2, x3 = x
@@ -252,40 +240,39 @@ def right_mul_stepper(b, ps):
 
 
 def left_mul_stepper(a, ps):
-    """Fast closure computing y -> a * y on raw component tuples."""
+    """Fast closure computing y -> a * y on raw component tuples.
+
+    a * y = (a0 + u·y0 + r·y', a'·(1 + y0 + λ·y') + u·y') with u = 1 + a0
+    and r = Kᵀa'.
+    """
     p = ps.modulus.p
+    K, lam = _form(ps)
     if a.dim == 3:
-        A, B, C, D, E = ps.coefficients
         a0, a1, a2 = a.components
+        l1, l2 = lam
         u = (1 + a0) % p
-        r1 = (A * a1 + C * a2) % p
-        r2 = (B * a2) % p
-        w1 = (1 + a0 + D * a1) % p
-        w2 = (1 + a0 + E * a2) % p
-        e1 = (E * a1) % p
-        d2 = (D * a2) % p
+        r1, r2 = [(a1 * k1 + a2 * k2) % p for k1, k2 in zip(*K)]
 
         def lstep3(y):
             y0, y1, y2 = y
+            f = 1 + y0 + l1 * y1 + l2 * y2
             return ((a0 + y0 * u + y1 * r1 + y2 * r2) % p,
-                    (a1 + y0 * a1 + y1 * w1 + y2 * e1) % p,
-                    (a2 + y0 * a2 + y1 * d2 + y2 * w2) % p)
+                    (a1 * f + u * y1) % p,
+                    (a2 * f + u * y2) % p)
 
         return lstep3
 
-    A, B, C, D, E, F, G, H, I = ps.coefficients
     a0, a1, a2, a3 = a.components
+    l1, l2, l3 = lam
     u = (1 + a0) % p
-    r1 = (A * a1 + E * a3) % p
-    r2 = (B * a2 + D * a1 + F * a3) % p
-    r3 = (C * a3) % p
+    r1, r2, r3 = [(a1 * k1 + a2 * k2 + a3 * k3) % p for k1, k2, k3 in zip(*K)]
 
     def lstep4(y):
         y0, y1, y2, y3 = y
-        z0 = (a0 + y0 * u + y1 * r1 + y2 * r2 + y3 * r3) % p
-        z1 = (a1 + y0 * a1 + y1 * (1 + a0 + G * a1) + y2 * (H * a1) + y3 * (I * a1)) % p
-        z2 = (a2 + y0 * a2 + y1 * (G * a2) + y2 * (1 + a0 + H * a2) + y3 * (I * a2)) % p
-        z3 = (a3 + y0 * a3 + y1 * (G * a3) + y2 * (H * a3) + y3 * (1 + a0 + I * a3)) % p
-        return (z0, z1, z2, z3)
+        f = 1 + y0 + l1 * y1 + l2 * y2 + l3 * y3
+        return ((a0 + y0 * u + y1 * r1 + y2 * r2 + y3 * r3) % p,
+                (a1 * f + u * y1) % p,
+                (a2 * f + u * y2) % p,
+                (a3 * f + u * y3) % p)
 
     return lstep4

@@ -1,11 +1,11 @@
 """Exponentiation and checkers for the single-element algebra.
 
-Powers are left-associative: a^(n+1) = a^n * a.  The operation is only
-conjectured (and heavily tested) to be power associative, so pow_fast,
-which squares-and-multiplies, is cross-checkable against pow_iter.
+Powers are left-associative: a^(n+1) = a^n * a.  They are also power
+associative (proof in magma's docstring); pow_fast squares and
+multiplies in that algebra R, and pow_iter stays as its oracle.
 """
 
-from .magma import identity, mul, right_mul_stepper, vector
+from .magma import from_plane, identity, mul, plane, right_mul_stepper, vector
 
 MAX_EXPONENT = 2**64
 
@@ -31,21 +31,21 @@ def pow_iter(a, n: int, ps):
 
 
 def pow_fast(a, n: int, ps):
-    """a^n by binary square-and-multiply.
+    """a^n by square-and-multiply on (s, t) in R.
 
-    Relies on the power identity a^m * a^n = a^(m+n); agrees with
-    pow_iter on everything tested, which is the property suite's job to
-    keep true.
+    a = (s0 − 1, a') is s0 + w in R, and a^n = (s − 1, t·a') for
+    s + t w = (s0 + w)^n.
     """
     _check_exponent(n)
-    if n == 0:
-        return identity(a.dim, a.modulus)
-    acc = a
-    for bit in bin(n)[3:]:
-        acc = mul(acc, acc, ps)
+    L, Q = plane(a, ps)
+    p = a.modulus.p
+    s0 = a.components[0] + 1
+    s, t = 1, 0
+    for bit in bin(n)[2:]:
+        s, t = (s * s + t * t * Q) % p, (2 * s + t * L) * t % p
         if bit == "1":
-            acc = mul(acc, a, ps)
-    return acc
+            s, t = (s * s0 + t * Q) % p, (s + t * (s0 + L)) % p
+    return from_plane(a, s, t)
 
 
 def powers_upto(a, n: int, ps) -> list:

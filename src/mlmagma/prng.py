@@ -221,6 +221,8 @@ class UniformityReport:
 
 
 def uniformity_stats(config: PrngConfig, samples: int) -> UniformityReport:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     p = config.modulus.p
     counts = [[0] * p for _ in range(3)]
     c0, c1, c2 = counts
@@ -299,6 +301,10 @@ def byte_stream(config: PrngConfig, nbytes: int) -> bytes:
     and contribute k bits; larger values are rejected.  Power-of-two
     rejection avoids modulo bias for any p.
     """
+    if nbytes < 0:
+        raise ValueError(f"byte count must be non-negative, got {nbytes}")
+    if nbytes == 0:
+        return b""
     p = config.modulus.p
     k = p.bit_length() - 1
     threshold = 1 << k

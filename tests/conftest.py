@@ -23,3 +23,29 @@ def random_instance(rng, dim=3, primes=TEST_PRIMES):
         a = Vector4(*(rng.randrange(p) for _ in range(4)), m)
         ps = Params4(*(rng.randrange(p) for _ in range(9)), m)
     return a, ps
+
+
+def paper_mul(a, b, ps):
+    """The paper's componentwise product, written out per dimension.
+
+    An oracle independent of magma's (K, λ) form: each coefficient
+    multiplies the component pair the paper gives it.
+    """
+    p = ps.modulus.p
+    if a.dim == 3:
+        A, B, C, D, E = ps.coefficients
+        a0, a1, a2 = a.components
+        b0, b1, b2 = b.components
+        c0 = a0 + b0 + a0 * b0 + A * a1 * b1 + C * a2 * b1 + B * a2 * b2
+        c1 = a1 + b1 + a1 * b0 + a0 * b1 + D * a1 * b1 + E * a1 * b2
+        c2 = a2 + b2 + a2 * b0 + a0 * b2 + D * a2 * b1 + E * a2 * b2
+        return Vector3(c0 % p, c1 % p, c2 % p, a.modulus)
+    A, B, C, D, E, F, G, H, I = ps.coefficients
+    a0, a1, a2, a3 = a.components
+    b0, b1, b2, b3 = b.components
+    c0 = (a0 + b0 + a0 * b0 + A * a1 * b1 + E * a3 * b1 + B * a2 * b2
+          + D * a1 * b2 + F * a3 * b2 + C * a3 * b3)
+    c1 = a1 + b1 + a1 * b0 + a0 * b1 + G * a1 * b1 + H * a1 * b2 + I * a1 * b3
+    c2 = a2 + b2 + a2 * b0 + a0 * b2 + G * a2 * b1 + H * a2 * b2 + I * a2 * b3
+    c3 = a3 + b3 + a3 * b0 + a0 * b3 + G * a3 * b1 + H * a3 * b2 + I * a3 * b3
+    return Vector4(c0 % p, c1 % p, c2 % p, c3 % p, a.modulus)

@@ -111,22 +111,27 @@ def test_orbit_sweep(capsys, tmp_path):
     assert "aggregate_walk" in doc
 
 
-def test_prng_commands(capsys, tmp_path):
+def prng_config_file(tmp_path):
     m = make_modulus(37)
     cfg = PrngConfig(Params3(19, 18, 1, 1, 2, m),
                      (Vector3(0, 1, 5, m), Vector3(0, 2, 7, m)),
                      (0, 1), Vector3(3, 1, 4, m))
     path = tmp_path / "cfg.json"
     path.write_text(cfg.to_json())
-    code, out, _ = run(capsys, "prng", "run", "--config", str(path),
+    return str(path)
+
+
+def test_prng_commands(capsys, tmp_path):
+    path = prng_config_file(tmp_path)
+    code, out, _ = run(capsys, "prng", "run", "--config", path,
                        "--count", "5")
     lines = out.strip().splitlines()
     assert lines[0] == "step,x0,x1,x2"
     assert len(lines) == 6
-    code, out, _ = run(capsys, "prng", "cycle", "--config", str(path))
+    code, out, _ = run(capsys, "prng", "cycle", "--config", path)
     doc = json.loads(out)
     assert doc["period"] is not None and doc["period"] % 2 == 0
-    code, out, _ = run(capsys, "prng", "uniformity", "--config", str(path),
+    code, out, _ = run(capsys, "prng", "uniformity", "--config", path,
                        "--samples", "2000")
     assert "max_relative_deviation" in json.loads(out)
     code, out, _ = run(capsys, "prng", "search", "--p", "37",
@@ -135,6 +140,24 @@ def test_prng_commands(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["max_period"] == 37**3 * 2
     assert len(doc["leaderboard"]) <= 10
+
+
+def test_prng_uniformity_zero_samples(capsys, tmp_path):
+    code, out, err = run(capsys, "prng", "uniformity", "--config",
+                         prng_config_file(tmp_path), "--samples", "0")
+    assert code == 2 and out == ""
+    assert "samples must be at least 1" in err
+
+
+def test_prng_bytes_zero_and_negative_count(capsys, tmp_path):
+    path = prng_config_file(tmp_path)
+    code, out, err = run(capsys, "prng", "run", "--config", path,
+                         "--count", "0", "--format", "bytes")
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run(capsys, "prng", "run", "--config", path,
+                         "--count", "-1", "--format", "bytes")
+    assert code == 2 and out == ""
+    assert "must be non-negative" in err
 
 
 def test_dip_commands(capsys, tmp_path):
@@ -184,13 +207,13 @@ def test_kx_listen_connect(capsys):
     deadline = time.time() + 5
     code = None
     while time.time() < deadline:
-        try:
-            code = main(["kx", "connect", "--p", "101", "--params", "1,1,1,1,1",
-                         "--base", "1,0,0", "--bits", "8", "--host", "127.0.0.1",
-                         "--port", str(port)])
+        # exit code 2 until the listener thread has bound the port
+        code = main(["kx", "connect", "--p", "101", "--params", "1,1,1,1,1",
+                     "--base", "1,0,0", "--bits", "8", "--host", "127.0.0.1",
+                     "--port", str(port)])
+        if code == 0:
             break
-        except Exception:
-            time.sleep(0.05)
+        time.sleep(0.05)
     server.join(timeout=5)
     out = capsys.readouterr().out
     assert code == 0

@@ -185,6 +185,8 @@ def run_pair(pub_i, pub_r, bits=8):
                                    random.Random(11), timeout=5.0)
         except Exception as exc:
             out["r_err"] = exc
+        finally:
+            s2.close()  # as serve's `with conn:` does
 
     t = threading.Thread(target=responder)
     t.start()
@@ -195,7 +197,6 @@ def run_pair(pub_i, pub_r, bits=8):
         out["i_err"] = exc
     t.join()
     s1.close()
-    s2.close()
     return out
 
 
@@ -209,6 +210,27 @@ def test_session_over_socketpair():
 def test_session_parameter_mismatch_aborts():
     out = run_pair(demo_pub(), demo_pub(base=(2, 0, 0)))
     assert isinstance(out.get("r_err"), KxSessionError)
+    assert isinstance(out.get("i_err"), KxSessionError)
+
+
+def test_session_peer_reset_is_session_error():
+    """A peer that closes with our data unread resets the connection; the
+    session reports that as KxSessionError, not as a socket OSError."""
+    pub = demo_pub()
+    s1, s2 = socket.socketpair()
+
+    def peer():
+        s2.recv(1)  # leaves the rest of the announce unread
+        s2.close()
+
+    t = threading.Thread(target=peer)
+    t.start()
+    try:
+        with pytest.raises(KxSessionError):
+            run_session("initiator", s1, pub, 8, random.Random(12), timeout=5.0)
+    finally:
+        t.join()
+        s1.close()
 
 
 def test_session_wrong_message_order_aborts():

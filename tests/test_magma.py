@@ -3,29 +3,29 @@ import itertools
 import pytest
 
 from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
-                     mul, mul3, mul4, params, square3_gh, square4_gh, vector)
+                     mul, params, square_gh, vector)
 from mlmagma.magma import (ModulusMismatchError, left_mul_stepper,
                            right_mul_stepper)
-from conftest import random_instance
+from conftest import paper_mul, random_instance
 
 
 def test_mul3_examples():
     m23 = make_modulus(23)
     ps = Params3(9, 19, 1, 1, 2, m23)
     a, b = Vector3(0, 1, 0, m23), Vector3(0, 0, 1, m23)
-    assert mul3(a, b, ps).components == (0, 3, 1)
-    assert mul3(b, a, ps).components == (1, 1, 2)  # non-commutativity witness
+    assert mul(a, b, ps).components == (0, 3, 1)
+    assert mul(b, a, ps).components == (1, 1, 2)  # non-commutativity witness
 
     m7 = make_modulus(7)
     zero = Params3(0, 0, 0, 0, 0, m7)
-    assert mul3(Vector3(1, 2, 3, m7), Vector3(4, 5, 6, m7), zero).components == (2, 6, 6)
+    assert mul(Vector3(1, 2, 3, m7), Vector3(4, 5, 6, m7), zero).components == (2, 6, 6)
 
 
 def test_mul4_examples():
     m7 = make_modulus(7)
     ones = Vector4(1, 1, 1, 1, m7)
-    assert mul4(ones, ones, Params4(*[0] * 9, m7)).components == (3, 4, 4, 4)
-    assert mul4(ones, ones, Params4(*[1] * 9, m7)).components == (2, 0, 0, 0)
+    assert mul(ones, ones, Params4(*[0] * 9, m7)).components == (3, 4, 4, 4)
+    assert mul(ones, ones, Params4(*[1] * 9, m7)).components == (2, 0, 0, 0)
 
 
 def test_identity_element(rng):
@@ -44,37 +44,37 @@ def test_identity_laws_exhaustive_p5():
     e = identity(3, m)
     for comps in itertools.product(range(5), repeat=3):
         a = Vector3(*comps, m)
-        assert mul3(a, e, ps) == a
-        assert mul3(e, a, ps) == a
+        assert mul(a, e, ps) == a
+        assert mul(e, a, ps) == a
 
 
 def test_square_gh_examples():
     m101 = make_modulus(101)
     ps = Params3(1, 1, 1, 1, 1, m101)
-    assert square3_gh(Vector3(1, 1, 1, m101), ps).components == (6, 6, 6)
-    assert square3_gh(Vector3(0, 0, 0, m101), ps).components == (0, 0, 0)
-    assert square3_gh(Vector3(1, 0, 0, m101), ps).components == (3, 0, 0)
+    assert square_gh(Vector3(1, 1, 1, m101), ps).components == (6, 6, 6)
+    assert square_gh(Vector3(0, 0, 0, m101), ps).components == (0, 0, 0)
+    assert square_gh(Vector3(1, 0, 0, m101), ps).components == (3, 0, 0)
 
     m7 = make_modulus(7)
     ps4 = Params4(*[1] * 9, m7)
-    assert square4_gh(Vector4(1, 1, 1, 1, m7), ps4).components == (2, 0, 0, 0)
-    assert square4_gh(Vector4(1, 0, 0, 0, m7), ps4).components == (3, 0, 0, 0)
+    assert square_gh(Vector4(1, 1, 1, 1, m7), ps4).components == (2, 0, 0, 0)
+    assert square_gh(Vector4(1, 0, 0, 0, m7), ps4).components == (3, 0, 0, 0)
 
 
 def test_square_gh_matches_mul(rng):
-    for dim, square in ((3, square3_gh), (4, square4_gh)):
+    for dim in (3, 4):
         for _ in range(500):
             a, ps = random_instance(rng, dim)
-            assert square(a, ps) == mul(a, a, ps)
+            assert square_gh(a, ps) == mul(a, a, ps)
 
 
 def test_modulus_mismatch_rejected():
     m23, m61 = make_modulus(23), make_modulus(61)
     ps = Params3(1, 1, 1, 1, 1, m23)
     with pytest.raises(ModulusMismatchError):
-        mul3(Vector3(1, 2, 3, m23), Vector3(1, 2, 3, m61), ps)
+        mul(Vector3(1, 2, 3, m23), Vector3(1, 2, 3, m61), ps)
     with pytest.raises(ModulusMismatchError):
-        mul3(Vector3(1, 2, 3, m61), Vector3(1, 2, 3, m61), ps)
+        mul(Vector3(1, 2, 3, m61), Vector3(1, 2, 3, m61), ps)
     with pytest.raises(ModulusMismatchError):
         mul(Vector3(1, 2, 3, m23), Vector4(1, 2, 3, 4, m23), Params3(1, 1, 1, 1, 1, m23))
 
@@ -110,7 +110,7 @@ def test_non_associativity_witness_exists(rng):
     for _ in range(100):
         a, b, c = (Vector3(*(rng.randrange(p) for _ in range(3)), m)
                    for _ in range(3))
-        if mul3(mul3(a, b, ps), c, ps) != mul3(a, mul3(b, c, ps), ps):
+        if mul(mul(a, b, ps), c, ps) != mul(a, mul(b, c, ps), ps):
             found = True
             break
     assert found
@@ -127,8 +127,8 @@ def test_k4_restriction_matches_k3_on_squares(rng):
         junk = [hash((A, B, C, D, E, i)) % p for i in range(4)]
         ps4 = Params4(A, B, junk[0], C, junk[1], junk[2], D, E, junk[3], m)
         a4 = Vector4(a3v.a0, a3v.a1, a3v.a2, 0, m)
-        got = mul4(a4, a4, ps4)
-        want = mul3(a3v, a3v, ps3)
+        got = mul(a4, a4, ps4)
+        want = mul(a3v, a3v, ps3)
         assert got.components[:3] == want.components
         assert got.a3 == 0
 
@@ -146,7 +146,7 @@ def test_k4_restriction_matches_k3_general_products_when_cross_term_zero(rng):
         bv = Vector3(*(hash((av.components, i)) % p for i in range(3)), m)
         a4 = Vector4(av.a0, av.a1, av.a2, 0, m)
         b4 = Vector4(bv.a0, bv.a1, bv.a2, 0, m)
-        assert mul4(a4, b4, ps4).components[:3] == mul3(av, bv, ps3z).components
+        assert mul(a4, b4, ps4).components[:3] == mul(av, bv, ps3z).components
 
 
 def test_steppers_match_mul(rng):
@@ -156,3 +156,28 @@ def test_steppers_match_mul(rng):
             b, _ = random_instance(rng, dim, primes=(a.modulus.p,))
             assert right_mul_stepper(b, ps)(a.components) == mul(a, b, ps).components
             assert left_mul_stepper(b, ps)(a.components) == mul(b, a, ps).components
+
+
+def test_products_match_paper_formulas(rng):
+    """mul, both steppers and square_gh against the paper's formulas, with
+    pairwise distinct coefficients so that no two slots can be swapped."""
+    for dim in (3, 4):
+        for _ in range(300):
+            p = rng.choice((23, 61, 101, 2**31 - 1))
+            m = make_modulus(p)
+            ps = params(rng.sample(range(1, p), 5 if dim == 3 else 9), m)
+            a, b = (vector([rng.randrange(p) for _ in range(dim)], m)
+                    for _ in range(2))
+            want = paper_mul(a, b, ps)
+            assert mul(a, b, ps) == want
+            assert right_mul_stepper(b, ps)(a.components) == want.components
+            assert left_mul_stepper(a, ps)(b.components) == want.components
+            assert square_gh(a, ps) == paper_mul(a, a, ps)
+
+
+def test_square_gh_rejects_mismatch():
+    m23, m61 = make_modulus(23), make_modulus(61)
+    with pytest.raises(ModulusMismatchError):
+        square_gh(Vector3(1, 2, 3, m61), Params3(1, 1, 1, 1, 1, m23))
+    with pytest.raises(ModulusMismatchError):
+        square_gh(Vector4(1, 2, 3, 4, m23), Params3(1, 1, 1, 1, 1, m23))

@@ -1,10 +1,12 @@
 import pytest
 
-from mlmagma import Params3, Vector3, identity, make_modulus, mul
+from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
+                     mul, params, vector)
+from mlmagma.magma import ModulusMismatchError, plane
 from mlmagma.power import (check_internal_commutativity,
                            check_power_associativity, check_power_identity,
                            pow_fast, pow_iter, powers_upto)
-from conftest import random_instance
+from conftest import paper_mul, random_instance
 
 
 def scalar_pow(n, p):
@@ -72,6 +74,60 @@ def test_fast_matches_iter_both_dims(rng):
             a, ps = random_instance(rng, dim)
             n = rng.randrange(1, 200)
             assert pow_fast(a, n, ps) == pow_iter(a, n, ps)
+
+
+def ladder_pow(a, n, ps):
+    """a^n by square-and-multiply on boxed vectors with the paper's product."""
+    acc = identity(a.dim, a.modulus)
+    for bit in bin(n)[2:]:
+        acc = paper_mul(acc, acc, ps)
+        if bit == "1":
+            acc = paper_mul(acc, a, ps)
+    return acc
+
+
+def test_fast_matches_boxed_ladder_64bit(rng):
+    for dim in (3, 4):
+        for _ in range(200):
+            a, ps = random_instance(rng, dim, primes=(23, 101, 2**31 - 1))
+            n = rng.randrange(2**64)
+            assert pow_fast(a, n, ps) == ladder_pow(a, n, ps)
+
+
+def degenerate_starts(rng, dim, p):
+    """Starts with a' = 0, with s = a0 + 1 = 0, and in a plane with
+    L^2 + 4Q = 0 (w - L/2 nilpotent), each with random parameters."""
+    m = make_modulus(p)
+    while True:
+        ps = params([rng.randrange(p) for _ in range(5 if dim == 3 else 9)], m)
+        tail = [rng.randrange(p) for _ in range(dim - 1)]
+        a = vector([rng.randrange(p), *tail], m)
+        L, Q = plane(a, ps)
+        if any(tail) and (L * L + 4 * Q) % p == 0:
+            break
+    return ps, [vector([rng.randrange(p)] + [0] * (dim - 1), m),
+                vector([p - 1, *tail], m),
+                a]
+
+
+def test_fast_matches_iter_on_degenerate_starts(rng):
+    for dim in (3, 4):
+        for p in (5, 23, 61):
+            for _ in range(5):
+                ps, starts = degenerate_starts(rng, dim, p)
+                for a in starts:
+                    for n in list(range(2 * p + 3)) + [p * p + 1, rng.randrange(4000)]:
+                        assert pow_fast(a, n, ps) == pow_iter(a, n, ps), (a, n)
+
+
+def test_fast_rejects_mismatch():
+    m23, m61 = make_modulus(23), make_modulus(61)
+    with pytest.raises(ModulusMismatchError):
+        pow_fast(Vector3(1, 2, 3, m61), 5, Params3(1, 1, 1, 1, 1, m23))
+    with pytest.raises(ModulusMismatchError):
+        pow_fast(Vector4(1, 2, 3, 4, m23), 5, Params3(1, 1, 1, 1, 1, m23))
+    with pytest.raises(ModulusMismatchError):
+        pow_fast(Vector3(1, 2, 3, m23), 5, Params4(*[1] * 9, m23))
 
 
 def test_powers_upto(rng):

@@ -187,6 +187,13 @@ def test_uniformity_stats_degenerate_and_conservation():
         assert sum(comp) == 1000
 
 
+def test_uniformity_stats_rejects_no_samples():
+    cfg = make_config()
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            uniformity_stats(cfg, samples)
+
+
 def test_single_orbit_stream(rng):
     a, ps = random_instance(rng, primes=(23,))
     stream = single_orbit_stream(a, ps, 10)
@@ -234,6 +241,17 @@ def test_byte_stream_degenerate_stream_fails_loudly():
     cfg = PrngConfig(ps, (e,), (0,), Vector3(4, 4, 4, m))
     with pytest.raises(RuntimeError, match="degenerate"):
         byte_stream(cfg, 16)
+
+
+def test_byte_stream_zero_and_negative_counts():
+    # the degenerate stream above: zero bytes need no bits from it
+    m = make_modulus(5)
+    cfg = PrngConfig(Params3(0, 0, 0, 0, 0, m), (identity(3, m),), (0,),
+                     Vector3(4, 4, 4, m))
+    assert byte_stream(cfg, 0) == b""
+    assert byte_stream(make_config(), 0) == b""
+    with pytest.raises(ValueError, match="non-negative"):
+        byte_stream(make_config(), -1)
 
 
 def test_byte_stream_unbiased_shape():
