@@ -290,8 +290,9 @@ def _cmd_prng(args) -> int:
         if args.format == "bytes":
             sys.stdout.buffer.write(prng_mod.byte_stream(config, args.count))
             return 0
+        outputs = prng_mod.iter_outputs(config, args.count)
         print("step,x0,x1,x2")
-        for i, (x0, x1, x2) in enumerate(prng_mod.iter_outputs(config, args.count)):
+        for i, (x0, x1, x2) in enumerate(outputs):
             print(f"{i},{x0},{x1},{x2}")
         return 0
     if args.kind == "cycle":

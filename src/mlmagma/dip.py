@@ -96,6 +96,8 @@ def dip_timing(ps, exponents, samples: int = 3, base=None) -> list[TimingRow]:
     largest exponent (found heuristically when not supplied) so the
     planted exponent is also the smallest solution.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     exponents = sorted(exponents)
     if base is None:
         base = find_long_period_base(ps, min_period=max(exponents))

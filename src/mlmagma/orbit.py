@@ -2,8 +2,31 @@
 
 For a start vector a the trajectory is a, a*a, (a*a)*a, ... i.e. the
 successor map y -> y * a.  `orbit_length` classifies one start of Z_p^3
-or Z_p^4 by Brent cycle detection into (tail, period, lexicographically
-minimal cycle state); a census aggregates every start of Z_p^3.
+or Z_p^4 into (tail, period, lexicographically minimal cycle state); a
+census aggregates every start of Z_p^3.
+
+The classification is an element order, not a walk.  a^n = (s_n − 1,
+t_n·a') with s_n + t_n w = α^n, α = s0 + w and s0 = a0 + 1, in
+R = F_p[w]/(w² − L w − Q) (magma).  α has norm N = s0² + s0·L − Q and
+trace T = 2·s0 + L, and α² = T·α − N (Cayley–Hamilton).
+
+* Scalar line, a' = 0: the state is s0^n − 1 alone.  s0 = 0 stays at a
+  (tail 0, period 1); otherwise the period is ord_p(s0), and the cycle
+  holds s0^ord = 1, the identity (0, ..., 0), its smallest state.
+* Unit, N ≠ 0 (a' ≠ 0 here and below, so the state determines α^n): α
+  lies in the finite group R^*, so the orbit has no tail, its period is
+  ord(α) and the cycle passes through α^ord = 1, the identity.  ord(α)
+  divides p(p−1)(p+1) whether R is a field, split or dual, so one bound
+  serves all three.
+* N = 0: α² = T·α, so α^n = T^(n−1)·α.  T = 0 makes α nilpotent: a,
+  then (−1, 0, ..., 0) for ever (tail 1, period 1).  Otherwise the
+  orbit has no tail and the period is ord_p(T); its smallest state is
+  found by walking the cycle once.  That walk, of a length dividing
+  p − 1, is taken only by starts with N = 0 and keeps this branch O(p).
+
+An order is found from a multiple n of it and the primes of n: divide
+by each prime q while x^(n/q) = 1.  The primes of p − 1 and p + 1 come
+from trial division, once per p.
 
 "Proportion of orbits" is ambiguous, so three measures are reported:
 
@@ -40,11 +63,13 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt
 
-from .cycles import cycle_minimum, find_cycle
-from .magma import (ModulusMismatchError, Params3, Params4, Vector3, Vector4,
-                    right_mul_stepper, vector)
+from .cycles import cycle_minimum
+from .magma import (Params3, Params4, Vector3, Vector4, from_plane, identity,
+                    plane, right_mul_stepper, vector)
+from .power import plane_pow
 
 DEFAULT_FULL_SCAN_CAP = 127
 
@@ -61,18 +86,57 @@ class OrbitRecord:
     cycle_rep: Vector3 | Vector4
 
 
+def _prime_factors(n: int) -> set[int]:
+    primes, q = set(), 2
+    while q * q <= n:
+        while n % q == 0:
+            primes.add(q)
+            n //= q
+        q += 1
+    return primes | {n} if n > 1 else primes
+
+
+@lru_cache(maxsize=64)
+def _order_primes(p: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The primes of p − 1 and those of p(p − 1)(p + 1)."""
+    small = _prime_factors(p - 1)
+    return frozenset(small), frozenset(small | _prime_factors(p + 1) | {p})
+
+
+def _order(n: int, primes, is_one) -> int:
+    """The order of x, given x^n = 1, the primes of n and is_one(k): x^k = 1."""
+    for q in primes:
+        while n % q == 0 and is_one(n // q):
+            n //= q
+    return n
+
+
 def orbit_length(a: Vector3 | Vector4, ps: Params3 | Params4) -> OrbitRecord:
-    """Classify one start: tail, period, lexicographically minimal cycle state."""
-    if a.dim != ps.dim:
-        raise ModulusMismatchError(
-            f"dimension mismatch: start {a.dim}, params {ps.dim}")
-    step = right_mul_stepper(a, ps)
-    tail, period = find_cycle(step, a.components)
-    on_cycle = a.components
-    for _ in range(tail):
-        on_cycle = step(on_cycle)
-    rep = cycle_minimum(step, on_cycle, period)
-    return OrbitRecord(a, tail, period, vector(rep, a.modulus))
+    """Classify one start: tail, period, lexicographically minimal cycle state.
+
+    An order computation in a's plane R (module docstring); every branch
+    but N = 0, T ≠ 0 costs a few square-and-multiply powers per prime of
+    p(p − 1)(p + 1).
+    """
+    L, Q = plane(a, ps)   # rejects mixed dimensions and moduli
+    p = a.modulus.p
+    small, bound = _order_primes(p)
+    s0 = (a.components[0] + 1) % p
+    if not any(a.components[1:]):
+        if s0 == 0:
+            return OrbitRecord(a, 0, 1, a)
+        period = _order(p - 1, small, lambda k: pow(s0, k, p) == 1)
+        return OrbitRecord(a, 0, period, identity(a.dim, a.modulus))
+    if (s0 * s0 + s0 * L - Q) % p:
+        period = _order(p * (p - 1) * (p + 1), bound,
+                        lambda k: plane_pow(s0, k, L, Q, p) == (1, 0))
+        return OrbitRecord(a, 0, period, identity(a.dim, a.modulus))
+    T = (2 * s0 + L) % p
+    if T == 0:
+        return OrbitRecord(a, 1, 1, from_plane(a, 0, 0))
+    period = _order(p - 1, small, lambda k: pow(T, k, p) == 1)
+    rep = cycle_minimum(right_mul_stepper(a, ps), a.components, period)
+    return OrbitRecord(a, 0, period, vector(rep, a.modulus))
 
 
 MEASURES = ("cycle", "element", "walk")
@@ -205,11 +269,14 @@ def write_census_json(report: CensusReport, path) -> None:
 
 
 def _scan_python(ps: Params3) -> CensusReport:
-    """Reference full scan built on the scalar classifier; tiny p only.
+    """Reference full scan built on the per-start classifier; tiny p only.
 
-    The walk census here is the literal sequential procedure: enumerate
-    starts lexicographically, skip any start already visited, walk the
-    whole trajectory of each launched start, record its period.
+    The start, tail and cycle histograms come from orbit_length's
+    algebraic classification of each start, so comparing this scan with
+    scan_space cross-checks the walk census against it.  The walk census
+    here is the literal sequential procedure: enumerate starts
+    lexicographically, skip any start already visited, walk the whole
+    trajectory of each launched start, record its period.
     """
     p = ps.modulus.p
     m = ps.modulus

@@ -130,9 +130,13 @@ def prng_step(state: PrngState, config: PrngConfig) -> tuple[PrngState, Vector3]
 
 def iter_outputs(config: PrngConfig, count: int) -> Iterator[tuple[int, int, int]]:
     """Raw component tuples of the first `count` outputs."""
-    steppers = _slot_steppers(config)
+    if count < 0:
+        raise ValueError(f"output count must be non-negative, got {count}")
+    return _outputs(_slot_steppers(config), config.initial.components, count)
+
+
+def _outputs(steppers, cur, count: int) -> Iterator[tuple[int, int, int]]:
     length = len(steppers)
-    cur = config.initial.components
     pos = 0
     for _ in range(count):
         cur = steppers[pos](cur)
@@ -186,6 +190,8 @@ def prng_cycle_length(config: PrngConfig, cap: int | None = None) -> CycleResult
     """Tail and period of the composite state (vector, position)."""
     if cap is None:
         cap = 4 * config.state_space + 64
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     steppers = _slot_steppers(config)
     length = len(steppers)
 

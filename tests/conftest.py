@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from mlmagma import Params3, Params4, Vector3, Vector4, make_modulus
+from mlmagma import Params3, Params4, Vector3, Vector4, make_modulus, vector
+from mlmagma.cycles import cycle_minimum, find_cycle
+from mlmagma.magma import right_mul_stepper
 
 TEST_PRIMES = (23, 61, 101)
 
@@ -49,3 +51,17 @@ def paper_mul(a, b, ps):
     c2 = a2 + b2 + a2 * b0 + a0 * b2 + G * a2 * b1 + H * a2 * b2 + I * a2 * b3
     c3 = a3 + b3 + a3 * b0 + a0 * b3 + G * a3 * b1 + H * a3 * b2 + I * a3 * b3
     return Vector4(c0 % p, c1 % p, c2 % p, c3 % p, a.modulus)
+
+
+def walk_orbit(a, ps):
+    """(tail, period, cycle_rep) of a's power sequence by walking it.
+
+    Brent's cycle detection, then the smallest state over one full turn
+    of the cycle: the oracle for orbit.orbit_length.
+    """
+    step = right_mul_stepper(a, ps)
+    tail, period = find_cycle(step, a.components)
+    on_cycle = a.components
+    for _ in range(tail):
+        on_cycle = step(on_cycle)
+    return tail, period, vector(cycle_minimum(step, on_cycle, period), a.modulus)

@@ -160,6 +160,18 @@ def test_prng_bytes_zero_and_negative_count(capsys, tmp_path):
     assert "must be non-negative" in err
 
 
+def test_prng_negative_count_and_cap(capsys, tmp_path):
+    path = prng_config_file(tmp_path)
+    code, out, err = run(capsys, "prng", "run", "--config", path,
+                         "--count", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("mlmagma: error:") and "non-negative" in err
+    code, out, err = run(capsys, "prng", "cycle", "--config", path,
+                         "--cap", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("mlmagma: error:") and "cap must be at least 1" in err
+
+
 def test_dip_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "dip", "solve", "--p", "101",
                        "--params", "1,1,1,1,1", "--base", "1,0,0",
@@ -178,6 +190,12 @@ def test_dip_commands(capsys, tmp_path):
                        "--out", str(out_csv))
     assert code == 0
     assert out_csv.exists()
+    code, out, err = run(capsys, "dip", "timing", "--p", "101",
+                         "--params", "1,1,1,1,1", "--exponents", "4",
+                         "--samples", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("mlmagma: error:")
+    assert "samples must be at least 1" in err
 
 
 def test_kx_demo(capsys):

@@ -85,3 +85,10 @@ def test_timing_doubles(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "exponent,mean_steps,samples,mean_seconds"
     assert len(lines) == 5
+
+
+def test_timing_rejects_no_samples():
+    ps = Params3(129, 128, 1, 1, 2, make_modulus(257))
+    for samples in (0, -2):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            dip_timing(ps, [256], samples=samples)

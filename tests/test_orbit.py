@@ -1,14 +1,19 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from mlmagma import Params3, Params4, Vector3, Vector4, identity, make_modulus
-from mlmagma.magma import right_mul_stepper
+from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
+                     params, vector)
+from mlmagma.cli import main
+from mlmagma.dip import find_long_period_base
+from mlmagma.magma import ModulusMismatchError, plane, right_mul_stepper
 from mlmagma.orbit import (BudgetExceededError, _scan_python,
                            heuristic_search, orbit_length, param_sweep,
                            scan_space, write_census_csv, write_census_json)
-from conftest import random_instance
+from mlmagma.power import pow_fast
+from conftest import random_instance, walk_orbit
 
 
 def test_orbit_of_identity():
@@ -173,6 +178,128 @@ def test_orbit_length_four_components(rng):
         assert rec.cycle_rep == Vector4(*min(cyc), a.modulus)
     with pytest.raises(ValueError, match="dimension mismatch"):
         orbit_length(Vector3(0, 1, 2, a.modulus), ps)
+
+
+def test_orbit_length_rejects_mixed_moduli():
+    ps = Params3(9, 19, 1, 1, 2, make_modulus(23))
+    m7 = make_modulus(7)
+    for start in (Vector3(1, 2, 3, m7), Vector3(1, 0, 0, m7)):
+        with pytest.raises(ModulusMismatchError, match="moduli differ"):
+            orbit_length(start, ps)
+
+
+def _record(a, ps):
+    rec = orbit_length(a, ps)
+    assert rec.start == a
+    return rec.tail, rec.period, rec.cycle_rep
+
+
+def _branch(a, ps):
+    """Which case of the orbit module's classification a falls in."""
+    L, Q = plane(a, ps)
+    p = a.modulus.p
+    s0 = (a.components[0] + 1) % p
+    if not any(a.components[1:]):
+        return "scalar, s0 = 0" if s0 == 0 else "scalar, s0 != 0"
+    if (s0 * s0 + s0 * L - Q) % p:
+        return "unit"
+    return "nilpotent" if (2 * s0 + L) % p == 0 else "split zero-divisor"
+
+
+ZERO_AND_SEEDED = [(p, dim, coefs)
+                   for p in (3, 5, 7) for dim, n in ((3, 5), (4, 9))
+                   for coefs in [(0,) * n] + [
+                       tuple(_seeded.randrange(p) for _ in range(n))
+                       for _ in range(2)]]
+
+
+@pytest.mark.parametrize("p,dim,coefs", ZERO_AND_SEEDED)
+def test_orbit_length_matches_walk_exhaustively(p, dim, coefs):
+    m = make_modulus(p)
+    ps = params(coefs, m)
+    for comps in itertools.product(range(p), repeat=dim):
+        a = vector(comps, m)
+        assert _record(a, ps) == walk_orbit(a, ps)
+
+
+@pytest.mark.parametrize("p", (23, 61, 101))
+@pytest.mark.parametrize("dim", (3, 4))
+def test_orbit_length_matches_walk_random(p, dim):
+    rng = random.Random(p * dim)
+    for _ in range(25):
+        a, ps = random_instance(rng, dim=dim, primes=(p,))
+        assert _record(a, ps) == walk_orbit(a, ps)
+
+
+def _forced_start(rng, p, dim, branch):
+    """A random (start, params) pair at p that falls in the given branch.
+
+    With x = a' and x1 != 0, L does not involve A and Q = A·x1² + Q0, so
+    A fixes Q, and s0 then picks the branch: N = s0² + s0·L − Q.
+    """
+    m = make_modulus(p)
+    coefs = [0] + [rng.randrange(p) for _ in range({3: 4, 4: 8}[dim])]
+    if branch.startswith("scalar"):
+        s0 = 0 if branch == "scalar, s0 = 0" else rng.randrange(1, p)
+        return (vector([(s0 - 1) % p] + [0] * (dim - 1), m),
+                params([rng.randrange(p)] + coefs[1:], m))
+    x = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(dim - 2)]
+    L, Q0 = plane(vector([0] + x, m), params(coefs, m))
+    half = pow(2, -1, p)
+    if branch == "nilpotent":
+        s0, Q = -L * half % p, -L * L * half * half % p
+    elif branch == "split zero-divisor":
+        s0 = rng.choice([s for s in range(p) if (2 * s + L) % p])
+        Q = (s0 * s0 + s0 * L) % p
+    else:
+        s0 = rng.randrange(p)
+        Q = (s0 * s0 + s0 * L - rng.randrange(1, p)) % p
+    coefs[0] = (Q - Q0) * pow(x[0] * x[0], -1, p) % p
+    return vector([(s0 - 1) % p] + x, m), params(coefs, m)
+
+
+@pytest.mark.parametrize("branch", ["scalar, s0 = 0", "scalar, s0 != 0", "unit",
+                                    "nilpotent", "split zero-divisor"])
+@pytest.mark.parametrize("dim", (3, 4))
+def test_orbit_length_matches_walk_in_each_branch(branch, dim):
+    rng = random.Random(f"{branch}/{dim}")
+    for p in (5, 23, 61, 101):
+        for _ in range(5):
+            a, ps = _forced_start(rng, p, dim, branch)
+            assert _branch(a, ps) == branch
+            assert _record(a, ps) == walk_orbit(a, ps)
+
+
+# 2^31 − 1 is prime, (2^31 − 1) − 1 = 2·3²·7·11·31·151·331 and
+# (2^31 − 1) + 1 = 2^31: every period divides p(p − 1)(p + 1).
+P31 = 2**31 - 1
+P31_ORDER_PRIMES = (2, 3, 7, 11, 31, 151, 331, P31)
+
+
+@pytest.mark.parametrize("dim", (3, 4))
+def test_orbit_length_at_large_p(dim, capsys):
+    """Walking an orbit of up to p² − 1 states is out of reach here."""
+    rng = random.Random(dim)
+    for _ in range(5):
+        a, ps = random_instance(rng, dim=dim, primes=(P31,))
+        rec = orbit_length(a, ps)
+        assert rec.tail == 0
+        assert pow_fast(a, 1 + rec.period, ps) == a
+        rest = rec.period
+        for q in P31_ORDER_PRIMES:
+            if rest % q == 0:
+                assert pow_fast(a, 1 + rec.period // q, ps) != a
+                while rest % q == 0:
+                    rest //= q
+        assert rest == 1
+    base = find_long_period_base(ps, min_period=2**40)
+    rec = orbit_length(base, ps)
+    assert rec.tail + rec.period > 2**40
+    assert main(["orbit", "length", "--p", str(P31),
+                 "--params", ",".join(map(str, ps.coefficients)),
+                 "--a", ",".join(map(str, a.components))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["period"] == orbit_length(a, ps).period
 
 
 def test_census_proportions_and_dict():

@@ -145,6 +145,9 @@ def test_cycle_cap_reported():
                       seeds=((0, 1, 5), (0, 2, 7)))
     res = prng_cycle_length(cfg, cap=10)
     assert res.exceeded_cap and res.tail is None and res.period is None
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            prng_cycle_length(cfg, cap=cap)
 
 
 def test_period_bounded_by_state_space(rng):
@@ -167,6 +170,9 @@ def test_streams_deterministic():
     a = list(iter_outputs(cfg, 500))
     b = list(iter_outputs(cfg, 500))
     assert a == b
+    assert list(iter_outputs(cfg, 0)) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        iter_outputs(cfg, -1)   # raised on the call, before any output
 
 
 def test_left_side_flag():
