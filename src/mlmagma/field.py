@@ -3,9 +3,15 @@
 Residues are plain ints kept canonical in [0, p).  The modulus is capped
 below 2**31, inside the range where the Miller-Rabin witness set below
 is deterministic.
+
+Element orders (orbit periods, PRNG periods) share one primitive: the
+order of x divides a known n, so divide n by each prime q of n while
+x^(n/q) = 1.  The primes come from trial division, cached per n, and
+those of p − 1 and p(p − 1)(p + 1) are also cached per p.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 MAX_MODULUS = 2**31
 
@@ -60,3 +66,31 @@ class PrimeModulus:
 
 def make_modulus(p: int) -> PrimeModulus:
     return PrimeModulus(p)
+
+
+@lru_cache(maxsize=256)
+def prime_factors(n: int) -> frozenset[int]:
+    """The primes of n >= 1, by trial division (cached: callers pass
+    p − 1, p + 1 and friends, so one p factors once)."""
+    primes, q = set(), 2
+    while q * q <= n:
+        while n % q == 0:
+            primes.add(q)
+            n //= q
+        q += 1
+    return frozenset(primes | {n} if n > 1 else primes)
+
+
+@lru_cache(maxsize=64)
+def order_primes(p: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The primes of p − 1 and those of p(p − 1)(p + 1)."""
+    small = prime_factors(p - 1)
+    return small, small | prime_factors(p + 1) | {p}
+
+
+def order(n: int, primes, is_one) -> int:
+    """The order of x, given x^n = 1, the primes of n and is_one(k): x^k = 1."""
+    for q in primes:
+        while n % q == 0 and is_one(n // q):
+            n //= q
+    return n

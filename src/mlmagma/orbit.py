@@ -20,13 +20,16 @@ trace T = 2·s0 + L, and α² = T·α − N (Cayley–Hamilton).
   serves all three.
 * N = 0: α² = T·α, so α^n = T^(n−1)·α.  T = 0 makes α nilpotent: a,
   then (−1, 0, ..., 0) for ever (tail 1, period 1).  Otherwise the
-  orbit has no tail and the period is ord_p(T); its smallest state is
-  found by walking the cycle once.  That walk, of a length dividing
-  p − 1, is taken only by starts with N = 0 and keeps this branch O(p).
+  orbit has no tail, the period is k = ord_p(T), and the cycle is
+  {(c·s0 − 1, c·a') : c ∈ <T>}.  Its smallest state has the smallest
+  c·x, where x is s0 if s0 ≠ 0 and otherwise the first nonzero
+  component of a' (every state then starts with −1).  So it is the
+  smallest element y of the coset x·<T> of F_p^*, which is the first
+  y with y^k = x^k.  When k² ≤ p − 1 it is found by listing <T>, in
+  k ≤ √p steps; otherwise by trying y = 1, 2, ..., which meets the
+  coset after about its index (p − 1)/k < √p powers.
 
-An order is found from a multiple n of it and the primes of n: divide
-by each prime q while x^(n/q) = 1.  The primes of p − 1 and p + 1 come
-from trial division, once per p.
+Orders come from field.order, with the primes of p − 1 and p + 1.
 
 "Proportion of orbits" is ambiguous, so three measures are reported:
 
@@ -63,10 +66,9 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd, isqrt
 
-from .cycles import cycle_minimum
+from .field import order, order_primes
 from .magma import (Params3, Params4, Vector3, Vector4, from_plane, identity,
                     plane, right_mul_stepper, vector)
 from .power import plane_pow
@@ -86,57 +88,46 @@ class OrbitRecord:
     cycle_rep: Vector3 | Vector4
 
 
-def _prime_factors(n: int) -> set[int]:
-    primes, q = set(), 2
-    while q * q <= n:
-        while n % q == 0:
-            primes.add(q)
-            n //= q
-        q += 1
-    return primes | {n} if n > 1 else primes
-
-
-@lru_cache(maxsize=64)
-def _order_primes(p: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The primes of p − 1 and those of p(p − 1)(p + 1)."""
-    small = _prime_factors(p - 1)
-    return frozenset(small), frozenset(small | _prime_factors(p + 1) | {p})
-
-
-def _order(n: int, primes, is_one) -> int:
-    """The order of x, given x^n = 1, the primes of n and is_one(k): x^k = 1."""
-    for q in primes:
-        while n % q == 0 and is_one(n // q):
-            n //= q
-    return n
+def _coset_minimum(x: int, T: int, k: int, p: int) -> int:
+    """The smallest element of x·<T> in F_p^*, where T has order k."""
+    if k * k <= p - 1:
+        best = c = x
+        for _ in range(k - 1):
+            c = c * T % p
+            if c < best:
+                best = c
+        return best
+    target = pow(x, k, p)
+    return next(y for y in range(1, p) if pow(y, k, p) == target)
 
 
 def orbit_length(a: Vector3 | Vector4, ps: Params3 | Params4) -> OrbitRecord:
     """Classify one start: tail, period, lexicographically minimal cycle state.
 
-    An order computation in a's plane R (module docstring); every branch
-    but N = 0, T ≠ 0 costs a few square-and-multiply powers per prime of
-    p(p − 1)(p + 1).
+    An order computation in a's plane R (module docstring): a few
+    square-and-multiply powers per prime of p(p − 1)(p + 1), plus a
+    coset search of about √p steps at most when N = 0 ≠ T.
     """
     L, Q = plane(a, ps)   # rejects mixed dimensions and moduli
     p = a.modulus.p
-    small, bound = _order_primes(p)
+    small, bound = order_primes(p)
     s0 = (a.components[0] + 1) % p
     if not any(a.components[1:]):
         if s0 == 0:
             return OrbitRecord(a, 0, 1, a)
-        period = _order(p - 1, small, lambda k: pow(s0, k, p) == 1)
+        period = order(p - 1, small, lambda k: pow(s0, k, p) == 1)
         return OrbitRecord(a, 0, period, identity(a.dim, a.modulus))
     if (s0 * s0 + s0 * L - Q) % p:
-        period = _order(p * (p - 1) * (p + 1), bound,
-                        lambda k: plane_pow(s0, k, L, Q, p) == (1, 0))
+        period = order(p * (p - 1) * (p + 1), bound,
+                       lambda k: plane_pow(s0, k, L, Q, p) == (1, 0))
         return OrbitRecord(a, 0, period, identity(a.dim, a.modulus))
     T = (2 * s0 + L) % p
     if T == 0:
         return OrbitRecord(a, 1, 1, from_plane(a, 0, 0))
-    period = _order(p - 1, small, lambda k: pow(T, k, p) == 1)
-    rep = cycle_minimum(right_mul_stepper(a, ps), a.components, period)
-    return OrbitRecord(a, 0, period, vector(rep, a.modulus))
+    period = order(p - 1, small, lambda k: pow(T, k, p) == 1)
+    x = s0 or next(c for c in a.components[1:] if c)
+    c = _coset_minimum(x, T, period, p) * pow(x, -1, p) % p
+    return OrbitRecord(a, 0, period, from_plane(a, c * s0 % p, c))
 
 
 MEASURES = ("cycle", "element", "walk")
@@ -455,6 +446,8 @@ def heuristic_search(ps: Params3 | Params4, budget: int | None = None,
     p = ps.modulus.p
     if budget is None:
         budget = 2 * p
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     target = p * p - 1
     found = []
     trials = 0

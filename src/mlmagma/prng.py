@@ -5,11 +5,28 @@ cyclic index pattern; the generator state is the pair (vector, pattern
 position), giving an effective state space of p^3 * pattern_length.
 The single-orbit power stream is kept as the short-cycle baseline.
 
-Period measurement exploits that one full pattern pass is an affine map
-M of the vector (each fixed-factor multiplication is affine): the
-composite-state period equals pattern_length times the period of the
-initial vector under M, because the position-0 subsequence is exactly
-the M iteration.  Tails are measured on the true composite state.
+One full pattern pass is an affine map z ↦ Mz + t of the vector (each
+fixed-factor multiplication is affine), and the position-0 subsequence
+of the composite state is exactly its iteration, so the composite-state
+period is pattern_length times the period of the initial vector x under
+the pass.  That period is an element order, not a walk.  Lift the pass
+to H = [[M, t], [0, 1]] acting on v = (x, 1), and let f, of degree at
+most 4, be the monic annihilator of v (the least-degree f with
+f(H)·v = 0).  Write f = X^μ·g with g(0) ≠ 0.
+
+* H^(m+n)·v = H^m·v iff f | X^m·(X^n − 1), iff m ≥ μ and g | X^n − 1,
+  as X does not divide X^n − 1.  So the tail is μ and the period is the
+  order of X in (F_p[X]/g)^*.
+* The last coordinate of H·w is that of w, so f(H)·v = 0 gives
+  f(1) = 0: (X − 1) | g, and g's other factors have degree at most 3.
+* An irreducible factor of degree d ≤ 3 and multiplicity e ≤ 4 divides
+  X^((p^d − 1)·p^j) − 1 once p^j ≥ e, so the order divides
+  p²·(p − 1)(p + 1)(p² + p + 1); p² rather than p covers p = 3.
+
+Tails are measured on the true composite state by prng_cycle_length,
+the Brent walk kept as the oracle.  composite_period factors
+p² + p + 1 by trial division, which keeps it fast only up to p of
+about 2^16.
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .cycles import find_cycle
-from .field import PrimeModulus
+from .field import PrimeModulus, order, order_primes, prime_factors
 from .magma import Params3, Vector3, left_mul_stepper, right_mul_stepper
 from .power import powers_upto
 
@@ -166,23 +183,66 @@ def affine_pass(config: PrngConfig) -> tuple[list[list[int]], list[int]]:
     return matrix, t
 
 
-def composite_period(config: PrngConfig, cap: int | None = None) -> int | None:
-    """Exact composite-state period via the one-pass affine map."""
+def _annihilator(H, v, p: int) -> list[int]:
+    """The monic f of least degree with f(H)·v = 0, low coefficient first.
+
+    Eliminates the Krylov vectors v, Hv, H²v, ... mod p, each kept with
+    the polynomial in H that produced it, until one reduces to zero.
+    """
+    rows = []                            # (pivot, row, poly), row[pivot] = 1
+    w, k = v, 0
+    while True:                          # at most len(v) + 1 vectors
+        r, poly = list(w), [0] * k + [1]
+        for pivot, row, prow in rows:
+            c = r[pivot]
+            if c:
+                r = [(x - c * y) % p for x, y in zip(r, row)]
+                for i, y in enumerate(prow):
+                    poly[i] = (poly[i] - c * y) % p
+        pivot = next((i for i, x in enumerate(r) if x), None)
+        if pivot is None:
+            return poly
+        inv = pow(r[pivot], -1, p)
+        rows.append((pivot, [x * inv % p for x in r],
+                     [x * inv % p for x in poly]))
+        w = [sum(h * x for h, x in zip(hrow, w)) % p for hrow in H]
+        k += 1
+
+
+def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
+    """Whether X^k ≡ 1 modulo the monic g (low coefficient first)."""
+    d = len(g) - 1
+    r = [1] + [0] * (d - 1)
+    for bit in bin(k)[2:]:
+        sq = [0] * (2 * d)
+        for i, x in enumerate(r):
+            if x:
+                for j, y in enumerate(r):
+                    sq[i + j] += x * y
+        if bit == "1":
+            sq = [0] + sq[:-1]           # times X
+        for i in range(2 * d - 1, d - 1, -1):
+            c = sq[i] % p
+            if c:
+                for j in range(d):
+                    sq[i - d + j] -= c * g[j]
+        r = [x % p for x in sq[:d]]
+    return r == [1] + [0] * (d - 1)
+
+
+def composite_period(config: PrngConfig) -> int:
+    """Exact composite-state period: the pattern length times the order
+    of X modulo the annihilator of (initial, 1) under H, less its X^μ
+    factor (module docstring)."""
     p = config.modulus.p
     matrix, t = affine_pass(config)
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = matrix
-    t0, t1, t2 = t
-
-    def mstep(z):
-        z0, z1, z2 = z
-        return ((m00 * z0 + m01 * z1 + m02 * z2 + t0) % p,
-                (m10 * z0 + m11 * z1 + m12 * z2 + t1) % p,
-                (m20 * z0 + m21 * z1 + m22 * z2 + t2) % p)
-
-    mcap = None if cap is None else cap // len(config.pattern) + 2
-    _, period = find_cycle(mstep, config.initial.components, cap=mcap)
-    if period is None:
-        return None
+    H = [row + [ti] for row, ti in zip(matrix, t)] + [[0, 0, 0, 1]]
+    f = _annihilator(H, [*config.initial.components, 1], p)
+    mu = next(i for i, c in enumerate(f) if c)
+    g = f[mu:]
+    n = p * p * (p - 1) * (p + 1) * (p * p + p + 1)
+    primes = order_primes(p)[1] | prime_factors(p * p + p + 1)
+    period = order(n, primes, lambda k: _x_pow_is_one(k, g, p))
     return period * len(config.pattern)
 
 
@@ -268,6 +328,8 @@ def seed_search(ps: Params3, pattern, trials: int, *, rng_seed: int = 0,
     nseeds = max(pattern) + 1 if pattern else 0
     if not pattern:
         raise ValueError("pattern must be non-empty")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     rng = random.Random(rng_seed)
 
     def random_vec():

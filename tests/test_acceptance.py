@@ -256,7 +256,6 @@ def prng_best_configs():
     return out
 
 
-@pytest.mark.slow
 def test_c12_prng_near_maximal(prng_best_configs):
     oks, details = [], []
     elapsed = 0.0
@@ -270,7 +269,6 @@ def test_c12_prng_near_maximal(prng_best_configs):
            "; ".join(details) + " within 500 trials each")
 
 
-@pytest.mark.slow
 def test_c13_prng_uniformity(prng_best_configs):
     t0 = time.perf_counter()
     best, _ = prng_best_configs[(0, 1)]

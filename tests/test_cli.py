@@ -172,6 +172,18 @@ def test_prng_negative_count_and_cap(capsys, tmp_path):
     assert err.startswith("mlmagma: error:") and "cap must be at least 1" in err
 
 
+def test_negative_search_counts(capsys):
+    for name, argv in (
+            ("budget", ("orbit", "search", "--p", "23", "--params",
+                        "9,19,1,1,2", "--budget", "-3")),
+            ("trials", ("prng", "search", "--p", "37", "--params",
+                        "19,18,1,1,2", "--pattern", "0,1", "--trials", "-2"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("mlmagma: error:")
+        assert f"{name} must be non-negative" in err
+
+
 def test_dip_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "dip", "solve", "--p", "101",
                        "--params", "1,1,1,1,1", "--base", "1,0,0",

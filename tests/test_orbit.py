@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -231,11 +232,12 @@ def test_orbit_length_matches_walk_random(p, dim):
         assert _record(a, ps) == walk_orbit(a, ps)
 
 
-def _forced_start(rng, p, dim, branch):
+def _forced_start(rng, p, dim, branch, s0=None):
     """A random (start, params) pair at p that falls in the given branch.
 
     With x = a' and x1 != 0, L does not involve A and Q = A·x1² + Q0, so
-    A fixes Q, and s0 then picks the branch: N = s0² + s0·L − Q.
+    A fixes Q, and s0 then picks the branch: N = s0² + s0·L − Q.  A split
+    zero-divisor start takes s0 if given (it is nilpotent if 2·s0 + L = 0).
     """
     m = make_modulus(p)
     coefs = [0] + [rng.randrange(p) for _ in range({3: 4, 4: 8}[dim])]
@@ -249,7 +251,8 @@ def _forced_start(rng, p, dim, branch):
     if branch == "nilpotent":
         s0, Q = -L * half % p, -L * L * half * half % p
     elif branch == "split zero-divisor":
-        s0 = rng.choice([s for s in range(p) if (2 * s + L) % p])
+        if s0 is None:
+            s0 = rng.choice([s for s in range(p) if (2 * s + L) % p])
         Q = (s0 * s0 + s0 * L) % p
     else:
         s0 = rng.randrange(p)
@@ -268,6 +271,40 @@ def test_orbit_length_matches_walk_in_each_branch(branch, dim):
             a, ps = _forced_start(rng, p, dim, branch)
             assert _branch(a, ps) == branch
             assert _record(a, ps) == walk_orbit(a, ps)
+
+
+@pytest.mark.parametrize("dim", (3, 4))
+def test_split_zero_divisor_coset_search(dim):
+    """The cycle minimum by listing <T> (ord(T)² ≤ p − 1) and by trying
+    y = 1, 2, ..., each with s0 = 0 and s0 ≠ 0, against the walk."""
+    rng = random.Random(f"coset/{dim}")
+    cases = set()
+    for p in (31, 61, 101, 211):
+        for s0 in (0, None) * 10:
+            a, ps = _forced_start(rng, p, dim, "split zero-divisor", s0)
+            if _branch(a, ps) != "split zero-divisor":
+                continue
+            tail, period, rep = _record(a, ps)
+            assert (tail, period, rep) == walk_orbit(a, ps)
+            cases.add((a.components[0] == p - 1, period**2 <= p - 1))
+    assert len(cases) == 4
+
+
+def test_split_zero_divisor_at_large_p(capsys):
+    """N = 0, T = 17 of order (p − 1)/2: the coset s0·<T> is the
+    quadratic non-residues, so no walk of ~1e9 states is needed."""
+    t0 = time.perf_counter()
+    assert main(["orbit", "length", "--p", str(P31),
+                 "--params", "60,3,1,7,2", "--a", "4,1,0"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    out = json.loads(capsys.readouterr().out)
+    k = (P31 - 1) // 2
+    assert (out["tail"], out["period"]) == (0, k)
+    r0, r1, r2 = out["cycle_rep"]
+    c = (r0 + 1) * pow(5, -1, P31) % P31           # s0 = 4 + 1
+    assert (r1, r2) == (c, 0) and pow(c, k, P31) == 1
+    # no state (y − 1, ...) with y < r0 + 1 lies on the cycle
+    assert all(pow(y * pow(5, -1, P31), k, P31) != 1 for y in range(1, r0 + 1))
 
 
 # 2^31 − 1 is prime, (2^31 − 1) − 1 = 2·3²·7·11·31·151·331 and
@@ -388,3 +425,5 @@ def test_heuristic_search_budget_respected():
     m = make_modulus(23)
     ps = Params3(9, 19, 1, 1, 2, m)
     assert heuristic_search(ps, budget=0) == []
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        heuristic_search(ps, budget=-3)

@@ -1,13 +1,15 @@
 import json
+import random
 
 import pytest
 
 from mlmagma import Params3, Vector3, identity, make_modulus, mul
+from mlmagma.field import prime_factors
 from mlmagma.power import pow_iter
-from mlmagma.prng import (PrngConfig, byte_stream, composite_period,
-                          iter_outputs, prng_cycle_length, prng_init,
-                          prng_step, seed_search, single_orbit_stream,
-                          uniformity_stats)
+from mlmagma.prng import (SIDES, PrngConfig, affine_pass, byte_stream,
+                          composite_period, iter_outputs, prng_cycle_length,
+                          prng_init, prng_step, seed_search,
+                          single_orbit_stream, uniformity_stats)
 from conftest import random_instance
 
 
@@ -140,6 +142,72 @@ def test_cycle_length_matches_exhaustive(rng):
         assert composite_period(cfg) == period
 
 
+def _random_config(rng, p, side):
+    """1-3 seeds, a pattern of length 1-5; a fifth of the vectors are the
+    zero seed (the identity) or (p - 1, 0, 0), which absorbs every
+    product it is in and so makes the pass singular."""
+    m = make_modulus(p)
+
+    def vec():
+        if rng.random() < 0.2:
+            return Vector3(*rng.choice([(0, 0, 0), (p - 1, 0, 0)]), m)
+        return Vector3(*(rng.randrange(p) for _ in range(3)), m)
+
+    seeds = tuple(vec() for _ in range(rng.randrange(1, 4)))
+    pattern = tuple(rng.randrange(len(seeds))
+                    for _ in range(rng.randrange(1, 6)))
+    return PrngConfig(Params3(*(rng.randrange(p) for _ in range(5)), m),
+                      seeds, pattern, vec(), side)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+@pytest.mark.parametrize("side", SIDES)
+def test_composite_period_matches_walk(p, side):
+    rng = random.Random(f"{p}/{side}")
+    tails = 0
+    for _ in range(60):
+        cfg = _random_config(rng, p, side)
+        res = prng_cycle_length(cfg)
+        assert composite_period(cfg) == res.period
+        tails += res.tail > 0
+    assert tails     # some passes were singular
+
+
+def _mat_mul(x, y, p):
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*y)]
+            for row in x]
+
+
+def _mat_pow(h, n, p):
+    r = [[int(i == j) for j in range(len(h))] for i in range(len(h))]
+    for bit in bin(n)[2:]:
+        r = _mat_mul(r, r, p)
+        if bit == "1":
+            r = _mat_mul(r, h, p)
+    return r
+
+
+def test_composite_period_at_large_p():
+    """A pass period of about p^3 = 2.8e14, checked by matrix powers."""
+    p = 65521
+    cfg = make_config(p=p, coefs=(19, 18, 1, 1, 2),
+                      seeds=((0, 1, 5), (0, 2, 7)), initial=(3, 1, 4))
+    matrix, t = affine_pass(cfg)
+    h = [row + [ti] for row, ti in zip(matrix, t)] + [[0, 0, 0, 1]]
+    v = [[x] for x in (*cfg.initial.components, 1)]
+    period = composite_period(cfg) // len(cfg.pattern)
+    assert period > p**2
+    assert _mat_mul(_mat_pow(h, period, p), v, p) == v
+    rest = period
+    for q in prime_factors(p - 1) | prime_factors(p + 1) | \
+            prime_factors(p * p + p + 1) | {p}:
+        if rest % q == 0:
+            assert _mat_mul(_mat_pow(h, period // q, p), v, p) != v
+            while rest % q == 0:
+                rest //= q
+    assert rest == 1
+
+
 def test_cycle_cap_reported():
     cfg = make_config(p=37, coefs=(19, 18, 1, 1, 2),
                       seeds=((0, 1, 5), (0, 2, 7)))
@@ -234,6 +302,8 @@ def test_seed_search_leaderboard():
     assert [(h.period, h.config) for h in hits] == \
            [(h.period, h.config) for h in again]
     assert seed_search(ps, (0, 1), trials=0, rng_seed=5) == []
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        seed_search(ps, (0, 1), trials=-2, rng_seed=5)
     # reported period matches the composite-state measurement
     best = hits[0]
     assert prng_cycle_length(best.config).period == best.period
