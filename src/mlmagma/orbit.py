@@ -48,15 +48,58 @@ Orders come from field.order, with the primes of p − 1 and p + 1.
 Power orbits of different starts may overlap, so none of the measures
 assumes cycles partition the space.
 
-The census is one pass of those first-visit walks, and it is exact
-because powers are associative: (a^i)^n = a^(i*n).  If the walk of a
-visits a^1 .. a^(mu+lambda) before a^(mu+lambda+1) = a^(mu+1), the
-start a^i walks the subsequence a^i, a^(2i), ...  Its tail is mu // i
-and its period lambda // gcd(lambda, i), and its cycle is the states
-a^e of a's cycle with gcd(lambda, i) | e, which is also the cycle of
-the start a^gcd(lambda, i).  Every start is a power of the walk that
-visits it first, so that walk classifies it, and the cycles of the
-starts a^g, g | lambda, over all walks are all the cycles.
+The census works plane by plane, without walking.  A start with a' ≠ 0
+lies in the plane of the direction d of a', normalised to (0, 1) or
+(1, y): (a0, t·d) is s + t·w in R_d = F_p[w]/(w² − L w − Q), with
+s = a0 + 1, (L, Q) those of d and t ≠ 0.  Its powers stay in the plane,
+where lex order is that of the pairs (a0, t).  The p scalars (a' = 0)
+lie in every plane.  Δ = L² + 4Q gives the type of R_d: F_{p²} if Δ is
+a non-residue; split, s + t·w ↦ (u, v) = (s + t·r1, s + t·r2) onto
+F_p × F_p for the roots r1, r2 of w² − L w − Q, if Δ is a nonzero
+square; dual, s + t·w = c + t·ε with ε = w − L/2 and ε² = 0, if Δ = 0.
+With n = p − 1 and φ Euler's function:
+
+* Elements and tails, over the p² − p non-scalar elements of a plane.
+  Field: all are units, φ(k) of period k for each k | p² − 1, k ∤ n
+  (orders dividing n belong to F_p^*).  Dual: c + t·ε with c ≠ 0 has
+  period p·ord(c), so φ(j)·n have period p·j; the n nilpotents t·ε have
+  tail 1 and period 1.  Split: a unit (u, v), u ≠ v, has period
+  lcm(ord u, ord v), so Σ_{lcm(i,j)=k} φ(i)φ(j) − φ(k) have period k;
+  each axis u = 0, v = 0 holds φ(j) elements of period j (N = 0 ≠ T).
+  The scalars add φ(j) of period j | n and the zero scalar one of 1.
+* Cycles.  Every unit cycle holds the identity, so each distinct unit
+  period is one key.  The zero scalar and the nilpotents share the key
+  ((p − 1, 0, 0), 1).  Each axis of each split plane holds one cycle
+  {x^j = 1} per j | n, the orbit of its elements of order j.
+* Walks.  An orbit that holds a start holds that start's orbit, so
+  the lex-least start whose orbit holds β launches, and β launches iff
+  no lex-smaller start's orbit holds it.  A non-scalar orbit stays in
+  its plane and the scalars, and a unit's orbit is the group <α>.
+  - Field and dual planes: R_d^* is cyclic, of order p² − 1 or p·n, so
+    β ∈ <α> iff ord β | ord α.  The lex pass over the units launches
+    each order that divides no earlier launch's, and ends at the first
+    generator.
+  - Split planes: (log u, log v) maps the units onto (Z/n)², whose cyclic
+    subgroups have ids from a per-p table.  Launching α marks the ids of
+    every subgroup of <α>; β launches iff <β>'s id is unmarked.  Every
+    cyclic subgroup lies in one of order n (prime by prime: in
+    (Z/q^e)², x = q^f·y with y of order q^e), so the pass ends when all
+    of those are marked.  The scalar diagonal is one that no non-scalar
+    start generates; it starts marked, or the pass would never end
+    early.  When L = 0, the subgroups of order n whose generators have
+    v = −u keep all their non-scalar elements on the line 2s + t·L = 0,
+    the last row s = 0: once every other subgroup of order n is marked,
+    the pass jumps to that row.
+  - An axis is cyclic (the orbit of α is <T>·α), passed like a field
+    plane; each nilpotent's orbit {β, 0} holds no other start.
+  - Scalars: c ≠ 0 of order j lies in the orbit of α iff j divides the
+    order of its scalars <α> ∩ F_p^*: gcd(ord α, n) in field and dual
+    planes, ord α / ord(u/v) in split ones, ord α for a scalar.  So c
+    launches iff its lex index precedes the first such launch.  The zero
+    scalar lies only in its own and the nilpotents' orbits.
+
+_scan_python classifies each start with orbit_length and walks the
+literal first-visit procedure: the oracle on tiny p.
 """
 
 from __future__ import annotations
@@ -66,9 +109,10 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd
 
-from .field import order, order_primes
+from .field import divisors, order, order_primes, prime_factors, totient
 from .magma import (Params3, Params4, Vector3, Vector4, from_plane, identity,
                     plane, right_mul_stepper, vector)
 from .power import plane_pow
@@ -308,16 +352,164 @@ def _scan_python(ps: Params3) -> CensusReport:
     )
 
 
-def _divisors(n: int) -> set[int]:
-    return {d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
+@lru_cache(maxsize=8)
+def _unit_logs(p: int):
+    """Discrete logs of F_p^* and the cyclic subgroups of (Z/n)², n = p − 1.
+
+    Returns (g, log, sub, sub_order): g is the smallest primitive root,
+    log[x] the exponent of x to base g, sub[a·n + b] the id of the
+    subgroup that (a, b) generates, and sub_order[i] the order of
+    subgroup i.  Built once per p in O(p²): each new subgroup labels its
+    generators k·(a, b), gcd(k, order) = 1.
+    """
+    n = p - 1
+    g = next(g for g in range(2, p)
+             if all(pow(g, n // q, p) != 1 for q in prime_factors(n)))
+    log, x = [0] * p, 1
+    for e in range(n):
+        log[x] = e
+        x = x * g % p
+    sub, sub_order = [-1] * (n * n), []
+    for a in range(n):
+        for b in range(n):
+            if sub[a * n + b] < 0:
+                o = n // gcd(n, a, b)
+                for k in range(1, o + 1):
+                    if gcd(k, o) == 1:
+                        sub[k * a % n * n + k * b % n] = len(sub_order)
+                sub_order.append(o)
+    return g, tuple(log), tuple(sub), tuple(sub_order)
+
+
+@lru_cache(maxsize=8)
+def _type_periods(p: int) -> dict[str, dict[int, int]]:
+    """Period histogram of the non-scalar elements of one plane, per type."""
+    n = p - 1
+    dn = divisors(n)
+    field = {k: totient(k) for k in divisors(p * p - 1) if n % k}
+    dual = {p * j: totient(j) * n for j in dn} | {1: n}   # and the nilpotents
+    split = Counter()
+    for i in dn:
+        for j in dn:
+            split[i * j // gcd(i, j)] += totient(i) * totient(j)
+    for k in dn:
+        split[k] += totient(k)              # two axes, less the diagonal
+    return {"field": field, "dual": dual, "split": dict(split)}
+
+
+def _cyclic_launches(elements, top: int) -> list[tuple[int, int]]:
+    """Launches of a lex pass over part of a cyclic group.
+
+    elements yields (lex index, order) in lex order.  In a cyclic group
+    <β> ⊆ <α> iff ord β | ord α, so an element launches iff its order
+    divides no earlier launch's; an element of order top ends the pass.
+    """
+    launched = []
+    for idx, o in elements:
+        if all(m % o for _, m in launched):
+            launched.append((idx, o))
+            if o == top:
+                break
+    return launched
+
+
+def _split_launches(r1: int, r2: int, L: int, offset, p: int):
+    """(lex index, order, scalar order) of each launched unit of a split plane.
+
+    A unit s + t·w is (u, v) = (s + t·r1, s + t·r2), keyed by the id of
+    <(log u, log v)> in (Z/n)².  Launching α marks every subgroup of <α>,
+    and the pass ends once every subgroup of order n is marked, the
+    scalar diagonal from the start.  When L = 0 it jumps to the last row
+    once only the trace-zero subgroups, <(g, −g)> and, if n/2 is odd,
+    <(g², −g²)>, are left (module docstring).
+    """
+    _, log, sub, sub_order = _unit_logs(p)
+    n, pp, h = p - 1, p * p, (p - 1) // 2
+    dn = divisors(n)
+    marked = bytearray(len(sub_order))
+    marked[sub[n + 1]] = 1                             # <(g, g)>
+    found, total = 1, sub_order.count(n)
+    trace_zero = {i for i in (sub[n + (1 + h) % n], sub[2 % n * n + (2 + h) % n])
+                  if sub_order[i] == n} if L == 0 else set()
+    launched = []
+    x0 = 0
+    while x0 < p:
+        s = (x0 + 1) % p
+        for t in range(1, p):
+            u, v = (s + t * r1) % p, (s + t * r2) % p
+            if not (u and v):
+                continue                               # an axis
+            a, b = log[u], log[v]
+            if marked[sub[a * n + b]]:
+                continue
+            o = n // gcd(n, a, b)
+            launched.append((x0 * pp + offset[t], o, o * gcd(n, a - b) // n))
+            for m in dn:
+                i = sub[m * a % n * n + m * b % n]
+                if not marked[i]:
+                    marked[i] = 1
+                    found += sub_order[i] == n
+            if found == total:
+                return launched
+        if found + sum(not marked[i] for i in trace_zero) == total:
+            x0 = max(x0 + 1, p - 1)
+        else:
+            x0 += 1
+    return launched
+
+
+def _plane_launches(kind: str, L: int, Q: int, disc: int, offset, p: int):
+    """(lex index, period, scalar order) of each launched non-scalar start
+    of one plane, whose start s + t·w is the vector (s − 1, t·d) at lex
+    index (s − 1)·p² + offset[t].
+
+    The scalar order is that of the orbit's scalars: the order of
+    <α> ∩ F_p^* for a unit α, 0 for a nilpotent (its orbit ends at the
+    zero scalar) and None on a split axis (its orbit holds no scalar).
+    """
+    g, log = _unit_logs(p)[:2]
+    n, pp, half = p - 1, p * p, pow(2, -1, p)
+    if kind == "field":
+        primes = prime_factors(n) | prime_factors(p + 1)
+
+        def orders():
+            for x0 in range(p):
+                s = (x0 + 1) % p
+                for t in range(1, p):
+                    yield x0 * pp + offset[t], order(
+                        pp - 1, primes,
+                        lambda k: plane_pow(s, k, t * L % p, t * t * Q % p, p) == (1, 0))
+
+        return [(i, o, gcd(o, n)) for i, o in _cyclic_launches(orders(), pp - 1)]
+    if kind == "dual":
+        # s + t·w = c + t·ε with ε = w − L/2 and c = s + t·L/2: a unit of
+        # order p·ord(c) if c ≠ 0, else a nilpotent, which always launches.
+        units = ((x0 * pp + offset[t], p * (n // gcd(n, log[c])))
+                 for x0 in range(p) for t in range(1, p)
+                 for c in [(x0 + 1 + t * L * half) % p] if c)
+        nilpotents = [((-t * L * half - 1) % p * pp + offset[t], 1, 0)
+                      for t in range(1, p)]
+        return [(i, o, o // p) for i, o in _cyclic_launches(units, p * n)] + nilpotents
+    root = pow(g, log[disc] // 2, p)
+    r1, r2 = (L + root) * half % p, (L - root) * half % p
+    launches = _split_launches(r1, r2, L, offset, p)
+    # The axes u = 0 and v = 0 hold s + t·w = (0, t(r2 − r1)) and
+    # (t(r1 − r2), 0), each orbit the cyclic <T>·α on its axis.
+    for r, dr in ((r1, r2 - r1), (r2, r1 - r2)):
+        axis = sorted(((-t * r - 1) % p * pp + offset[t],
+                       n // gcd(n, log[t * dr % p])) for t in range(1, p))
+        launches += [(i, o, None) for i, o in _cyclic_launches(axis, n)]
+    return launches
 
 
 def scan_space(ps: Params3, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP,
                allow_large: bool = False) -> CensusReport:
     """Classify every start of Z_p^3 and aggregate all census measures.
 
-    One pass of first-visit walks: the walk of each launched start a
-    classifies every state a^i it is first to visit (module docstring).
+    Plane by plane, one per direction of a' (module docstring): element,
+    tail and cycle histograms are closed forms in the plane types, and
+    the first-visit walks come from a lex pass over each plane that
+    decides containment by element orders.
     """
     if ps.dim != 3:
         raise ValueError(
@@ -332,43 +524,63 @@ def scan_space(ps: Params3, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP,
         )
 
     t_start = time.perf_counter()
-    start_hist, tail_hist, walk_hist = Counter(), Counter(), Counter()
-    cycles = set()                       # (lex index of cycle minimum, period)
-    visited = bytearray(total)           # by lex index (x0*p + x1)*p + x2
-    i = visited.find(0)
-    while i != -1:
-        a = Vector3(i // (p * p), i // p % p, i % p, ps.modulus)
-        step = right_mul_stepper(a, ps)
-        seen = {}                        # lex index of a^e -> e - 1
-        x, key = a.components, i
-        while key not in seen:
-            seen[key] = len(seen)
-            x = step(x)
-            key = (x[0] * p + x[1]) * p + x[2]
-        tail = seen[key]
-        period = len(seen) - tail
-        walk_hist[period] += 1
-        keys = list(seen)
-        for e, k in enumerate(keys, 1):
-            if not visited[k]:
-                visited[k] = 1
-                start_hist[period // gcd(period, e)] += 1
-                tail_hist[tail // e] += 1
-        cycle = keys[tail:]              # a^(tail+1) .. a^(tail+period)
-        for g in _divisors(period):
-            # the cycle of a^g: the states a^e of a's cycle with g | e
-            cycles.add((min(cycle[-(tail + 1) % g::g]), period // g))
-        i = visited.find(0, i + 1)
+    n, pp = p - 1, p * p
+    types, walk_hist = Counter(), Counter()
+    scalar_first = {}       # scalar order -> first launch whose orbit holds it
+    for d in [(0, 1)] + [(1, y) for y in range(p)]:
+        L, Q = plane(Vector3(0, *d, ps.modulus), ps)
+        disc = (L * L + 4 * Q) % p
+        kind = ("dual" if disc == 0 else
+                "split" if pow(disc, n // 2, p) == 1 else "field")
+        types[kind] += 1
+        offset = [t * d[0] % p * p + t * d[1] % p for t in range(p)]
+        for idx, period, j in _plane_launches(kind, L, Q, disc, offset, p):
+            walk_hist[period] += 1
+            if j is not None:
+                scalar_first[j] = min(scalar_first.get(j, total), idx)
+
+    # The scalars c = x0 + 1 at lex index x0·p².  c ≠ 0 of order j lies in
+    # the orbit of every start whose scalars have an order divisible by j,
+    # a scalar start included; 0 only in its own and a nilpotent's orbit.
+    log = _unit_logs(p)[1]
+    first = {j: min((i for k, i in scalar_first.items() if k and k % j == 0),
+                    default=total) for j in divisors(n)}
+    for x0 in range(n):
+        j = n // gcd(n, log[x0 + 1])
+        if x0 * pp < first[j]:
+            walk_hist[j] += 1
+        for k in divisors(j):
+            first[k] = min(first[k], x0 * pp)
+    if n * pp < scalar_first.get(0, total):
+        walk_hist[1] += 1
+
+    start_hist = Counter({j: totient(j) for j in divisors(n)})
+    start_hist[1] += 1                                 # (p − 1, 0, 0)
+    for kind, periods in _type_periods(p).items():
+        for period, count in periods.items():
+            start_hist[period] += types[kind] * count
+    nilpotents = n * types["dual"]
+    tail_hist = Counter({0: total - nilpotents, 1: nilpotents})
+    # Cycle keys: one per unit period, as every unit cycle holds the
+    # identity; ((p − 1, 0, 0), 1); and one per order on each split axis.
+    unit_periods = set(divisors(n))
+    if types["field"]:
+        unit_periods |= set(divisors(pp - 1))
+    if types["dual"]:
+        unit_periods |= {p * j for j in divisors(n)}
+    cycle_hist = Counter(unit_periods)
+    cycle_hist[1] += 1
+    for j in divisors(n):
+        cycle_hist[j] += 2 * types["split"]
 
     return CensusReport(
         p=p, params=tuple(ps.coefficients), total_starts=total,
-        start_periods=dict(start_hist),
-        cycle_periods=dict(Counter(q for _, q in cycles)),
-        walk_periods=dict(walk_hist), tail_lengths=dict(tail_hist),
-        total_cycles=len(cycles), total_walks=sum(walk_hist.values()),
+        start_periods=dict(+start_hist), cycle_periods=dict(cycle_hist),
+        walk_periods=dict(walk_hist), tail_lengths=dict(+tail_hist),
+        total_cycles=sum(cycle_hist.values()), total_walks=sum(walk_hist.values()),
         zero_tail_starts=tail_hist[0],
-        cycle_period_sum=sum(q for _, q in cycles),
-        engine="walk", elapsed=time.perf_counter() - t_start,
+        cycle_period_sum=sum(q * c for q, c in cycle_hist.items()),
+        engine="plane", elapsed=time.perf_counter() - t_start,
     )
 
 

@@ -24,9 +24,9 @@ f(H)·v = 0).  Write f = X^μ·g with g(0) ≠ 0.
   p²·(p − 1)(p + 1)(p² + p + 1); p² rather than p covers p = 3.
 
 Tails are measured on the true composite state by prng_cycle_length,
-the Brent walk kept as the oracle.  composite_period factors
-p² + p + 1 by trial division, which keeps it fast only up to p of
-about 2^16.
+the Brent walk kept as the oracle.  The primes of p² + p + 1 come from
+field.prime_factors, whose Pollard rho keeps composite_period fast up
+to p = 2^31 − 1.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 import random
+from collections import Counter
+from math import gcd
 
 import pytest
 
 from mlmagma import Params3, Params4, Vector3, Vector4, make_modulus, vector
 from mlmagma.cycles import cycle_minimum, find_cycle
+from mlmagma.field import divisors
 from mlmagma.magma import right_mul_stepper
+from mlmagma.orbit import CensusReport
 
 TEST_PRIMES = (23, 61, 101)
 
@@ -65,3 +69,55 @@ def walk_orbit(a, ps):
     for _ in range(tail):
         on_cycle = step(on_cycle)
     return tail, period, vector(cycle_minimum(step, on_cycle, period), a.modulus)
+
+
+def walk_census(ps):
+    """The census by one pass of first-visit walks over all p³ starts:
+    the oracle for orbit.scan_space's plane-wise census.
+
+    It is exact because powers are associative: (a^i)^n = a^(i·n).  If
+    the walk of a visits a^1 .. a^(μ+λ) before a^(μ+λ+1) = a^(μ+1), the
+    start a^i walks a^i, a^(2i), ...: its tail is μ // i, its period
+    λ // gcd(λ, i), and its cycle is that of the start a^gcd(λ, i).  So
+    the walk of each launched start classifies every state it is first to
+    visit, and the cycles of the starts a^g, g | λ, over all walks are
+    all the cycles.
+    """
+    p = ps.modulus.p
+    total = p**3
+    start_hist, tail_hist, walk_hist = Counter(), Counter(), Counter()
+    cycles = set()                       # (lex index of cycle minimum, period)
+    visited = bytearray(total)           # by lex index (x0*p + x1)*p + x2
+    i = visited.find(0)
+    while i != -1:
+        a = Vector3(i // (p * p), i // p % p, i % p, ps.modulus)
+        step = right_mul_stepper(a, ps)
+        seen = {}                        # lex index of a^e -> e - 1
+        x, key = a.components, i
+        while key not in seen:
+            seen[key] = len(seen)
+            x = step(x)
+            key = (x[0] * p + x[1]) * p + x[2]
+        tail = seen[key]
+        period = len(seen) - tail
+        walk_hist[period] += 1
+        keys = list(seen)
+        for e, k in enumerate(keys, 1):
+            if not visited[k]:
+                visited[k] = 1
+                start_hist[period // gcd(period, e)] += 1
+                tail_hist[tail // e] += 1
+        cycle = keys[tail:]              # a^(tail+1) .. a^(tail+period)
+        for g in divisors(period):
+            # the cycle of a^g: the states a^e of a's cycle with g | e
+            cycles.add((min(cycle[-(tail + 1) % g::g]), period // g))
+        i = visited.find(0, i + 1)
+    return CensusReport(
+        p=p, params=tuple(ps.coefficients), total_starts=total,
+        start_periods=dict(start_hist),
+        cycle_periods=dict(Counter(q for _, q in cycles)),
+        walk_periods=dict(walk_hist), tail_lengths=dict(tail_hist),
+        total_cycles=len(cycles), total_walks=sum(walk_hist.values()),
+        zero_tail_starts=tail_hist[0],
+        cycle_period_sum=sum(q for _, q in cycles), engine="walk",
+    )

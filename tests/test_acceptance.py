@@ -210,7 +210,6 @@ def test_c09_census_p61():
            f"{_census_line(r, 60)}")
 
 
-@pytest.mark.slow
 def test_c10_sweep_aggregates():
     t0 = time.perf_counter()
     sweep = param_sweep(make_modulus(23), 1, 1, 2)

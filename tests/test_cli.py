@@ -1,10 +1,12 @@
 import json
 import socket
 import threading
+import time
 
 from mlmagma.cli import main
 from mlmagma.prng import PrngConfig
 from mlmagma import Params3, Vector3, make_modulus
+from conftest import walk_census
 
 
 def run(capsys, *argv):
@@ -78,6 +80,28 @@ def test_orbit_commands(capsys, tmp_path):
                        "--params", "9,19,1,1,2")
     assert code == 0
     assert json.loads(out)["found"]
+
+
+def test_orbit_scan_stdout_matches_walk_oracle(capsys):
+    code, out, _ = run(capsys, "orbit", "scan", "--p", "23",
+                       "--params", "9,19,1,1,2")
+    assert code == 0
+    doc = json.loads(out)
+    expected = walk_census(Params3(9, 19, 1, 1, 2, make_modulus(23))).to_dict()
+    assert doc.pop("engine") == "plane"
+    assert expected.pop("engine") == "walk"
+    assert doc == expected
+
+
+def test_prng_search_at_large_p(capsys):
+    """composite_period factors p² + p + 1 (~2^62) by Pollard rho."""
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "prng", "search", "--p", str(2**31 - 1),
+                       "--params", "19,18,1,1,2", "--pattern", "0,1",
+                       "--trials", "1")
+    assert code == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert len(json.loads(out)["leaderboard"]) == 1
 
 
 def test_orbit_four_components(capsys):

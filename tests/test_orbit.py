@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -14,7 +15,7 @@ from mlmagma.orbit import (BudgetExceededError, _scan_python,
                            heuristic_search, orbit_length, param_sweep,
                            scan_space, write_census_csv, write_census_json)
 from mlmagma.power import pow_fast
-from conftest import random_instance, walk_orbit
+from conftest import random_instance, walk_census, walk_orbit
 
 
 def test_orbit_of_identity():
@@ -85,6 +86,68 @@ def test_engines_agree(p, coefs):
     assert fast.total_walks == ref.total_walks
     assert fast.zero_tail_starts == ref.zero_tail_starts
     assert fast.cycle_period_sum == ref.cycle_period_sum
+
+
+def _plane_kinds(ps):
+    """(type, L) of the plane of each direction (0, 1), (1, y) of a'."""
+    p, m = ps.modulus.p, ps.modulus
+    kinds = []
+    for d in [(0, 1)] + [(1, y) for y in range(p)]:
+        L, Q = plane(Vector3(0, *d, m), ps)
+        disc = (L * L + 4 * Q) % p
+        kinds.append(("dual" if disc == 0 else
+                      "split" if pow(disc, (p - 1) // 2, p) == 1 else "field", L))
+    return kinds
+
+
+def _census_fields(report):
+    return {k: v for k, v in dataclasses.asdict(report).items()
+            if k not in ("engine", "elapsed")}
+
+
+_oracle_rng = random.Random(0x51A7E)
+ORACLE_CASES = [(p, tuple(_oracle_rng.randrange(p) for _ in range(5)))
+                for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for _ in range(3)]
+SPECIAL_CASES = {
+    (7, (0, 0, 0, 0, 0)): "all dual",
+    (31, (0, 0, 0, 0, 0)): "all dual",
+    (7, (1, 4, 1, 1, 2)): "one dual",
+    (23, (3, 1, 5, 2, 0)): "L = 0 split",   # p ≡ 3 (mod 4)
+    (29, (3, 1, 5, 2, 0)): "L = 0 split",   # p ≡ 1 (mod 4)
+    # No field plane, so no early generator of all of F_p^* decides the
+    # scalars; L = 0 in every plane of the first two.
+    (23, (1, 1, 2, 0, 0)): "no field",
+    (29, (1, 1, 2, 0, 0)): "no field",
+    (29, (0, 0, 0, 1, 0)): "no field",
+}
+
+
+@pytest.mark.parametrize("p,coefs", ORACLE_CASES + list(SPECIAL_CASES))
+def test_plane_census_matches_walk_oracle(p, coefs):
+    ps = Params3(*coefs, make_modulus(p))
+    kinds = _plane_kinds(ps)
+    special = SPECIAL_CASES.get((p, coefs))
+    if special == "all dual":
+        assert all(kind == "dual" for kind, _ in kinds)
+    elif special == "one dual":
+        assert [kind for kind, _ in kinds].count("dual") == 1
+    elif special == "L = 0 split":
+        assert ("split", 0) in kinds
+    elif special == "no field":
+        assert all(kind != "field" for kind, _ in kinds)
+    report = scan_space(ps)
+    assert report.engine == "plane"
+    assert _census_fields(report) == _census_fields(walk_census(ps))
+
+
+def test_census_at_the_cap():
+    p = 127
+    t0 = time.perf_counter()
+    r = scan_space(Params3(1, 1, 1, 1, 2, make_modulus(p)))
+    assert time.perf_counter() - t0 < 2.0
+    assert r.total_starts == p**3
+    assert sum(r.start_periods.values()) == p**3
+    assert sum(r.tail_lengths.values()) == p**3
 
 
 def test_scan_is_deterministic():
