@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .magma import right_mul_stepper
+from .magma import _require_shared, right_mul_stepper
 from .orbit import orbit_length, structured_start
 from .power import pow_fast
 
@@ -33,11 +33,7 @@ class DipInstance:
     cap: int
 
     def __post_init__(self):
-        if self.base.dim != self.target.dim or self.base.dim != self.params.dim:
-            raise ValueError("base, target and params must share one dimension")
-        if (self.base.modulus != self.target.modulus
-                or self.base.modulus != self.params.modulus):
-            raise ValueError("base, target and params must share one modulus")
+        _require_shared(self.base, self.target, self.params)
         if self.cap < 1:
             raise ValueError("cap must be at least 1")
 
@@ -67,7 +63,7 @@ class TimingRow(NamedTuple):
     mean_seconds: float
 
 
-def find_long_period_base(ps, min_period: int, tries: int = None):
+def find_long_period_base(ps, min_period: int):
     """A start (0, s, x), zero-padded to ps's dimension, whose orbit
     period exceeds min_period, or None.
 
@@ -75,13 +71,8 @@ def find_long_period_base(ps, min_period: int, tries: int = None):
     brute-force cost reflects the exponent, not a wrapped residue.
     """
     p = ps.modulus.p
-    tries = 4 * p if tries is None else tries
-    count = 0
     for s in (1, 2, 3):
         for x in range(p):
-            if count >= tries:
-                return None
-            count += 1
             cand = structured_start(s, x, ps)
             rec = orbit_length(cand, ps)
             if rec.tail + rec.period > min_period:

@@ -18,7 +18,9 @@ Wire format (big endian): magic "MLKX", version 0x01, kind byte, then
   kind 0x02 public-value: dim (1), components (8 each).
 
 Messages are sent over any ordered reliable byte stream; no encryption
-or authentication is attempted.
+or authentication is attempted.  One parser, _decode, reads the format
+from a take(n) source: a bounds-checked slice for decode_message, exact
+socket reads for sessions, so both reject a malformed message alike.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import threading
 from dataclasses import dataclass
 
 from .field import PrimeModulus
-from .magma import identity, mul, vector
+from .magma import _require_shared, identity, mul, vector
 from .power import pow_fast
 
 MAGIC = b"MLKX"
@@ -77,10 +79,7 @@ class KxPublicParams:
     base: object          # Vector3 | Vector4
 
     def __post_init__(self):
-        if self.base.modulus != self.params.modulus:
-            raise ValueError("base and params must share one modulus")
-        if self.base.dim != self.params.dim:
-            raise ValueError("base and params must share one dimension")
+        _require_shared(self.base, self.base, self.params)
         if self.base == identity(self.base.dim, self.base.modulus):
             raise ValueError("base must differ from the identity vector")
 
@@ -147,75 +146,31 @@ class ParamsAnnounce:
     coefficients: tuple[int, ...]
     base: tuple[int, ...]
 
-    @property
-    def kind(self) -> int:
-        return KIND_PARAMS
-
 
 @dataclass(frozen=True)
 class PublicValue:
     dim: int
     components: tuple[int, ...]
 
-    @property
-    def kind(self) -> int:
-        return KIND_PUBLIC
+
+def announce_for(pub: KxPublicParams) -> ParamsAnnounce:
+    return ParamsAnnounce(pub.modulus.p, pub.dim, tuple(pub.params.coefficients),
+                          tuple(pub.base.components))
 
 
-@dataclass(frozen=True)
-class KxMessage:
-    version: int
-    body: ParamsAnnounce | PublicValue
-
-    @property
-    def kind(self) -> int:
-        return self.body.kind
+def public_message(value) -> PublicValue:
+    return PublicValue(value.dim, tuple(value.components))
 
 
-def announce_for(pub: KxPublicParams) -> KxMessage:
-    return KxMessage(VERSION, ParamsAnnounce(
-        pub.modulus.p, pub.dim, tuple(pub.params.coefficients),
-        tuple(pub.base.components)))
-
-
-def public_message(value) -> KxMessage:
-    return KxMessage(VERSION, PublicValue(value.dim, tuple(value.components)))
-
-
-def encode_message(msg: KxMessage) -> bytes:
-    head = MAGIC + bytes([msg.version, msg.kind])
-    body = msg.body
-    if isinstance(body, ParamsAnnounce):
-        out = head + struct.pack(">QBB", body.p, body.dim, len(body.coefficients))
-        out += b"".join(struct.pack(">Q", c) for c in body.coefficients)
-        out += b"".join(struct.pack(">Q", c) for c in body.base)
-        return out
-    if isinstance(body, PublicValue):
-        out = head + bytes([body.dim])
-        out += b"".join(struct.pack(">Q", c) for c in body.components)
-        return out
-    raise TypeError(f"unknown message body {type(body).__name__}")
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise TruncatedMessageError(
-                f"message truncated: wanted {n} bytes at offset {self.off}, "
-                f"have {len(self.data) - self.off}")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+def encode_message(msg: ParamsAnnounce | PublicValue) -> bytes:
+    if isinstance(msg, ParamsAnnounce):
+        values = (*msg.coefficients, *msg.base)
+        return MAGIC + struct.pack(f">BBQBB{len(values)}Q", VERSION, KIND_PARAMS,
+                                   msg.p, msg.dim, len(msg.coefficients), *values)
+    if isinstance(msg, PublicValue):
+        return MAGIC + struct.pack(f">BBB{len(msg.components)}Q", VERSION,
+                                   KIND_PUBLIC, msg.dim, *msg.components)
+    raise TypeError(f"unknown message {type(msg).__name__}")
 
 
 def _check_canonical(values, p: int) -> None:
@@ -224,45 +179,53 @@ def _check_canonical(values, p: int) -> None:
             raise NonCanonicalValueError(f"residue {v} not below modulus {p}")
 
 
-def decode_message(data: bytes, expected_p: int | None = None) -> KxMessage:
-    """Decode one message; canonicality of public values needs expected_p."""
-    r = _Reader(data)
-    if r.take(4) != MAGIC:
+def _decode(take, expected_p: int | None) -> ParamsAnnounce | PublicValue:
+    """Parse one message from take(n), which returns the next n bytes or
+    raises.  Every length is checked before the bytes it sizes are read."""
+    if take(4) != MAGIC:
         raise BadMagicError("bad magic")
-    version = r.u8()
+    version = take(1)[0]
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
-    kind = r.u8()
+    kind = take(1)[0]
     if kind == KIND_PARAMS:
-        p = r.u64()
-        dim = r.u8()
-        count = r.u8()
+        p, dim, count = struct.unpack(">QBB", take(10))
         if dim not in (3, 4) or count != (5 if dim == 3 else 9):
             raise KxDecodeError(f"inconsistent dim {dim} / coefficient count {count}")
-        coefficients = tuple(r.u64() for _ in range(count))
-        base = tuple(r.u64() for _ in range(dim))
-        _check_canonical(coefficients + base, p)
+        values = struct.unpack(f">{count + dim}Q", take(8 * (count + dim)))
+        _check_canonical(values, p)
         if expected_p is not None and p != expected_p:
             raise KxDecodeError(f"announced modulus {p} != expected {expected_p}")
-        msg = KxMessage(version, ParamsAnnounce(p, dim, coefficients, base))
-    elif kind == KIND_PUBLIC:
-        dim = r.u8()
+        return ParamsAnnounce(p, dim, values[:count], values[count:])
+    if kind == KIND_PUBLIC:
+        dim = take(1)[0]
         if dim not in (3, 4):
             raise KxDecodeError(f"unsupported dimension {dim}")
-        components = tuple(r.u64() for _ in range(dim))
+        components = struct.unpack(f">{dim}Q", take(8 * dim))
         if expected_p is not None:
             _check_canonical(components, expected_p)
-        msg = KxMessage(version, PublicValue(dim, components))
-    else:
-        raise KxDecodeError(f"unknown message kind {kind}")
-    if r.off != len(data):
-        raise KxDecodeError(f"{len(data) - r.off} trailing bytes after message")
+        return PublicValue(dim, components)
+    raise KxDecodeError(f"unknown message kind {kind}")
+
+
+def decode_message(data: bytes, expected_p: int | None = None
+                   ) -> ParamsAnnounce | PublicValue:
+    """Decode one message; canonicality of public values needs expected_p."""
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise TruncatedMessageError(
+                f"message truncated: wanted {n} bytes at offset {off}, "
+                f"have {len(data) - off}")
+        off += n
+        return data[off - n:off]
+
+    msg = _decode(take, expected_p)
+    if off != len(data):
+        raise KxDecodeError(f"{len(data) - off} trailing bytes after message")
     return msg
-
-
-def _params_message_length(dim: int) -> int:
-    count = 5 if dim == 3 else 9
-    return 8 + 1 + 1 + 8 * count + 8 * dim
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +294,9 @@ def _recv_exact(sock, n: int) -> bytes:
     return bytes(buf)
 
 
-def _recv_message(sock, expected_p: int | None = None) -> KxMessage:
-    head = _recv_exact(sock, 6)
-    if head[:4] != MAGIC:
-        raise KxSessionError(f"aborted: bad magic {head[:4]!r}")
-    version, kind = head[4], head[5]
-    if version != VERSION:
-        raise KxSessionError(f"aborted: unsupported version {version}")
-    if kind == KIND_PARAMS:
-        fixed = _recv_exact(sock, 10)
-        dim = fixed[8]
-        if dim not in (3, 4):
-            raise KxSessionError(f"aborted: unsupported dimension {dim}")
-        rest = _recv_exact(sock, _params_message_length(dim) - 10)
-        data = head + fixed + rest
-    elif kind == KIND_PUBLIC:
-        dim_byte = _recv_exact(sock, 1)
-        dim = dim_byte[0]
-        if dim not in (3, 4):
-            raise KxSessionError(f"aborted: unsupported dimension {dim}")
-        data = head + dim_byte + _recv_exact(sock, 8 * dim)
-    else:
-        raise KxSessionError(f"aborted: unknown message kind {kind}")
+def _recv_message(sock, expected_p: int | None = None) -> ParamsAnnounce | PublicValue:
     try:
-        return decode_message(data, expected_p)
+        return _decode(lambda n: _recv_exact(sock, n), expected_p)
     except KxDecodeError as exc:
         raise KxSessionError(f"aborted: {exc}") from exc
 
@@ -396,25 +338,21 @@ def run_session(role: str, sock, pub: KxPublicParams, exponent_bits: int = 64,
             sock.sendall(encode_message(announce_for(pub)))
             sock.sendall(encode_message(public_message(own.public)))
             reply = _recv_message(sock, expected_p=p)
-            if reply.kind != KIND_PUBLIC:
+            if not isinstance(reply, PublicValue):
                 raise KxSessionError("aborted: expected a public value reply")
-            peer = vector(reply.body.components, pub.modulus)
         else:
             announce = _recv_message(sock, expected_p=p)
-            if announce.kind != KIND_PARAMS:
+            if not isinstance(announce, ParamsAnnounce):
                 raise KxSessionError("aborted: expected a parameter announce")
-            body = announce.body
-            if (body.dim != pub.dim
-                    or body.coefficients != tuple(pub.params.coefficients)
-                    or body.base != tuple(pub.base.components)):
+            if announce != announce_for(pub):
                 raise KxSessionError("aborted: parameter mismatch with peer")
-            first = _recv_message(sock, expected_p=p)
-            if first.kind != KIND_PUBLIC:
+            reply = _recv_message(sock, expected_p=p)
+            if not isinstance(reply, PublicValue):
                 raise KxSessionError("aborted: expected the initiator public value")
-            peer = vector(first.body.components, pub.modulus)
             sock.sendall(encode_message(public_message(own.public)))
     except OSError as exc:  # a reset or closed peer
         raise KxSessionError(f"aborted: {exc}") from exc
+    peer = vector(reply.components, pub.modulus)
     shared = derive_shared(own, peer, pub, mode)
     return SessionResult(role, own, peer, shared)
 

@@ -502,8 +502,8 @@ def _plane_launches(kind: str, L: int, Q: int, disc: int, offset, p: int):
     return launches
 
 
-def scan_space(ps: Params3, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP,
-               allow_large: bool = False) -> CensusReport:
+def scan_space(ps: Params3, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
+               ) -> CensusReport:
     """Classify every start of Z_p^3 and aggregate all census measures.
 
     Plane by plane, one per direction of a' (module docstring): element,
@@ -517,7 +517,7 @@ def scan_space(ps: Params3, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP,
             f"got {len(ps.coefficients)} coefficients")
     p = ps.modulus.p
     total = p**3
-    if p > full_scan_cap and not allow_large:
+    if p > full_scan_cap:
         raise BudgetExceededError(
             f"full scan needs {total} starts (p = {p} > cap {full_scan_cap}); "
             "raise the cap explicitly to proceed"
@@ -628,17 +628,16 @@ class SweepResult:
         }
 
 
-def param_sweep(modulus, c: int, d: int, e: int, a_values=None, b_values=None,
-                *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP) -> SweepResult:
+def param_sweep(modulus, c: int, d: int, e: int, a_values=None,
+                b_values=None) -> SweepResult:
     """One census per (A, B) pair with C, D, E fixed."""
     p = modulus.p
-    if p > full_scan_cap:
+    if p > DEFAULT_FULL_SCAN_CAP:
         raise BudgetExceededError(
-            f"sweep at p = {p} exceeds cap {full_scan_cap}; raise it explicitly"
-        )
+            f"sweep at p = {p} exceeds cap {DEFAULT_FULL_SCAN_CAP}")
     a_values = list(range(p)) if a_values is None else list(a_values)
     b_values = list(range(p)) if b_values is None else list(b_values)
-    reports = [scan_space(Params3(a, b, c, d, e, modulus), full_scan_cap=p)
+    reports = [scan_space(Params3(a, b, c, d, e, modulus))
                for a in a_values for b in b_values]
     return SweepResult(p, (c, d, e), reports)
 

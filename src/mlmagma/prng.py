@@ -39,7 +39,8 @@ from typing import Iterator, NamedTuple
 
 from .cycles import find_cycle
 from .field import PrimeModulus, order, order_primes, prime_factors
-from .magma import Params3, Vector3, left_mul_stepper, right_mul_stepper
+from .magma import (Params3, Vector3, _require_shared, left_mul_stepper,
+                    right_mul_stepper)
 from .power import powers_upto
 
 SIDES = ("right", "left")
@@ -54,6 +55,10 @@ class PrngConfig:
     side: str = "right"   # "right": current * seed, "left": seed * current
 
     def __post_init__(self):
+        if self.params.dim != 3:
+            raise ValueError(
+                "the PRNG needs 3-component parameters (5 coefficients), "
+                f"got {len(self.params.coefficients)} coefficients")
         if not self.seeds:
             raise ValueError("at least one seed vector is required")
         if not self.pattern:
@@ -62,10 +67,8 @@ class PrngConfig:
             if not (0 <= i < len(self.seeds)):
                 raise ValueError(f"pattern index {i} out of range for "
                                  f"{len(self.seeds)} seeds")
-        m = self.params.modulus
         for v in (*self.seeds, self.initial):
-            if v.modulus != m:
-                raise ValueError("seeds and initial must share the params modulus")
+            _require_shared(v, v, self.params)
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
 

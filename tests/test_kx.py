@@ -233,8 +233,8 @@ def test_session_peer_reset_is_session_error():
         s1.close()
 
 
-def test_session_wrong_message_order_aborts():
-    pub = demo_pub()
+def responder_error(raw, pub):
+    """The KxSessionError a responder raises on reading raw, then EOF."""
     s1, s2 = socket.socketpair()
     err = {}
 
@@ -246,74 +246,66 @@ def test_session_wrong_message_order_aborts():
 
     t = threading.Thread(target=responder)
     t.start()
-    # public value before the parameter announce
-    s1.sendall(encode_message(public_message(Vector3(7, 0, 0, pub.modulus))))
-    t.join()
+    s1.sendall(raw)
     s1.close()
+    t.join(timeout=10)
     s2.close()
-    assert "parameter announce" in str(err["e"])
+    assert not t.is_alive()
+    return err["e"]
+
+
+def test_session_wrong_message_order_aborts():
+    pub = demo_pub()
+    # public value before the parameter announce
+    raw = encode_message(public_message(Vector3(7, 0, 0, pub.modulus)))
+    assert "parameter announce" in str(responder_error(raw, pub))
 
 
 def test_session_bad_magic_aborts():
-    pub = demo_pub()
-    s1, s2 = socket.socketpair()
-    err = {}
-
-    def responder():
-        try:
-            run_session("responder", s2, pub, 8, timeout=5.0)
-        except KxSessionError as exc:
-            err["e"] = exc
-
-    t = threading.Thread(target=responder)
-    t.start()
-    s1.sendall(b"NOPE" + bytes(40))
-    t.join()
-    s1.close()
-    s2.close()
-    assert "bad magic" in str(err["e"])
+    assert "bad magic" in str(responder_error(b"NOPE" + bytes(40), demo_pub()))
 
 
 def test_session_bad_version_aborts():
     pub = demo_pub()
-    s1, s2 = socket.socketpair()
-    err = {}
-
-    def responder():
-        try:
-            run_session("responder", s2, pub, 8, timeout=5.0)
-        except KxSessionError as exc:
-            err["e"] = exc
-
-    t = threading.Thread(target=responder)
-    t.start()
     msg = bytearray(encode_message(announce_for(pub)))
     msg[4] = 2
-    s1.sendall(bytes(msg))
-    t.join()
-    s1.close()
-    s2.close()
-    assert "version" in str(err["e"])
+    assert "version" in str(responder_error(bytes(msg), pub))
 
 
 def test_session_truncation_aborts():
     pub = demo_pub()
-    s1, s2 = socket.socketpair()
-    err = {}
+    err = responder_error(encode_message(announce_for(pub))[:20], pub)
+    assert "closed" in str(err) or "timed out" in str(err)
 
-    def responder():
-        try:
-            run_session("responder", s2, pub, 8, timeout=5.0)
-        except KxSessionError as exc:
-            err["e"] = exc
 
-    t = threading.Thread(target=responder)
-    t.start()
-    s1.sendall(encode_message(announce_for(pub))[:20])
-    s1.close()
-    t.join()
-    s2.close()
-    assert "closed" in str(err["e"]) or "timed out" in str(err["e"])
+def _patched(data, at, value):
+    out = bytearray(data)
+    out[at:at + len(value)] = value
+    return bytes(out)
+
+
+_ANNOUNCE = encode_message(announce_for(demo_pub()))
+_PUBLIC = encode_message(public_message(Vector3(7, 0, 0, make_modulus(101))))
+
+
+@pytest.mark.parametrize("raw", [
+    _patched(_ANNOUNCE, 0, b"XXXX"),
+    _patched(_ANNOUNCE, 4, bytes([9])),                   # version
+    _patched(_ANNOUNCE, 5, bytes([0x77])),                # kind
+    _patched(_PUBLIC, 6, bytes([5])) + bytes(16),         # public dim 5
+    _patched(_PUBLIC, 7, (101).to_bytes(8, "big")),       # residue == p
+    _patched(_ANNOUNCE, 15, bytes([9])),                  # dim 3, count 9
+    _patched(_ANNOUNCE, 16, (101).to_bytes(8, "big")),    # coefficient == p
+    encode_message(announce_for(demo_pub(103))),          # other modulus
+], ids=["magic", "version", "kind", "public-dim", "public-residue",
+        "announce-count", "announce-residue", "announce-modulus"])
+def test_session_abort_matches_decode_error(raw):
+    """Sockets and byte strings share one parser, so a session aborts
+    with the very error decode_message raises on the same bytes."""
+    with pytest.raises(KxDecodeError) as decoded:
+        decode_message(raw, expected_p=101)
+    err = responder_error(raw, demo_pub())
+    assert str(err) == f"aborted: {decoded.value}"
 
 
 def test_tcp_serve_and_connect():

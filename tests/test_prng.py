@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from mlmagma import Params3, Vector3, identity, make_modulus, mul
+from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
+                     mul)
 from mlmagma.field import prime_factors
 from mlmagma.power import pow_iter
 from mlmagma.prng import (SIDES, PrngConfig, affine_pass, byte_stream,
@@ -46,6 +47,23 @@ def test_validation():
     other = Vector3(1, 0, 0, make_modulus(7))
     with pytest.raises(ValueError):
         PrngConfig(ps, (other,), (0,), v)
+
+
+def test_rejects_four_components():
+    """The PRNG is defined on Z_p^3; 4-component operands fail by name
+    at construction, not deep inside the period computation."""
+    m = make_modulus(5)
+    ps3 = Params3(1, 1, 1, 1, 2, m)
+    ps4 = Params4(1, 2, 3, 4, 0, 1, 2, 3, 4, m)
+    v3, v4 = Vector3(1, 0, 0, m), Vector4(1, 0, 0, 0, m)
+    with pytest.raises(ValueError, match="3-component"):
+        PrngConfig(ps4, (v4,), (0,), v4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        PrngConfig(ps3, (v4,), (0,), v3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        PrngConfig(ps3, (v3,), (0,), v4)
+    with pytest.raises(ValueError, match="3-component"):
+        seed_search(ps4, (0, 1), 2)
 
 
 def test_json_round_trip():
