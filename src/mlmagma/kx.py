@@ -29,6 +29,7 @@ import random
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 from .field import PrimeModulus
@@ -281,9 +282,16 @@ ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
 
 
-def _recv_exact(sock, n: int) -> bytes:
+def _recv_exact(sock, n: int, deadline: float | None) -> bytes:
+    """n bytes from sock, each recv bounded by the time left before
+    deadline (a time.monotonic() value; None waits as the socket does)."""
     buf = bytearray()
     while len(buf) < n:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise KxSessionError("timed out waiting for peer data")
+            sock.settimeout(left)
         try:
             chunk = sock.recv(n - len(buf))
         except TimeoutError as exc:
@@ -294,9 +302,10 @@ def _recv_exact(sock, n: int) -> bytes:
     return bytes(buf)
 
 
-def _recv_message(sock, expected_p: int | None = None) -> ParamsAnnounce | PublicValue:
+def _recv_message(sock, expected_p: int,
+                  deadline: float | None) -> ParamsAnnounce | PublicValue:
     try:
-        return _decode(lambda n: _recv_exact(sock, n), expected_p)
+        return _decode(lambda n: _recv_exact(sock, n, deadline), expected_p)
     except KxDecodeError as exc:
         raise KxSessionError(f"aborted: {exc}") from exc
 
@@ -326,10 +335,14 @@ def run_session(role: str, sock, pub: KxPublicParams, exponent_bits: int = 64,
     responder checks the announcement against its own configuration,
     answers with its public value, and both sides derive the key.
     Every failure, socket errors included, raises KxSessionError.
+    timeout bounds the whole session: the peer's data must arrive within
+    timeout seconds of the start, however it is split.
     """
     if role not in (ROLE_INITIATOR, ROLE_RESPONDER):
         raise ValueError(f"role must be {ROLE_INITIATOR!r} or {ROLE_RESPONDER!r}")
+    deadline = None
     if timeout is not None:
+        deadline = time.monotonic() + timeout
         sock.settimeout(timeout)
     own = keygen(pub, exponent_bits, rng)
     p = pub.modulus.p
@@ -337,16 +350,16 @@ def run_session(role: str, sock, pub: KxPublicParams, exponent_bits: int = 64,
         if role == ROLE_INITIATOR:
             sock.sendall(encode_message(announce_for(pub)))
             sock.sendall(encode_message(public_message(own.public)))
-            reply = _recv_message(sock, expected_p=p)
+            reply = _recv_message(sock, p, deadline)
             if not isinstance(reply, PublicValue):
                 raise KxSessionError("aborted: expected a public value reply")
         else:
-            announce = _recv_message(sock, expected_p=p)
+            announce = _recv_message(sock, p, deadline)
             if not isinstance(announce, ParamsAnnounce):
                 raise KxSessionError("aborted: expected a parameter announce")
             if announce != announce_for(pub):
                 raise KxSessionError("aborted: parameter mismatch with peer")
-            reply = _recv_message(sock, expected_p=p)
+            reply = _recv_message(sock, p, deadline)
             if not isinstance(reply, PublicValue):
                 raise KxSessionError("aborted: expected the initiator public value")
             sock.sendall(encode_message(public_message(own.public)))

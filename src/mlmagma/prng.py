@@ -46,6 +46,13 @@ from .power import powers_upto
 SIDES = ("right", "left")
 
 
+def _require_dim3(ps) -> None:
+    if ps.dim != 3:
+        raise ValueError(
+            "the PRNG needs 3-component parameters (5 coefficients), "
+            f"got {len(ps.coefficients)} coefficients")
+
+
 @dataclass(frozen=True)
 class PrngConfig:
     params: Params3
@@ -55,10 +62,7 @@ class PrngConfig:
     side: str = "right"   # "right": current * seed, "left": seed * current
 
     def __post_init__(self):
-        if self.params.dim != 3:
-            raise ValueError(
-                "the PRNG needs 3-component parameters (5 coefficients), "
-                f"got {len(self.params.coefficients)} coefficients")
+        _require_dim3(self.params)
         if not self.seeds:
             raise ValueError("at least one seed vector is required")
         if not self.pattern:
@@ -331,6 +335,7 @@ def seed_search(ps: Params3, pattern, trials: int, *, rng_seed: int = 0,
     nseeds = max(pattern) + 1 if pattern else 0
     if not pattern:
         raise ValueError("pattern must be non-empty")
+    _require_dim3(ps)
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     rng = random.Random(rng_seed)

@@ -6,10 +6,45 @@ a dict from 8-tuples of exponents to nonzero integer coefficients, kept
 in graded-lexicographic order when listed.  Coefficients are bounded to
 signed 64-bit range and a breach is a hard failure; for the supported
 expansion depth (n <= 8) they stay tiny.
+
+Closed form.  With s0 = a0 + 1, L = D·a1 + E·a2 and
+Q = A·a1² + C·a1·a2 + B·a2², the plane {(s − 1, t·a1, t·a2)} is closed
+under the product and isomorphic to R = Z[…][w]/(w² − L w − Q) (proof in
+the `magma` docstring), so
+
+    a^n = (s_n − 1, t_n·a1, t_n·a2),   s_n + t_n w = (s0 + w)^n.
+
+sym_pow steps s + t w ↦ (s + t w)(s0 + w) = (s·s0 + t·Q) + (s + t·(s0 + L)) w
+on two polynomials.  The repeated product by sym_mul3 is the test oracle.
+
+Monomial law.  An a-monomial is a monomial in a0, a1, a2 alone, its
+coefficient a polynomial in A..E.  Component 0 of a^n has
+C(n+3,3) − 1 − 2n a-monomials; components 1 and 2 have C(n+2,3) each.
+
+Proof.  Write w^k = U_k w + V_k: U_0 = 0, V_0 = 1, U_{k+1} = L U_k + V_k,
+V_{k+1} = Q U_k.  So U_k (k ≥ 1) is homogeneous of degree k − 1 in
+(a1, a2), V_k of degree k, V_1 = 0, and by the binomial theorem
+s_n = Σ_k C(n,k)·s0^(n−k)·V_k and t_n = Σ_k C(n,k)·s0^(n−k)·U_k.  Each
+(a1, a2)-degree comes from one k, and s0^(n−k) = (a0 + 1)^(n−k) has
+every a0^i, i ≤ n − k, with a positive coefficient; so no two terms
+cancel: a0^i·a1^j·a2^l (j + l = m) occurs in s_n iff i ≤ n − m and
+a1^j·a2^l occurs in V_m, and in t_n iff i < n − m and a1^j·a2^l occurs in
+U_(m+1).  Every monomial of its degree occurs in U_k, k ≥ 1: A = B = C = 0
+maps U_k to (D·a1 + E·a2)^(k−1), whose binomial coefficients are
+nonzero.  Every monomial of degree m ≥ 2 occurs in V_m = Q·U_(m−1): its
+part of degree 1 in (A, B, C) is Q·L^(m−2), in which the coefficient of
+a1^j·a2^(m−j) carries A, C or B with a nonzero binomial when j ≥ 2,
+0 < j < m or j ≤ m − 2, and one of these holds for every j.  Counting
+(m + 1)(n − m + 1) a-monomials per degree m gives C(n+3,3) in all;
+s_n − 1 lacks the constant (s_n = 1 at a = 0) and the 2n monomials
+a0^i·a1, a0^i·a2 of V_1 = 0, since w¹ carries no Q.  For t_n, degree m
+has (m + 1)(n − m) a-monomials, C(n+2,3) in all, and multiplying by a1
+or a2 keeps them distinct.  (C(n+3,3) − 1 is a_monomial_bound(n).)
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, NamedTuple
 
 VARIABLES = ("a0", "a1", "a2", "A", "B", "C", "D", "E")
@@ -102,15 +137,13 @@ class SymPoly:
         if isinstance(other, int):
             other = SymPoly.constant(other)
         out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        pairs = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = _checked(out.get(e, 0) + _checked(c1 * c2))
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SymPoly(out)
+            for e2, c2 in pairs:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return SymPoly({e: _checked(c) for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -228,14 +261,17 @@ def sym_mul3(x: SymVector3, y: SymVector3) -> SymVector3:
 
 
 def sym_pow(n: int) -> SymVector3:
-    """Left-associative symbolic n-th power of the generic vector."""
+    """The symbolic n-th power of the generic vector, computed in R."""
     if not (1 <= n <= MAX_SYM_POWER):
         raise ValueError(f"supported range is 1 <= n <= {MAX_SYM_POWER}")
-    a = generic_vector()
-    out = a
+    a0, a1, a2 = generic_vector()
+    s0 = a0 + 1
+    q = _A * a1 * a1 + _C * a1 * a2 + _B * a2 * a2
+    u = s0 + _D * a1 + _E * a2
+    s, t = s0, SymPoly.constant(1)
     for _ in range(n - 1):
-        out = sym_mul3(out, a)
-    return out
+        s, t = s * s0 + t * q, s + t * u
+    return SymVector3(s - 1, t * a1, t * a2)
 
 
 def sym_square_gh() -> SymVector3:

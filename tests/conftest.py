@@ -9,6 +9,7 @@ from mlmagma.cycles import cycle_minimum, find_cycle
 from mlmagma.field import divisors
 from mlmagma.magma import right_mul_stepper
 from mlmagma.orbit import CensusReport
+from mlmagma.symbolic import generic_vector, sym_mul3
 
 TEST_PRIMES = (23, 61, 101)
 
@@ -55,6 +56,16 @@ def paper_mul(a, b, ps):
     c2 = a2 + b2 + a2 * b0 + a0 * b2 + G * a2 * b1 + H * a2 * b2 + I * a2 * b3
     c3 = a3 + b3 + a3 * b0 + a0 * b3 + G * a3 * b1 + H * a3 * b2 + I * a3 * b3
     return Vector4(c0 % p, c1 % p, c2 % p, c3 % p, a.modulus)
+
+
+def sym_pow_oracle(n):
+    """The left-associative product (..(a*a)*..)*a of n generic vectors
+    by sym_mul3: the oracle for symbolic.sym_pow's closed form in R."""
+    a = generic_vector()
+    out = a
+    for _ in range(n - 1):
+        out = sym_mul3(out, a)
+    return out
 
 
 def walk_orbit(a, ps):

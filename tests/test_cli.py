@@ -112,6 +112,14 @@ def test_prng_search_rejects_four_components(capsys):
     assert "3-component" in err
 
 
+def test_prng_search_rejects_four_components_with_zero_trials(capsys):
+    code, out, err = run(capsys, "prng", "search", "--p", "23",
+                         "--params", "1,2,3,4,5,6,7,8,9", "--pattern", "0,1",
+                         "--trials", "0")
+    assert code == 2 and out == ""
+    assert "3-component" in err
+
+
 def test_orbit_four_components(capsys):
     code, out, _ = run(capsys, "orbit", "length", "--p", "5",
                        "--params", "1,2,3,4,0,1,2,3,4", "--a", "0,1,2,3")

@@ -1,6 +1,7 @@
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -231,6 +232,38 @@ def test_session_peer_reset_is_session_error():
     finally:
         t.join()
         s1.close()
+
+
+def test_session_timeout_bounds_a_trickling_peer():
+    """A peer that sends a valid announce one byte every 0.05 s never lets
+    a single recv time out; the session deadline still ends it."""
+    pub = demo_pub()
+    raw = encode_message(announce_for(pub))
+    s1, s2 = socket.socketpair()
+    stop = threading.Event()
+
+    def peer():
+        for i in range(len(raw)):
+            if stop.wait(0.05):
+                return
+            try:
+                s1.sendall(raw[i:i + 1])
+            except OSError:
+                return
+
+    t = threading.Thread(target=peer)
+    t.start()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(KxSessionError, match="timed out"):
+            run_session("responder", s2, pub, 8, timeout=0.3)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        stop.set()
+        t.join(timeout=5)
+        s1.close()
+        s2.close()
+    assert not t.is_alive()
 
 
 def responder_error(raw, pub):

@@ -1,14 +1,16 @@
 import random
+from math import comb
 
 import pytest
 
 from mlmagma import Params3, Vector3, make_modulus
 from mlmagma.power import pow_iter
-from mlmagma.symbolic import (CoefficientOverflowError, SymPoly, VARIABLES,
-                              a_monomial_bound, expansion_listing,
-                              generic_vector, reference_cube, sym_mul3,
-                              sym_parenthesizations, sym_pow, sym_square_gh,
-                              zero_vector)
+from mlmagma.symbolic import (MAX_SYM_POWER, CoefficientOverflowError,
+                              SymPoly, VARIABLES, a_monomial_bound,
+                              expansion_listing, generic_vector,
+                              reference_cube, sym_mul3, sym_parenthesizations,
+                              sym_pow, sym_square_gh, zero_vector)
+from conftest import sym_pow_oracle
 
 
 def test_polynomial_arithmetic_basics():
@@ -97,6 +99,31 @@ def test_monomial_counts_and_bound():
     assert counts[0] == 1
     assert counts[1] == 5
     assert a_monomial_bound(2) == 9
+
+
+@pytest.mark.parametrize("n", range(1, MAX_SYM_POWER + 1))
+def test_sym_pow_matches_repeated_product(n):
+    """The closed form in R equals the repeated product term for term: a
+    symbolic proof that the plane is closed, up to the 8th power."""
+    got, want = sym_pow(n), sym_pow_oracle(n)
+    for k in range(3):
+        assert got[k].terms == want[k].terms
+
+
+def test_monomial_law():
+    """The a-monomial counts proved in the symbolic docstring."""
+    c0_counts, c1_counts = [], []
+    for n in range(1, MAX_SYM_POWER + 1):
+        v = sym_pow(n)
+        c0_counts.append(v.c0.a_monomial_count())
+        c1_counts.append(v.c1.a_monomial_count())
+        assert c0_counts[-1] == comb(n + 3, 3) - 1 - 2 * n
+        assert c0_counts[-1] == a_monomial_bound(n) - 2 * n
+        assert c1_counts[-1] == v.c2.a_monomial_count() == comb(n + 2, 3)
+        # the monomials missing from component 0 are a0^j·a1 and a0^j·a2
+        assert not any(e[1] + e[2] == 1 for e in v.c0.terms)
+    assert c0_counts == [1, 5, 13, 26, 45, 71, 105, 148]
+    assert c1_counts == [1, 4, 10, 20, 35, 56, 84, 120]
 
 
 def test_numeric_symbolic_agreement():
