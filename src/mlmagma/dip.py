@@ -20,16 +20,16 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .magma import _require_shared, right_mul_stepper
+from .magma import Params, Vector, _require_shared, right_mul_stepper
 from .orbit import orbit_length, structured_start
 from .power import pow_fast
 
 
 @dataclass(frozen=True)
 class DipInstance:
-    base: object        # Vector3 | Vector4
-    target: object
-    params: object
+    base: Vector
+    target: Vector
+    params: Params
     cap: int
 
     def __post_init__(self):

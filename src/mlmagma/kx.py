@@ -33,7 +33,8 @@ import time
 from dataclasses import dataclass
 
 from .field import PrimeModulus
-from .magma import _require_shared, identity, mul, vector
+from .magma import (COEFFICIENT_COUNTS, Params, Vector, _require_shared,
+                    identity, mul)
 from .power import pow_fast
 
 MAGIC = b"MLKX"
@@ -76,8 +77,8 @@ class KxSessionError(KxError):
 
 @dataclass(frozen=True)
 class KxPublicParams:
-    params: object        # Params3 | Params4
-    base: object          # Vector3 | Vector4
+    params: Params
+    base: Vector
 
     def __post_init__(self):
         _require_shared(self.base, self.base, self.params)
@@ -96,7 +97,7 @@ class KxPublicParams:
 @dataclass(frozen=True)
 class KxKeypair:
     secret: int
-    public: object
+    public: Vector
 
 
 def keygen(pub: KxPublicParams, exponent_bits: int = 64,
@@ -155,12 +156,12 @@ class PublicValue:
 
 
 def announce_for(pub: KxPublicParams) -> ParamsAnnounce:
-    return ParamsAnnounce(pub.modulus.p, pub.dim, tuple(pub.params.coefficients),
-                          tuple(pub.base.components))
+    return ParamsAnnounce(pub.modulus.p, pub.dim, pub.params.coefficients,
+                          pub.base.components)
 
 
-def public_message(value) -> PublicValue:
-    return PublicValue(value.dim, tuple(value.components))
+def public_message(value: Vector) -> PublicValue:
+    return PublicValue(value.dim, value.components)
 
 
 def encode_message(msg: ParamsAnnounce | PublicValue) -> bytes:
@@ -191,7 +192,7 @@ def _decode(take, expected_p: int | None) -> ParamsAnnounce | PublicValue:
     kind = take(1)[0]
     if kind == KIND_PARAMS:
         p, dim, count = struct.unpack(">QBB", take(10))
-        if dim not in (3, 4) or count != (5 if dim == 3 else 9):
+        if COEFFICIENT_COUNTS.get(dim) != count:
             raise KxDecodeError(f"inconsistent dim {dim} / coefficient count {count}")
         values = struct.unpack(f">{count + dim}Q", take(8 * (count + dim)))
         _check_canonical(values, p)
@@ -200,7 +201,7 @@ def _decode(take, expected_p: int | None) -> ParamsAnnounce | PublicValue:
         return ParamsAnnounce(p, dim, values[:count], values[count:])
     if kind == KIND_PUBLIC:
         dim = take(1)[0]
-        if dim not in (3, 4):
+        if dim not in COEFFICIENT_COUNTS:
             raise KxDecodeError(f"unsupported dimension {dim}")
         components = struct.unpack(f">{dim}Q", take(8 * dim))
         if expected_p is not None:
@@ -237,8 +238,8 @@ class LocalExchange:
     pub: KxPublicParams
     alice: KxKeypair
     bob: KxKeypair
-    shared_alice: object
-    shared_bob: object
+    shared_alice: Vector
+    shared_bob: Vector
     mode: str
 
     @property
@@ -314,8 +315,8 @@ def _recv_message(sock, expected_p: int,
 class SessionResult:
     role: str
     keypair: KxKeypair
-    peer_public: object
-    shared: object
+    peer_public: Vector
+    shared: Vector
 
     def to_dict(self) -> dict:
         return {
@@ -365,7 +366,7 @@ def run_session(role: str, sock, pub: KxPublicParams, exponent_bits: int = 64,
             sock.sendall(encode_message(public_message(own.public)))
     except OSError as exc:  # a reset or closed peer
         raise KxSessionError(f"aborted: {exc}") from exc
-    peer = vector(reply.components, pub.modulus)
+    peer = Vector(reply.components, pub.modulus)
     shared = derive_shared(own, peer, pub, mode)
     return SessionResult(role, own, peer, shared)
 

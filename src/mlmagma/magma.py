@@ -4,9 +4,15 @@ With x = (x0, x'), both dimensions share one product
 
     x*y = (x0 + y0 + x0·y0 + x'ᵀK y',  (1 + y0 + λ·y')·x' + (1 + x0)·y'),
 
-and differ only in where the paper's 5 or 9 coefficients sit in K and λ
+and differ only in where the paper's coefficients sit in K and λ
 (_form).  It is non-commutative and non-associative in general; the zero
 vector is a two-sided identity.  Mixing moduli or dimensions is rejected.
+
+Two value types carry both dimensions: a Vector's dimension is the
+length of its components, and a Params' dimension is read from
+COEFFICIENT_COUNTS, the one place that pairs Z_p^3 with the five
+coefficients A..E and Z_p^4 with the nine A..I.  Vector3, Vector4,
+Params3 and Params4 are positional constructors for them.
 
 Powers are associative.  Let L = λ·a', Q = a'ᵀK a' and
 R = F_p[w]/(w² − L w − Q).  For x = (s−1, t·a') and y = (s'−1, t'·a'),
@@ -20,128 +26,87 @@ from dataclasses import dataclass
 
 from .field import PrimeModulus
 
+# Product coefficients per dimension; its keys are the supported dimensions.
+COEFFICIENT_COUNTS = {3: 5, 4: 9}
+_DIM_OF_COUNT = {n: dim for dim, n in COEFFICIENT_COUNTS.items()}
+
 
 class ModulusMismatchError(ValueError):
     """Operands do not share one modulus (or one dimension)."""
 
 
-def _check_canonical(values, p: int) -> None:
+def _check(values: tuple, sizes, what: str, p: int) -> None:
+    if len(values) not in sizes:
+        raise ValueError(f"expected {' or '.join(map(str, sizes))} {what}, "
+                         f"got {len(values)}")
     for v in values:
         if not (0 <= v < p):
             raise ValueError(f"residue {v} not canonical for modulus {p}")
 
 
 @dataclass(frozen=True, slots=True)
-class Vector3:
-    a0: int
-    a1: int
-    a2: int
+class Vector:
+    """A point of Z_p^3 or Z_p^4; its dimension is len(components)."""
+    components: tuple[int, ...]
     modulus: PrimeModulus
 
     def __post_init__(self):
-        _check_canonical((self.a0, self.a1, self.a2), self.modulus.p)
-
-    @property
-    def components(self) -> tuple[int, int, int]:
-        return (self.a0, self.a1, self.a2)
+        _check(self.components, COEFFICIENT_COUNTS, "components", self.modulus.p)
 
     @property
     def dim(self) -> int:
-        return 3
+        return len(self.components)
 
 
 @dataclass(frozen=True, slots=True)
-class Vector4:
-    a0: int
-    a1: int
-    a2: int
-    a3: int
+class Params:
+    """The product's coefficients: A..E for dimension 3, A..I for 4."""
+    coefficients: tuple[int, ...]
     modulus: PrimeModulus
 
     def __post_init__(self):
-        _check_canonical((self.a0, self.a1, self.a2, self.a3), self.modulus.p)
-
-    @property
-    def components(self) -> tuple[int, int, int, int]:
-        return (self.a0, self.a1, self.a2, self.a3)
+        _check(self.coefficients, _DIM_OF_COUNT, "coefficients", self.modulus.p)
 
     @property
     def dim(self) -> int:
-        return 4
+        return _DIM_OF_COUNT[len(self.coefficients)]
 
 
-@dataclass(frozen=True, slots=True)
-class Params3:
-    A: int
-    B: int
-    C: int
-    D: int
-    E: int
-    modulus: PrimeModulus
-
-    def __post_init__(self):
-        _check_canonical(self.coefficients, self.modulus.p)
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return (self.A, self.B, self.C, self.D, self.E)
-
-    @property
-    def dim(self) -> int:
-        return 3
+def Vector3(a0, a1, a2, modulus: PrimeModulus) -> Vector:
+    return Vector((a0, a1, a2), modulus)
 
 
-@dataclass(frozen=True, slots=True)
-class Params4:
-    A: int
-    B: int
-    C: int
-    D: int
-    E: int
-    F: int
-    G: int
-    H: int
-    I: int
-    modulus: PrimeModulus
-
-    def __post_init__(self):
-        _check_canonical(self.coefficients, self.modulus.p)
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return (self.A, self.B, self.C, self.D, self.E,
-                self.F, self.G, self.H, self.I)
-
-    @property
-    def dim(self) -> int:
-        return 4
+def Vector4(a0, a1, a2, a3, modulus: PrimeModulus) -> Vector:
+    return Vector((a0, a1, a2, a3), modulus)
 
 
-def vector(components, modulus: PrimeModulus) -> Vector3 | Vector4:
-    """Build a Vector3 or Vector4 from a component sequence."""
-    comps = tuple(components)
-    if len(comps) == 3:
-        return Vector3(*comps, modulus)
-    if len(comps) == 4:
-        return Vector4(*comps, modulus)
-    raise ValueError(f"expected 3 or 4 components, got {len(comps)}")
+def Params3(A, B, C, D, E, modulus: PrimeModulus) -> Params:
+    return Params((A, B, C, D, E), modulus)
 
 
-def params(coefficients, modulus: PrimeModulus) -> Params3 | Params4:
-    """Build a Params3 (5 coefficients) or Params4 (9 coefficients)."""
-    coefs = tuple(coefficients)
-    if len(coefs) == 5:
-        return Params3(*coefs, modulus)
-    if len(coefs) == 9:
-        return Params4(*coefs, modulus)
-    raise ValueError(f"expected 5 or 9 coefficients, got {len(coefs)}")
+def Params4(A, B, C, D, E, F, G, H, I, modulus: PrimeModulus) -> Params:
+    return Params((A, B, C, D, E, F, G, H, I), modulus)
 
 
-def identity(dim: int, modulus: PrimeModulus) -> Vector3 | Vector4:
+def vector(components, modulus: PrimeModulus) -> Vector:
+    return Vector(tuple(components), modulus)
+
+
+def params(coefficients, modulus: PrimeModulus) -> Params:
+    return Params(tuple(coefficients), modulus)
+
+
+def identity(dim: int, modulus: PrimeModulus) -> Vector:
     """The zero vector, a two-sided multiplicative identity."""
-    if dim not in (3, 4):
-        raise ValueError(f"dim must be 3 or 4, got {dim}")
-    return vector((0,) * dim, modulus)
+    return Vector((0,) * dim, modulus)
+
+
+def require_dim3(ps, needs: str) -> None:
+    """Refuse parameters of Z_p^4 where only Z_p^3 is defined."""
+    if ps.dim != 3:
+        raise ValueError(
+            f"{needs} 3-component parameters ({COEFFICIENT_COUNTS[3]} "
+            f"coefficients), got {len(ps.coefficients)} coefficients")
 
 
 def _require_shared(a, b, ps) -> PrimeModulus:
@@ -156,7 +121,7 @@ def _require_shared(a, b, ps) -> PrimeModulus:
 
 
 def _form(ps):
-    """(K, λ): where the paper's 5 or 9 coefficients sit in the product."""
+    """(K, λ): where the paper's coefficients sit in the product."""
     if ps.dim == 3:
         A, B, C, D, E = ps.coefficients
         return ((A, 0), (C, B)), (D, E)
@@ -176,14 +141,14 @@ def plane(a, ps) -> tuple[int, int]:
 
 def from_plane(a, s: int, t: int):
     """The vector (s − 1, t·a') of a's plane, for s, t in [0, p)."""
-    m = a.modulus
-    return vector(((s - 1) % m.p, *(t * x % m.p for x in a.components[1:])), m)
+    p = a.modulus.p
+    return Vector(((s - 1) % p, *(t * x % p for x in a.components[1:])), a.modulus)
 
 
 def mul(a, b, ps):
     """The product a * b, in either dimension."""
     m = _require_shared(a, b, ps)
-    return type(a)(*right_mul_stepper(b, ps)(a.components), m)
+    return Vector(right_mul_stepper(b, ps)(a.components), m)
 
 
 def square_gh(a, ps):

@@ -113,8 +113,8 @@ from functools import lru_cache
 from math import gcd
 
 from .field import divisors, order, order_primes, prime_factors, totient
-from .magma import (Params3, Params4, Vector3, Vector4, from_plane, identity,
-                    plane, right_mul_stepper, vector)
+from .magma import (Params, Vector, from_plane, identity, plane, require_dim3,
+                    right_mul_stepper)
 from .power import plane_pow
 
 DEFAULT_FULL_SCAN_CAP = 127
@@ -126,10 +126,10 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class OrbitRecord:
-    start: Vector3 | Vector4
+    start: Vector
     tail: int
     period: int
-    cycle_rep: Vector3 | Vector4
+    cycle_rep: Vector
 
 
 def _coset_minimum(x: int, T: int, k: int, p: int) -> int:
@@ -145,7 +145,7 @@ def _coset_minimum(x: int, T: int, k: int, p: int) -> int:
     return next(y for y in range(1, p) if pow(y, k, p) == target)
 
 
-def orbit_length(a: Vector3 | Vector4, ps: Params3 | Params4) -> OrbitRecord:
+def orbit_length(a: Vector, ps: Params) -> OrbitRecord:
     """Classify one start: tail, period, lexicographically minimal cycle state.
 
     An order computation in a's plane R (module docstring): a few
@@ -303,7 +303,7 @@ def write_census_json(report: CensusReport, path) -> None:
         fh.write("\n")
 
 
-def _scan_python(ps: Params3) -> CensusReport:
+def _scan_python(ps: Params) -> CensusReport:
     """Reference full scan built on the per-start classifier; tiny p only.
 
     The start, tail and cycle histograms come from orbit_length's
@@ -324,7 +324,7 @@ def _scan_python(ps: Params3) -> CensusReport:
     for a0 in range(p):
         for a1 in range(p):
             for a2 in range(p):
-                a = Vector3(a0, a1, a2, m)
+                a = Vector((a0, a1, a2), m)
                 rec = orbit_length(a, ps)
                 start_hist[rec.period] += 1
                 tail_hist[rec.tail] += 1
@@ -502,7 +502,7 @@ def _plane_launches(kind: str, L: int, Q: int, disc: int, offset, p: int):
     return launches
 
 
-def scan_space(ps: Params3, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
+def scan_space(ps: Params, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
                ) -> CensusReport:
     """Classify every start of Z_p^3 and aggregate all census measures.
 
@@ -511,10 +511,7 @@ def scan_space(ps: Params3, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
     the first-visit walks come from a lex pass over each plane that
     decides containment by element orders.
     """
-    if ps.dim != 3:
-        raise ValueError(
-            "full-space censuses need 3-component parameters (5 coefficients), "
-            f"got {len(ps.coefficients)} coefficients")
+    require_dim3(ps, "full-space censuses need")
     p = ps.modulus.p
     total = p**3
     if p > full_scan_cap:
@@ -528,7 +525,7 @@ def scan_space(ps: Params3, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
     types, walk_hist = Counter(), Counter()
     scalar_first = {}       # scalar order -> first launch whose orbit holds it
     for d in [(0, 1)] + [(1, y) for y in range(p)]:
-        L, Q = plane(Vector3(0, *d, ps.modulus), ps)
+        L, Q = plane(Vector((0, *d), ps.modulus), ps)
         disc = (L * L + 4 * Q) % p
         kind = ("dual" if disc == 0 else
                 "split" if pow(disc, n // 2, p) == 1 else "field")
@@ -637,17 +634,17 @@ def param_sweep(modulus, c: int, d: int, e: int, a_values=None,
             f"sweep at p = {p} exceeds cap {DEFAULT_FULL_SCAN_CAP}")
     a_values = list(range(p)) if a_values is None else list(a_values)
     b_values = list(range(p)) if b_values is None else list(b_values)
-    reports = [scan_space(Params3(a, b, c, d, e, modulus))
+    reports = [scan_space(Params((a, b, c, d, e), modulus))
                for a in a_values for b in b_values]
     return SweepResult(p, (c, d, e), reports)
 
 
-def structured_start(s: int, x: int, ps: Params3 | Params4) -> Vector3 | Vector4:
+def structured_start(s: int, x: int, ps: Params) -> Vector:
     """The start (0, s, x), padded with zeros to the dimension of ps."""
-    return vector((0, s % ps.modulus.p, x) + (0,) * (ps.dim - 3), ps.modulus)
+    return Vector((0, s % ps.modulus.p, x) + (0,) * (ps.dim - 3), ps.modulus)
 
 
-def heuristic_search(ps: Params3 | Params4, budget: int | None = None,
+def heuristic_search(ps: Params, budget: int | None = None,
                      second_components=(1, 2)) -> list[OrbitRecord]:
     """Look for maximal (p^2 - 1) orbits among structured starts (0, s, x).
 

@@ -5,7 +5,7 @@ associative (proof in magma's docstring); pow_fast squares and
 multiplies in that algebra R, and pow_iter stays as its oracle.
 """
 
-from .magma import from_plane, identity, mul, plane, right_mul_stepper, vector
+from .magma import Vector, from_plane, identity, mul, plane, right_mul_stepper
 
 MAX_EXPONENT = 2**64
 
@@ -27,7 +27,7 @@ def pow_iter(a, n: int, ps):
     cur = a.components
     for _ in range(n - 1):
         cur = step(cur)
-    return vector(cur, a.modulus)
+    return Vector(cur, a.modulus)
 
 
 def plane_pow(s0: int, n: int, L: int, Q: int, p: int) -> tuple[int, int]:
@@ -56,14 +56,16 @@ def pow_fast(a, n: int, ps):
 
 
 def powers_upto(a, n: int, ps) -> list:
-    """[a^1, a^2, ..., a^n] in one left-associative sweep."""
+    """[a^1, a^2, ..., a^n] in one left-associative sweep; [] for n = 0."""
     _check_exponent(n)
+    if n == 0:
+        return []
     out = [a]
     step = right_mul_stepper(a, ps)
     cur = a.components
     for _ in range(n - 1):
         cur = step(cur)
-        out.append(vector(cur, a.modulus))
+        out.append(Vector(cur, a.modulus))
     return out
 
 

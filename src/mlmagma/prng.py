@@ -3,7 +3,9 @@
 Each step multiplies the current vector by a seed chosen by a fixed
 cyclic index pattern; the generator state is the pair (vector, pattern
 position), giving an effective state space of p^3 * pattern_length.
-The single-orbit power stream is kept as the short-cycle baseline.
+iter_outputs is the one output path: raw component tuples from the
+slot steppers.  The single-orbit stream a, a^2, ... that the pattern
+improves on is power.powers_upto.
 
 One full pattern pass is an affine map z ↦ Mz + t of the vector (each
 fixed-factor multiplication is affine), and the position-0 subsequence
@@ -39,30 +41,29 @@ from typing import Iterator, NamedTuple
 
 from .cycles import find_cycle
 from .field import PrimeModulus, order, order_primes, prime_factors
-from .magma import (Params3, Vector3, _require_shared, left_mul_stepper,
-                    right_mul_stepper)
-from .power import powers_upto
+from .magma import (Params, Vector, _require_shared, left_mul_stepper, params,
+                    require_dim3, right_mul_stepper, vector)
 
 SIDES = ("right", "left")
 
 
-def _require_dim3(ps) -> None:
-    if ps.dim != 3:
-        raise ValueError(
-            "the PRNG needs 3-component parameters (5 coefficients), "
-            f"got {len(ps.coefficients)} coefficients")
+def _ints(value, what: str) -> list[int]:
+    """A JSON config entry that must be a list of integers."""
+    if not (isinstance(value, list) and all(type(v) is int for v in value)):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class PrngConfig:
-    params: Params3
-    seeds: tuple[Vector3, ...]
+    params: Params
+    seeds: tuple[Vector, ...]
     pattern: tuple[int, ...]
-    initial: Vector3
+    initial: Vector
     side: str = "right"   # "right": current * seed, "left": seed * current
 
     def __post_init__(self):
-        _require_dim3(self.params)
+        require_dim3(self.params, "the PRNG needs")
         if not self.seeds:
             raise ValueError("at least one seed vector is required")
         if not self.pattern:
@@ -98,6 +99,8 @@ class PrngConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrngConfig":
+        if not isinstance(d, dict):
+            raise ValueError("a PRNG config must be a JSON object")
         required = {"p", "params", "seeds", "pattern", "initial"}
         allowed = required | {"side"}
         unknown = set(d) - allowed
@@ -106,14 +109,13 @@ class PrngConfig:
         missing = required - set(d)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
+        if type(d["p"]) is not int or not isinstance(d["seeds"], list):
+            raise ValueError("p must be an integer and seeds a list of vectors")
         m = PrimeModulus(d["p"])
-        coefs = list(d["params"])
-        if len(coefs) != 5:
-            raise ValueError("params must hold exactly 5 coefficients")
-        ps = Params3(*coefs, m)
-        seeds = tuple(Vector3(*s, m) for s in d["seeds"])
-        initial = Vector3(*d["initial"], m)
-        return cls(ps, seeds, tuple(d["pattern"]), initial,
+        return cls(params(_ints(d["params"], "params"), m),
+                   tuple(vector(_ints(s, "a seed"), m) for s in d["seeds"]),
+                   tuple(_ints(d["pattern"], "pattern")),
+                   vector(_ints(d["initial"], "initial"), m),
                    d.get("side", "right"))
 
     def to_json(self) -> str:
@@ -122,11 +124,6 @@ class PrngConfig:
     @classmethod
     def from_json(cls, text: str) -> "PrngConfig":
         return cls.from_dict(json.loads(text))
-
-
-class PrngState(NamedTuple):
-    current: Vector3
-    pos: int
 
 
 class CycleResult(NamedTuple):
@@ -139,17 +136,6 @@ class CycleResult(NamedTuple):
 def _slot_steppers(config: PrngConfig):
     make = right_mul_stepper if config.side == "right" else left_mul_stepper
     return [make(config.seeds[i], config.params) for i in config.pattern]
-
-
-def prng_init(config: PrngConfig) -> PrngState:
-    return PrngState(config.initial, 0)
-
-
-def prng_step(state: PrngState, config: PrngConfig) -> tuple[PrngState, Vector3]:
-    steppers = _slot_steppers(config)
-    nxt = steppers[state.pos](state.current.components)
-    out = Vector3(*nxt, config.modulus)
-    return PrngState(out, (state.pos + 1) % len(config.pattern)), out
 
 
 def iter_outputs(config: PrngConfig, count: int) -> Iterator[tuple[int, int, int]]:
@@ -320,7 +306,7 @@ def _sort_key(hit: SearchHit):
             hit.config.initial.components)
 
 
-def seed_search(ps: Params3, pattern, trials: int, *, rng_seed: int = 0,
+def seed_search(ps: Params, pattern, trials: int, *, rng_seed: int = 0,
                 side: str = "right", keep: int = 10) -> list[SearchHit]:
     """Sample seed tuples and rank them by composite period.
 
@@ -335,16 +321,16 @@ def seed_search(ps: Params3, pattern, trials: int, *, rng_seed: int = 0,
     nseeds = max(pattern) + 1 if pattern else 0
     if not pattern:
         raise ValueError("pattern must be non-empty")
-    _require_dim3(ps)
+    require_dim3(ps, "the PRNG needs")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     rng = random.Random(rng_seed)
 
     def random_vec():
-        return Vector3(rng.randrange(p), rng.randrange(p), rng.randrange(p), m)
+        return Vector((rng.randrange(p), rng.randrange(p), rng.randrange(p)), m)
 
     def structured_vec(k):
-        return Vector3(0, 1 + (k % 2), rng.randrange(p), m)
+        return Vector((0, 1 + (k % 2), rng.randrange(p)), m)
 
     hits: list[SearchHit] = []
     for trial in range(trials):
@@ -358,13 +344,6 @@ def seed_search(ps: Params3, pattern, trials: int, *, rng_seed: int = 0,
         hits.append(SearchHit(period, config))
     hits.sort(key=_sort_key)
     return hits[:keep]
-
-
-def single_orbit_stream(a: Vector3, ps: Params3, count: int) -> list[Vector3]:
-    """The baseline stream a, a^2, ..., a^count from one start vector."""
-    if count < 1:
-        return []
-    return powers_upto(a, count, ps)
 
 
 # ---------------------------------------------------------------------------

@@ -147,14 +147,6 @@ class SymPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "SymPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = SymPoly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def monomial_count(self) -> int:
         return len(self.terms)
 
@@ -171,11 +163,6 @@ class SymPoly:
         if not self.terms:
             return 0
         return max(sum(e[:3]) for e in self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def divisible_by(self, name: str) -> bool:
         i = _VAR_INDEX[name]

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import socket
 import threading
 import time
+
+import pytest
 
 from mlmagma.cli import main
 from mlmagma.prng import PrngConfig
@@ -13,6 +16,47 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# README examples whose stdout is deterministic, pinned byte for byte.
+# Long outputs are pinned by their SHA-256.
+README_STDOUT = [
+    ("mul --p 23 --params 9,19,1,1,2 --a 0,1,0 --b 0,0,1", "(0,3,1)\n"),
+    ("pow --p 101 --params 1,1,1,1,1 --a 1,0,0 --n 5 --check-iter",
+     "(31,0,0)\n"),
+    ("check assoc --p 23 --params 9,19,1,1,2 --a 1,1,1 --max-n 6",
+     '{"check": "assoc", "counterexample": null, "ok": true}\n'),
+    ("check commute --p 23 --params 9,19,1,1,2 --a 2,3,5",
+     '{"check": "commute", "counterexample": null, "ok": true}\n'),
+    ("check power-identity --p 101 --params 1,1,1,1,1 --a 1,0,0",
+     '{"check": "power-identity", "counterexample": null, "ok": true}\n'),
+    ("sym count --max-n 6",
+     "sha256:b65ce2b0315a0f6308ed562fc53cc85d87173b8adc14902cb8923c9e7f78a25e"),
+    ("sym expand --n 3",
+     "sha256:8e1605b0786222dbcfcfd16720170c10b1e589cf607cfad0d92f5ca30b69cecf"),
+    ("orbit length --p 23 --params 9,19,1,1,2 --a 1,0,0",
+     '{"cycle_rep": [0, 0, 0], "period": 11, "start": [1, 0, 0], "tail": 0}\n'),
+    ("orbit search --p 61 --params 31,30,1,1,2",
+     "sha256:c538ea576f7b55b892bed124ef4c64a43a8300cbeedcef3e2852cd1926cdea44"),
+    ("dip solve --p 101 --params 1,1,1,1,1 --base 1,0,0 --target 63,0,0 "
+     "--cap 1000", '{"cap": 1000, "exponent": 6, "steps": 6}\n'),
+    ("kx demo --p 101 --params 1,1,1,1,1 --base 1,0,0 --bits 16 --seed 7",
+     '{"alice_public": [64, 0, 0], "base": [1, 0, 0], "bob_public": '
+     '[84, 0, 0], "dim": 3, "match": true, "mode": "multiplicative", '
+     '"p": 101, "params": [1, 1, 1, 1, 1], "shared_alice": [86, 0, 0], '
+     '"shared_bob": [86, 0, 0]}\n'),
+]
+
+
+def test_readme_examples_stdout_is_pinned(capsys):
+    for command, expected in README_STDOUT:
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0, command
+        if expected.startswith("sha256:"):
+            got = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+            assert got == expected, (command, out)
+        else:
+            assert out == expected, command
 
 
 def test_mul(capsys):
@@ -180,6 +224,25 @@ def test_prng_commands(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["max_period"] == 37**3 * 2
     assert len(doc["leaderboard"]) <= 10
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seeds", [[0, 1, 5, 2], [0, 2, 7]], "dimension mismatch"),
+    ("initial", [3, 1], "expected 3 or 4 components"),
+    ("seeds", 5, "seeds a list of vectors"),
+    ("pattern", ["a"], "pattern must be a list of integers"),
+])
+def test_prng_malformed_config(capsys, tmp_path, key, value, message):
+    path = prng_config_file(tmp_path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "prng", "run", "--config", path,
+                         "--count", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("mlmagma: error:") and message in err
 
 
 def test_prng_uniformity_zero_samples(capsys, tmp_path):

@@ -62,7 +62,7 @@ def test_find_long_period_base():
     ps = Params3(129, 128, 1, 1, 2, make_modulus(257))
     base = find_long_period_base(ps, min_period=2**14)
     assert base is not None
-    assert base.a0 == 0
+    assert base.components[0] == 0
 
 
 def test_find_long_period_base_four_components():

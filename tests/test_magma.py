@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
-                     mul, params, square_gh, vector)
+from mlmagma import (Params, Params3, Params4, Vector, Vector3, Vector4,
+                     identity, make_modulus, mul, params, square_gh, vector)
 from mlmagma.magma import (ModulusMismatchError, left_mul_stepper,
                            right_mul_stepper)
 from conftest import paper_mul, random_instance
@@ -91,14 +91,27 @@ def test_non_canonical_rejected():
 
 def test_vector_params_builders():
     m = make_modulus(23)
-    assert isinstance(vector((1, 2, 3), m), Vector3)
-    assert isinstance(vector((1, 2, 3, 4), m), Vector4)
-    assert isinstance(params((1,) * 5, m), Params3)
-    assert isinstance(params((1,) * 9, m), Params4)
+    assert vector((1, 2, 3), m).dim == 3
+    assert vector((1, 2, 3, 4), m).dim == 4
+    assert params((1,) * 5, m).dim == 3
+    assert params((1,) * 9, m).dim == 4
     with pytest.raises(ValueError):
         vector((1, 2), m)
     with pytest.raises(ValueError):
         params((1,) * 6, m)
+
+
+def test_constructors_build_the_two_types():
+    m = make_modulus(23)
+    assert Vector3(1, 2, 3, m) == vector([1, 2, 3], m) == Vector((1, 2, 3), m)
+    assert Vector4(1, 2, 3, 4, m) == Vector((1, 2, 3, 4), m)
+    assert Params3(*range(5), m) == Params(tuple(range(5)), m)
+    assert Params4(*range(9), m) == params(range(9), m)
+    assert identity(4, m) == Vector((0,) * 4, m)
+    for bad in (lambda: Vector((1, 2, 3, 4, 5), m), lambda: Params((1,) * 4, m),
+                lambda: identity(5, m)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_non_associativity_witness_exists(rng):
@@ -126,11 +139,11 @@ def test_k4_restriction_matches_k3_on_squares(rng):
         A, B, C, D, E = ps3.coefficients
         junk = [hash((A, B, C, D, E, i)) % p for i in range(4)]
         ps4 = Params4(A, B, junk[0], C, junk[1], junk[2], D, E, junk[3], m)
-        a4 = Vector4(a3v.a0, a3v.a1, a3v.a2, 0, m)
+        a4 = Vector4(*a3v.components, 0, m)
         got = mul(a4, a4, ps4)
         want = mul(a3v, a3v, ps3)
         assert got.components[:3] == want.components
-        assert got.a3 == 0
+        assert got.components[3] == 0
 
 
 def test_k4_restriction_matches_k3_general_products_when_cross_term_zero(rng):
@@ -144,8 +157,8 @@ def test_k4_restriction_matches_k3_general_products_when_cross_term_zero(rng):
         ps3z = Params3(A, B, 0, D, E, m)
         ps4 = Params4(A, B, 3 % p, 0, 5 % p, 7 % p, D, E, 2 % p, m)
         bv = Vector3(*(hash((av.components, i)) % p for i in range(3)), m)
-        a4 = Vector4(av.a0, av.a1, av.a2, 0, m)
-        b4 = Vector4(bv.a0, bv.a1, bv.a2, 0, m)
+        a4 = Vector4(*av.components, 0, m)
+        b4 = Vector4(*bv.components, 0, m)
         assert mul(a4, b4, ps4).components[:3] == mul(av, bv, ps3z).components
 
 

@@ -469,7 +469,7 @@ def test_heuristic_search_finds_maximal_orbit():
     assert found, "expected a maximal orbit among (0,1,x)/(0,2,x)"
     for rec in found:
         assert rec.period == 23 * 23 - 1
-        assert rec.start.a0 == 0
+        assert rec.start.components[0] == 0
     # identity start never shows up
     assert all(r.start.components != (0, 0, 0) for r in found)
 

@@ -138,6 +138,14 @@ def test_powers_upto(rng):
         assert v == pow_iter(a, i, ps)
 
 
+def test_powers_upto_zero_is_empty(rng):
+    """[a^1..a^n] is empty for n = 0 and just [a] for n = 1."""
+    for dim in (3, 4):
+        a, ps = random_instance(rng, dim)
+        assert powers_upto(a, 0, ps) == []
+        assert powers_upto(a, 1, ps) == [a]
+
+
 def test_power_associativity_examples():
     m = make_modulus(23)
     ps = Params3(9, 19, 1, 1, 2, m)

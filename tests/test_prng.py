@@ -6,12 +6,9 @@ import pytest
 from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
                      mul)
 from mlmagma.field import prime_factors
-from mlmagma.power import pow_iter
 from mlmagma.prng import (SIDES, PrngConfig, affine_pass, byte_stream,
                           composite_period, iter_outputs, prng_cycle_length,
-                          prng_init, prng_step, seed_search,
-                          single_orbit_stream, uniformity_stats)
-from conftest import random_instance
+                          seed_search, uniformity_stats)
 
 
 def make_config(p=5, coefs=(1, 1, 1, 1, 2), seeds=((0, 1, 0), (0, 0, 1)),
@@ -22,14 +19,12 @@ def make_config(p=5, coefs=(1, 1, 1, 1, 2), seeds=((0, 1, 0), (0, 0, 1)),
                       tuple(pattern), Vector3(*initial, m), side)
 
 
-def test_init_and_step():
+def test_first_outputs_follow_the_pattern():
     cfg = make_config()
-    state = prng_init(cfg)
-    assert state.current == cfg.initial and state.pos == 0
-    state2, out = prng_step(state, cfg)
-    assert out == state2.current
-    assert state2.pos == 1
-    assert out == mul(cfg.initial, cfg.seeds[0], cfg.params)
+    first, second = iter_outputs(cfg, 2)
+    out = mul(cfg.initial, cfg.seeds[0], cfg.params)
+    assert first == out.components
+    assert second == mul(out, cfg.seeds[1], cfg.params).components
 
 
 def test_validation():
@@ -264,9 +259,8 @@ def test_streams_deterministic():
 def test_left_side_flag():
     cfg_r = make_config()
     cfg_l = make_config(side="left")
-    st = prng_init(cfg_l)
-    st, out = prng_step(st, cfg_l)
-    assert out == mul(cfg_l.seeds[0], cfg_l.initial, cfg_l.params)
+    first, = iter_outputs(cfg_l, 1)
+    assert first == mul(cfg_l.seeds[0], cfg_l.initial, cfg_l.params).components
     assert list(iter_outputs(cfg_r, 20)) != list(iter_outputs(cfg_l, 20))
     assert PrngConfig.from_dict(cfg_l.to_dict()) == cfg_l
 
@@ -284,15 +278,6 @@ def test_uniformity_stats_rejects_no_samples():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples"):
             uniformity_stats(cfg, samples)
-
-
-def test_single_orbit_stream(rng):
-    a, ps = random_instance(rng, primes=(23,))
-    stream = single_orbit_stream(a, ps, 10)
-    assert stream[0] == a
-    for i, v in enumerate(stream, start=1):
-        assert v == pow_iter(a, i, ps)
-    assert single_orbit_stream(a, ps, 0) == []
 
 
 def test_single_orbit_short_cycles_dominate(rng):
