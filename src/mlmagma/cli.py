@@ -278,6 +278,8 @@ def _cmd_prng(args) -> int:
         ps = _params(args.params, m)
         hits = prng_mod.seed_search(ps, _ints(args.pattern), args.trials,
                                     rng_seed=args.rng_seed, side=args.side)
+        # the state space, not the reachable (p³ − 1)·len (prng docstring);
+        # kept so that this stdout does not change
         _emit({"trials": args.trials,
                "max_period": args.p**3 * len(_ints(args.pattern)),
                "leaderboard": [

@@ -24,6 +24,16 @@ f(H)·v = 0).  Write f = X^μ·g with g(0) ≠ 0.
 * An irreducible factor of degree d ≤ 3 and multiplicity e ≤ 4 divides
   X^((p^d − 1)·p^j) − 1 once p^j ≥ e, so the order divides
   p²·(p − 1)(p + 1)(p² + p + 1); p² rather than p covers p = 3.
+* So a pass period is at most p³ − 1, reached exactly when g is (X − 1)
+  times a primitive cubic; every other factorisation gives at most
+  p(p² − 1).  The composite maximum is (p³ − 1)·pattern_length, and the
+  "max_period" of p³·pattern_length that `mlmagma prng search` prints
+  can never be reached; it stays so that its stdout does not change.
+
+The same (μ, period) folds uniformity_stats: once the samples exceed
+the state space the stream has surely wrapped (μ + period ≤ p³), so it
+steps the tail and one period, at most μ + period passes, and counts
+whole periods by a multiplier.
 
 Tails are measured on the true composite state by prng_cycle_length,
 the Brent walk kept as the oracle.  The primes of p² + p + 1 come from
@@ -37,6 +47,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .cycles import find_cycle
@@ -223,10 +234,10 @@ def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
     return r == [1] + [0] * (d - 1)
 
 
-def composite_period(config: PrngConfig) -> int:
-    """Exact composite-state period: the pattern length times the order
-    of X modulo the annihilator of (initial, 1) under H, less its X^μ
-    factor (module docstring)."""
+def _pass_tail_period(config: PrngConfig) -> tuple[int, int]:
+    """(μ, period) of the initial vector under one pattern pass: the
+    power of X in the annihilator f of (initial, 1) under H, and the
+    order of X modulo g = f / X^μ (module docstring)."""
     p = config.modulus.p
     matrix, t = affine_pass(config)
     H = [row + [ti] for row, ti in zip(matrix, t)] + [[0, 0, 0, 1]]
@@ -235,8 +246,13 @@ def composite_period(config: PrngConfig) -> int:
     g = f[mu:]
     n = p * p * (p - 1) * (p + 1) * (p * p + p + 1)
     primes = order_primes(p)[1] | prime_factors(p * p + p + 1)
-    period = order(n, primes, lambda k: _x_pow_is_one(k, g, p))
-    return period * len(config.pattern)
+    return mu, order(n, primes, lambda k: _x_pow_is_one(k, g, p))
+
+
+def composite_period(config: PrngConfig) -> int:
+    """Exact composite-state period: the pattern length times the pass
+    period of the initial vector."""
+    return _pass_tail_period(config)[1] * len(config.pattern)
 
 
 def prng_cycle_length(config: PrngConfig, cap: int | None = None) -> CycleResult:
@@ -269,6 +285,15 @@ class UniformityReport:
     max_relative_deviation: float
     chi_square: list[float]          # per component, df = p - 1
 
+    @classmethod
+    def from_counts(cls, p: int, samples: int,
+                    counts: list[list[int]]) -> "UniformityReport":
+        expected = samples / p
+        max_rel = max(abs(c - expected) for comp in counts for c in comp) / expected
+        chi = [sum((c - expected) ** 2 for c in comp) / expected
+               for comp in counts]
+        return cls(p, samples, counts, max_rel, chi)
+
     def to_dict(self) -> dict:
         return {
             "p": self.p,
@@ -279,20 +304,39 @@ class UniformityReport:
         }
 
 
+def _tally(counts, outputs, weight: int) -> None:
+    c0, c1, c2 = counts
+    for x0, x1, x2 in outputs:
+        c0[x0] += weight
+        c1[x1] += weight
+        c2[x2] += weight
+
+
 def uniformity_stats(config: PrngConfig, samples: int) -> UniformityReport:
+    """Per-component counts of the first `samples` outputs over Z_p.
+
+    When samples exceed the state space the stream has surely wrapped,
+    and whole periods fold into a count multiplier: with the pass tail μ
+    and period P, output k + n equals output k for every k ≥ head, where
+    head = μ·len and n = P·len.  So at most head + n outputs, one tail
+    and one period, are stepped whatever `samples` is, and the counts
+    are those of stepping every output.
+    """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     p = config.modulus.p
     counts = [[0] * p for _ in range(3)]
-    c0, c1, c2 = counts
-    for x0, x1, x2 in iter_outputs(config, samples):
-        c0[x0] += 1
-        c1[x1] += 1
-        c2[x2] += 1
-    expected = samples / p
-    max_rel = max(abs(c - expected) for comp in counts for c in comp) / expected
-    chi = [sum((c - expected) ** 2 for c in comp) / expected for comp in counts]
-    return UniformityReport(p, samples, counts, max_rel, chi)
+    if samples > config.state_space:
+        mu, period = _pass_tail_period(config)
+        head, n = mu * len(config.pattern), period * len(config.pattern)
+        reps, extra = divmod(samples - head, n)
+        outputs = iter_outputs(config, head + n)
+        _tally(counts, islice(outputs, head), 1)
+        _tally(counts, islice(outputs, extra), reps + 1)
+        _tally(counts, outputs, reps)
+    else:
+        _tally(counts, iter_outputs(config, samples), 1)
+    return UniformityReport.from_counts(p, samples, counts)
 
 
 class SearchHit(NamedTuple):

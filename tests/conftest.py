@@ -9,6 +9,7 @@ from mlmagma.cycles import cycle_minimum, find_cycle
 from mlmagma.field import divisors
 from mlmagma.magma import right_mul_stepper
 from mlmagma.orbit import CensusReport
+from mlmagma.prng import UniformityReport, iter_outputs
 from mlmagma.symbolic import generic_vector, sym_mul3
 
 TEST_PRIMES = (23, 61, 101)
@@ -132,3 +133,15 @@ def walk_census(ps):
         zero_tail_starts=tail_hist[0],
         cycle_period_sum=sum(q for _, q in cycles), engine="walk",
     )
+
+
+def count_outputs(config, samples):
+    """The uniformity report from counting every one of the first
+    `samples` outputs: the oracle for prng.uniformity_stats, which folds
+    whole periods of the stream into a count multiplier."""
+    p = config.modulus.p
+    counts = [[0] * p for _ in range(3)]
+    for out in iter_outputs(config, samples):
+        for comp, x in zip(counts, out):
+            comp[x] += 1
+    return UniformityReport.from_counts(p, samples, counts)

@@ -245,6 +245,22 @@ def test_prng_malformed_config(capsys, tmp_path, key, value, message):
     assert err.startswith("mlmagma: error:") and message in err
 
 
+def test_prng_uniformity_stdout_is_pinned(capsys, tmp_path):
+    """C13's config (period 101304 < 10^6, so the count folds whole
+    periods): the summary is pinned byte for byte, chi-square floats
+    included, since the counts are those of stepping every output."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"initial": [32, 8, 33], "p": 37, '
+                    '"params": [19, 18, 1, 1, 2], "pattern": [0, 1], '
+                    '"seeds": [[0, 1, 0], [0, 2, 24]]}')
+    code, out, _ = run(capsys, "prng", "uniformity", "--config", str(path),
+                       "--samples", "1000000")
+    assert code == 0
+    assert out == ('{"chi_square": [0.36663199999999974, 0.6842399999999997, '
+                   '0.6566379999999996], "max_relative_deviation": '
+                   '0.0015900000000000146, "p": 37, "samples": 1000000}\n')
+
+
 def test_prng_uniformity_zero_samples(capsys, tmp_path):
     code, out, err = run(capsys, "prng", "uniformity", "--config",
                          prng_config_file(tmp_path), "--samples", "0")

@@ -6,9 +6,10 @@ import pytest
 from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
                      mul)
 from mlmagma.field import prime_factors
-from mlmagma.prng import (SIDES, PrngConfig, affine_pass, byte_stream,
-                          composite_period, iter_outputs, prng_cycle_length,
-                          seed_search, uniformity_stats)
+from mlmagma.prng import (SIDES, PrngConfig, _pass_tail_period, affine_pass,
+                          byte_stream, composite_period, iter_outputs,
+                          prng_cycle_length, seed_search, uniformity_stats)
+from conftest import count_outputs
 
 
 def make_config(p=5, coefs=(1, 1, 1, 1, 2), seeds=((0, 1, 0), (0, 0, 1)),
@@ -155,10 +156,10 @@ def test_cycle_length_matches_exhaustive(rng):
         assert composite_period(cfg) == period
 
 
-def _random_config(rng, p, side):
-    """1-3 seeds, a pattern of length 1-5; a fifth of the vectors are the
-    zero seed (the identity) or (p - 1, 0, 0), which absorbs every
-    product it is in and so makes the pass singular."""
+def _random_config(rng, p, side, max_pattern=5):
+    """1-3 seeds, a pattern of length 1 to max_pattern; a fifth of the
+    vectors are the zero seed (the identity) or (p - 1, 0, 0), which
+    absorbs every product it is in and so makes the pass singular."""
     m = make_modulus(p)
 
     def vec():
@@ -168,7 +169,7 @@ def _random_config(rng, p, side):
 
     seeds = tuple(vec() for _ in range(rng.randrange(1, 4)))
     pattern = tuple(rng.randrange(len(seeds))
-                    for _ in range(rng.randrange(1, 6)))
+                    for _ in range(rng.randrange(1, max_pattern + 1)))
     return PrngConfig(Params3(*(rng.randrange(p) for _ in range(5)), m),
                       seeds, pattern, vec(), side)
 
@@ -184,6 +185,27 @@ def test_composite_period_matches_walk(p, side):
         assert composite_period(cfg) == res.period
         tails += res.tail > 0
     assert tails     # some passes were singular
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+@pytest.mark.parametrize("side", SIDES)
+def test_pass_tail_period_matches_walk(p, side):
+    """The pass tail μ and period against the Brent walk: the composite
+    period is period·len, and the composite tail ends in the last pass
+    of the tail, (μ − 1)·len < tail ≤ μ·len."""
+    rng = random.Random(f"tail/{p}/{side}")
+    tails = 0
+    for _ in range(40):
+        cfg = _random_config(rng, p, side)
+        length = len(cfg.pattern)
+        mu, period = _pass_tail_period(cfg)
+        res = prng_cycle_length(cfg)
+        assert period * length == res.period
+        assert res.tail <= mu * length
+        if mu > 0:
+            assert res.tail > (mu - 1) * length
+        tails += mu > 0
+    assert tails
 
 
 def _mat_mul(x, y, p):
@@ -271,6 +293,35 @@ def test_uniformity_stats_degenerate_and_conservation():
     assert rep.max_relative_deviation == pytest.approx(4.0)  # all mass on one value
     for comp in rep.counts:
         assert sum(comp) == 1000
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+@pytest.mark.parametrize("side", SIDES)
+def test_uniformity_stats_matches_stepping(p, side):
+    """The folded count equals stepping every output, below, at and
+    above the state space (where the fold runs)."""
+    rng = random.Random(f"uniformity/{p}/{side}")
+    tails = 0
+    for _ in range(40):
+        cfg = _random_config(rng, p, side, max_pattern=4)
+        space = cfg.state_space
+        for samples in (rng.randrange(1, space), space, space + 1,
+                        rng.randrange(space + 1, 3 * space + 1)):
+            assert uniformity_stats(cfg, samples) == count_outputs(cfg, samples)
+        tails += _pass_tail_period(cfg)[0] > 0
+    assert tails
+
+
+def test_uniformity_stats_folds_a_tail():
+    """A fixed singular pass with tail μ = 2 and a composite tail of 4
+    that ends inside a pass: the head of the stream is counted once."""
+    cfg = make_config(p=7, coefs=(2, 6, 1, 0, 6),
+                      seeds=((1, 3, 5), (6, 1, 3)), pattern=(0, 0, 1),
+                      initial=(0, 6, 1))
+    assert _pass_tail_period(cfg) == (2, 6)
+    assert prng_cycle_length(cfg)[:2] == (4, 18)
+    for samples in (1000, cfg.state_space + 1, 5000, 5003, 5017):
+        assert uniformity_stats(cfg, samples) == count_outputs(cfg, samples)
 
 
 def test_uniformity_stats_rejects_no_samples():
