@@ -5,8 +5,10 @@ With x = (x0, x'), both dimensions share one product
     x*y = (x0 + y0 + x0·y0 + x'ᵀK y',  (1 + y0 + λ·y')·x' + (1 + x0)·y'),
 
 and differ only in where the paper's coefficients sit in K and λ
-(_form).  It is non-commutative and non-associative in general; the zero
-vector is a two-sided identity.  Mixing moduli or dimensions is rejected.
+(_form).  Each Params builds its (K, λ) once, as its `form`; mul unrolls
+the product over it per dimension.  It is non-commutative and
+non-associative in general; the zero vector is a two-sided identity.
+Mixing moduli or dimensions is rejected.
 
 Two value types carry both dimensions: a Vector's dimension is the
 length of its components, and a Params' dimension is read from
@@ -22,7 +24,7 @@ plane is closed and isomorphic to R, and a^n = (s_n − 1, t_n·a') with
 s_n + t_n w = (a0 + 1 + w)^n under every parenthesization.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .field import PrimeModulus
 
@@ -60,12 +62,18 @@ class Vector:
 
 @dataclass(frozen=True, slots=True)
 class Params:
-    """The product's coefficients: A..E for dimension 3, A..I for 4."""
+    """The product's coefficients: A..E for dimension 3, A..I for 4.
+
+    `form` is their (K, λ), built once; it takes no part in ==, hash or
+    repr, which see only the coefficients and the modulus.
+    """
     coefficients: tuple[int, ...]
     modulus: PrimeModulus
+    form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check(self.coefficients, _DIM_OF_COUNT, "coefficients", self.modulus.p)
+        object.__setattr__(self, "form", _form(self.coefficients))
 
     @property
     def dim(self) -> int:
@@ -111,28 +119,30 @@ def require_dim3(ps, needs: str) -> None:
 
 def _require_shared(a, b, ps) -> PrimeModulus:
     """The one modulus of two vectors and a parameter set of one dimension."""
-    if a.dim != b.dim or a.dim != ps.dim:
+    n = len(a.components)
+    if n != len(b.components) or n != len(ps.form[1]) + 1:
         raise ModulusMismatchError(
             f"dimension mismatch: {a.dim}, {b.dim}, params {ps.dim}")
-    if not a.modulus == b.modulus == ps.modulus:
+    m = a.modulus
+    if not (b.modulus is m and ps.modulus is m or m == b.modulus == ps.modulus):
         raise ModulusMismatchError(
-            f"moduli differ: {a.modulus.p}, {b.modulus.p}, params {ps.modulus.p}")
-    return a.modulus
+            f"moduli differ: {m.p}, {b.modulus.p}, params {ps.modulus.p}")
+    return m
 
 
-def _form(ps):
+def _form(coefficients) -> tuple:
     """(K, λ): where the paper's coefficients sit in the product."""
-    if ps.dim == 3:
-        A, B, C, D, E = ps.coefficients
+    if len(coefficients) == COEFFICIENT_COUNTS[3]:
+        A, B, C, D, E = coefficients
         return ((A, 0), (C, B)), (D, E)
-    A, B, C, D, E, F, G, H, I = ps.coefficients
+    A, B, C, D, E, F, G, H, I = coefficients
     return ((A, D, 0), (0, B, 0), (E, F, C)), (G, H, I)
 
 
 def plane(a, ps) -> tuple[int, int]:
     """(L, Q) = (λ·a', a'ᵀK a') mod p: a's plane is F_p[w]/(w² − L w − Q)."""
     p = _require_shared(a, a, ps).p
-    K, lam = _form(ps)
+    K, lam = ps.form
     x = a.components[1:]
     L = sum(l * xi for l, xi in zip(lam, x))
     Q = sum(xi * k * xj for xi, row in zip(x, K) for k, xj in zip(row, x))
@@ -146,9 +156,38 @@ def from_plane(a, s: int, t: int):
 
 
 def mul(a, b, ps):
-    """The product a * b, in either dimension."""
+    """The product x * y of a and b, in either dimension, in closed form:
+
+        x*y = (x0 + y0 + x0·y0 + x'ᵀK y',  f·x' + g·y')
+
+    with f = 1 + y0 + λ·y' and g = 1 + x0, unrolled per dimension.
+    """
     m = _require_shared(a, b, ps)
-    return Vector(right_mul_stepper(b, ps)(a.components), m)
+    p = m.p
+    K, lam = ps.form
+    if len(lam) == 2:
+        (k11, k12), (k21, k22) = K
+        l1, l2 = lam
+        x0, x1, x2 = a.components
+        y0, y1, y2 = b.components
+        f = 1 + y0 + l1 * y1 + l2 * y2
+        g = 1 + x0
+        return Vector(((x0 + y0 + x0 * y0 + x1 * (k11 * y1 + k12 * y2)
+                        + x2 * (k21 * y1 + k22 * y2)) % p,
+                       (f * x1 + g * y1) % p,
+                       (f * x2 + g * y2) % p), m)
+    (k11, k12, k13), (k21, k22, k23), (k31, k32, k33) = K
+    l1, l2, l3 = lam
+    x0, x1, x2, x3 = a.components
+    y0, y1, y2, y3 = b.components
+    f = 1 + y0 + l1 * y1 + l2 * y2 + l3 * y3
+    g = 1 + x0
+    return Vector(((x0 + y0 + x0 * y0 + x1 * (k11 * y1 + k12 * y2 + k13 * y3)
+                    + x2 * (k21 * y1 + k22 * y2 + k23 * y3)
+                    + x3 * (k31 * y1 + k32 * y2 + k33 * y3)) % p,
+                   (f * x1 + g * y1) % p,
+                   (f * x2 + g * y2) % p,
+                   (f * x3 + g * y3) % p), m)
 
 
 def square_gh(a, ps):
@@ -168,11 +207,11 @@ def right_mul_stepper(b, ps):
 
     x * b = (b0 + u·x0 + q·x', b' + x0·b' + v·x') with u = 1 + b0,
     q = K b' and v = u + λ·b'.  Hot loops (orbits, brute-force iteration,
-    PRNG streams) use this instead of the boxed mul().  mul() builds one
-    per product, so q and v are also written out per dimension.
+    PRNG streams) use this instead of the boxed mul(), which is its own
+    closed-form kernel: a stepper pays off when one b serves many steps.
     """
     p = ps.modulus.p
-    K, lam = _form(ps)
+    K, lam = ps.form
     if b.dim == 3:
         b0, b1, b2 = b.components
         l1, l2 = lam
@@ -211,7 +250,7 @@ def left_mul_stepper(a, ps):
     and r = Kᵀa'.
     """
     p = ps.modulus.p
-    K, lam = _form(ps)
+    K, lam = ps.form
     if a.dim == 3:
         a0, a1, a2 = a.components
         l1, l2 = lam

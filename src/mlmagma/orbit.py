@@ -97,9 +97,6 @@ With n = p − 1 and φ Euler's function:
     planes, ord α / ord(u/v) in split ones, ord α for a scalar.  So c
     launches iff its lex index precedes the first such launch.  The zero
     scalar lies only in its own and the nilpotents' orbits.
-
-_scan_python classifies each start with orbit_length and walks the
-literal first-visit procedure: the oracle on tiny p.
 """
 
 from __future__ import annotations
@@ -113,8 +110,7 @@ from functools import lru_cache
 from math import gcd
 
 from .field import divisors, order, order_primes, prime_factors, totient
-from .magma import (Params, Vector, from_plane, identity, plane, require_dim3,
-                    right_mul_stepper)
+from .magma import Params, Vector, from_plane, identity, plane, require_dim3
 from .power import plane_pow
 
 DEFAULT_FULL_SCAN_CAP = 127
@@ -301,55 +297,6 @@ def write_census_json(report: CensusReport, path) -> None:
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _scan_python(ps: Params) -> CensusReport:
-    """Reference full scan built on the per-start classifier; tiny p only.
-
-    The start, tail and cycle histograms come from orbit_length's
-    algebraic classification of each start, so comparing this scan with
-    scan_space cross-checks the walk census against it.  The walk census
-    here is the literal sequential procedure: enumerate starts
-    lexicographically, skip any start already visited, walk the whole
-    trajectory of each launched start, record its period.
-    """
-    p = ps.modulus.p
-    m = ps.modulus
-    start_hist, cycle_hist, tail_hist, walk_hist = (
-        Counter(), Counter(), Counter(), Counter())
-    cycles = set()
-    visited = set()
-    zero_tails = 0
-    t_start = time.perf_counter()
-    for a0 in range(p):
-        for a1 in range(p):
-            for a2 in range(p):
-                a = Vector((a0, a1, a2), m)
-                rec = orbit_length(a, ps)
-                start_hist[rec.period] += 1
-                tail_hist[rec.tail] += 1
-                if rec.tail == 0:
-                    zero_tails += 1
-                cycles.add((rec.cycle_rep.components, rec.period))
-                if a.components not in visited:
-                    walk_hist[rec.period] += 1
-                    step = right_mul_stepper(a, ps)
-                    cur = a.components
-                    visited.add(cur)
-                    for _ in range(rec.tail + rec.period):
-                        cur = step(cur)
-                        visited.add(cur)
-    for _, period in cycles:
-        cycle_hist[period] += 1
-    return CensusReport(
-        p=p, params=tuple(ps.coefficients), total_starts=p**3,
-        start_periods=dict(start_hist), cycle_periods=dict(cycle_hist),
-        walk_periods=dict(walk_hist), tail_lengths=dict(tail_hist),
-        total_cycles=len(cycles), total_walks=sum(walk_hist.values()),
-        zero_tail_starts=zero_tails,
-        cycle_period_sum=sum(period for _, period in cycles),
-        engine="python", elapsed=time.perf_counter() - t_start,
-    )
 
 
 @lru_cache(maxsize=8)

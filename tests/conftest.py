@@ -8,7 +8,7 @@ from mlmagma import Params3, Params4, Vector3, Vector4, make_modulus, vector
 from mlmagma.cycles import cycle_minimum, find_cycle
 from mlmagma.field import divisors
 from mlmagma.magma import right_mul_stepper
-from mlmagma.orbit import CensusReport
+from mlmagma.orbit import CensusReport, orbit_length
 from mlmagma.prng import UniformityReport, iter_outputs
 from mlmagma.symbolic import generic_vector, sym_mul3
 
@@ -132,6 +132,55 @@ def walk_census(ps):
         total_cycles=len(cycles), total_walks=sum(walk_hist.values()),
         zero_tail_starts=tail_hist[0],
         cycle_period_sum=sum(q for _, q in cycles), engine="walk",
+    )
+
+
+def scan_python(ps):
+    """The census from orbit_length on each start and the literal
+    first-visit procedure; tiny p only.
+
+    The start, tail and cycle histograms come from orbit_length's
+    algebraic classification of each start, so comparing this scan with
+    orbit.scan_space cross-checks the plane-wise census against it.  The
+    walk census here is the literal sequential procedure: enumerate
+    starts lexicographically, skip any start already visited, walk the
+    whole trajectory of each launched start, record its period.
+    """
+    p = ps.modulus.p
+    m = ps.modulus
+    start_hist, cycle_hist, tail_hist, walk_hist = (
+        Counter(), Counter(), Counter(), Counter())
+    cycles = set()
+    visited = set()
+    zero_tails = 0
+    for a0 in range(p):
+        for a1 in range(p):
+            for a2 in range(p):
+                a = Vector3(a0, a1, a2, m)
+                rec = orbit_length(a, ps)
+                start_hist[rec.period] += 1
+                tail_hist[rec.tail] += 1
+                if rec.tail == 0:
+                    zero_tails += 1
+                cycles.add((rec.cycle_rep.components, rec.period))
+                if a.components not in visited:
+                    walk_hist[rec.period] += 1
+                    step = right_mul_stepper(a, ps)
+                    cur = a.components
+                    visited.add(cur)
+                    for _ in range(rec.tail + rec.period):
+                        cur = step(cur)
+                        visited.add(cur)
+    for _, period in cycles:
+        cycle_hist[period] += 1
+    return CensusReport(
+        p=p, params=tuple(ps.coefficients), total_starts=p**3,
+        start_periods=dict(start_hist), cycle_periods=dict(cycle_hist),
+        walk_periods=dict(walk_hist), tail_lengths=dict(tail_hist),
+        total_cycles=len(cycles), total_walks=sum(walk_hist.values()),
+        zero_tail_starts=zero_tails,
+        cycle_period_sum=sum(period for _, period in cycles),
+        engine="python",
     )
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from mlmagma import (Params, Params3, Params4, Vector, Vector3, Vector4,
                      identity, make_modulus, mul, params, square_gh, vector)
-from mlmagma.magma import (ModulusMismatchError, left_mul_stepper,
+from mlmagma.magma import (ModulusMismatchError, _form, left_mul_stepper,
                            right_mul_stepper)
 from conftest import paper_mul, random_instance
 
@@ -71,12 +71,47 @@ def test_square_gh_matches_mul(rng):
 def test_modulus_mismatch_rejected():
     m23, m61 = make_modulus(23), make_modulus(61)
     ps = Params3(1, 1, 1, 1, 1, m23)
-    with pytest.raises(ModulusMismatchError):
-        mul(Vector3(1, 2, 3, m23), Vector3(1, 2, 3, m61), ps)
-    with pytest.raises(ModulusMismatchError):
-        mul(Vector3(1, 2, 3, m61), Vector3(1, 2, 3, m61), ps)
-    with pytest.raises(ModulusMismatchError):
-        mul(Vector3(1, 2, 3, m23), Vector4(1, 2, 3, 4, m23), Params3(1, 1, 1, 1, 1, m23))
+    cases = [
+        (Vector3(1, 2, 3, m23), Vector3(1, 2, 3, m61), ps,
+         "moduli differ: 23, 61, params 23"),
+        (Vector3(1, 2, 3, m61), Vector3(1, 2, 3, m61), ps,
+         "moduli differ: 61, 61, params 23"),
+        (Vector3(1, 2, 3, m23), Vector3(1, 2, 3, m23), Params3(1, 1, 1, 1, 1, m61),
+         "moduli differ: 23, 23, params 61"),
+        (Vector3(1, 2, 3, m23), Vector4(1, 2, 3, 4, m23), ps,
+         "dimension mismatch: 3, 4, params 3"),
+        (Vector3(1, 2, 3, m23), Vector3(1, 2, 3, m23), Params4(*range(9), m23),
+         "dimension mismatch: 3, 3, params 4"),
+        (Vector4(1, 2, 3, 4, m23), Vector4(1, 2, 3, 4, m23), ps,
+         "dimension mismatch: 4, 4, params 3"),
+        (Vector3(1, 2, 3, m23), Vector4(1, 2, 3, 4, m61), ps,
+         "dimension mismatch: 3, 4, params 3"),
+    ]
+    for a, b, bad, message in cases:
+        with pytest.raises(ModulusMismatchError) as err:
+            mul(a, b, bad)
+        assert str(err.value) == message
+    # equal moduli built separately are one modulus
+    other23 = make_modulus(23)
+    assert other23 is not m23
+    assert mul(Vector3(0, 1, 0, m23), Vector3(0, 0, 1, other23),
+               Params3(9, 19, 1, 1, 2, other23)).components == (0, 3, 1)
+
+
+def test_params_value_ignores_cached_form():
+    """The cached (K, λ) is the one _form computes and takes no part in
+    Params' ==, hash or repr."""
+    for coefs in ((9, 19, 1, 1, 2), tuple(range(1, 10))):
+        a, b = params(coefs, make_modulus(23)), params(list(coefs), make_modulus(23))
+        assert a == b and hash(a) == hash(b)
+        assert a.form == _form(coefs)
+        assert a != params(coefs, make_modulus(29))
+    m = make_modulus(23)
+    assert repr(Params3(9, 19, 1, 1, 2, m)) == (
+        "Params(coefficients=(9, 19, 1, 1, 2), modulus=PrimeModulus(p=23))")
+    assert repr(Params4(1, 2, 3, 4, 5, 6, 7, 8, 9, m)) == (
+        "Params(coefficients=(1, 2, 3, 4, 5, 6, 7, 8, 9), "
+        "modulus=PrimeModulus(p=23))")
 
 
 def test_non_canonical_rejected():

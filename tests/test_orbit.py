@@ -11,11 +11,11 @@ from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
 from mlmagma.cli import main
 from mlmagma.dip import find_long_period_base
 from mlmagma.magma import ModulusMismatchError, plane, right_mul_stepper
-from mlmagma.orbit import (BudgetExceededError, _scan_python,
-                           heuristic_search, orbit_length, param_sweep,
-                           scan_space, write_census_csv, write_census_json)
+from mlmagma.orbit import (BudgetExceededError, heuristic_search,
+                           orbit_length, param_sweep, scan_space,
+                           write_census_csv, write_census_json)
 from mlmagma.power import pow_fast
-from conftest import random_instance, walk_census, walk_orbit
+from conftest import random_instance, scan_python, walk_census, walk_orbit
 
 
 def test_orbit_of_identity():
@@ -76,7 +76,7 @@ SEEDED_CASES = [(p, tuple(_seeded.randrange(p) for _ in range(5)))
 ] + SEEDED_CASES)
 def test_engines_agree(p, coefs):
     ps = Params3(*coefs, make_modulus(p))
-    ref = _scan_python(ps)
+    ref = scan_python(ps)
     fast = scan_space(ps)
     assert fast.start_periods == ref.start_periods
     assert fast.cycle_periods == ref.cycle_periods
