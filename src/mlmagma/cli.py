@@ -120,7 +120,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=("csv", "bytes"), default="csv")
     c = pr.add_parser("cycle")
     c.add_argument("--config", required=True)
-    c.add_argument("--cap", type=int, default=None)
+    c.add_argument("--cap", type=int, default=None,
+                   help="bound on the Brent walk's steps, not on tail + "
+                        "period: the walk takes up to 3 x (tail + period) "
+                        "(default 4 x state space + 64)")
     c = pr.add_parser("uniformity")
     c.add_argument("--config", required=True)
     c.add_argument("--samples", type=int, required=True)

@@ -90,6 +90,9 @@ def dip_timing(ps, exponents, samples: int = 3, base=None) -> list[TimingRow]:
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     exponents = sorted(exponents)
+    if not exponents or exponents[0] < 1:
+        raise ValueError("exponents must be a non-empty list of integers "
+                         f">= 1, got {exponents}")
     if base is None:
         base = find_long_period_base(ps, min_period=max(exponents))
         if base is None:

@@ -1,8 +1,9 @@
 """Exact arithmetic over a prime field Z_p.
 
 Residues are plain ints kept canonical in [0, p).  The modulus is capped
-below 2**31, inside the range where the Miller-Rabin witness set below
-is deterministic.
+below 2**31.  Primality is Miller-Rabin to the first twelve prime bases,
+deterministic below 3.3e24, so it certifies every modulus and every
+Pollard rho cofactor.
 
 Element orders (orbit periods, PRNG periods) share one primitive: the
 order of x divides a known n, so divide n by each prime q of n while
@@ -18,31 +19,23 @@ from math import gcd
 
 MAX_MODULUS = 2**31
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3,215,031,751
-# (covers the full supported range p < 2**31).
-_MR_WITNESSES = (2, 3, 5, 7)
-
 
 class NotPrimeError(ValueError):
     """Raised when a modulus fails the primality gate."""
 
 
 # The first twelve primes: a deterministic witness set for all
-# n < 3,317,044,064,679,887,385,961,981 (~3.3e24), used on rho cofactors.
+# n < 3,317,044,064,679,887,385,961,981 (~3.3e24).
 _MR64_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR64_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3,215,031,751."""
-    return _miller_rabin(n, _MR_WITNESSES)
-
-
-def _miller_rabin(n: int, witnesses) -> bool:
-    """Strong-probable-prime test of n to every base in witnesses."""
+    """Miller-Rabin to the first twelve prime bases: exact for
+    n < 3.3e24, a strong probable-prime test above."""
     if n < 2:
         return False
-    for w in witnesses:
+    for w in _MR64_WITNESSES:
         if n == w:
             return True
         if n % w == 0:
@@ -52,7 +45,7 @@ def _miller_rabin(n: int, witnesses) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for w in witnesses:
+    for w in _MR64_WITNESSES:
         x = pow(w, d, n)
         if x in (1, n - 1):
             continue
@@ -107,7 +100,7 @@ def _rho_primes(n: int) -> set[int]:
     """The primes of n > 1, given that n has none below 2**16."""
     if n < _TRIAL_BOUND**2:
         return {n}
-    if _miller_rabin(n, _MR64_WITNESSES):
+    if is_prime(n):
         if n >= _MR64_LIMIT:
             raise ValueError(f"cannot certify that {n} is prime: above 3.3e24")
         return {n}

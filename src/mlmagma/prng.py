@@ -36,9 +36,10 @@ steps the tail and one period, at most μ + period passes, and counts
 whole periods by a multiplier.
 
 Tails are measured on the true composite state by prng_cycle_length,
-the Brent walk kept as the oracle.  The primes of p² + p + 1 come from
-field.prime_factors, whose Pollard rho keeps composite_period fast up
-to p = 2^31 − 1.
+the Brent walk kept as the oracle.  That walk, find_cycle, lives here
+and serves prng_cycle_length and the tests' orbit oracles.  The primes
+of p² + p + 1 come from field.prime_factors, whose Pollard rho keeps
+composite_period fast up to p = 2^31 − 1.
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .cycles import find_cycle
 from .field import PrimeModulus, order, order_primes, prime_factors
 from .magma import (Params, Vector, _require_shared, left_mul_stepper, params,
                     require_dim3, right_mul_stepper, vector)
@@ -143,7 +142,6 @@ class CycleResult(NamedTuple):
     exceeded_cap: bool
 
 
-@lru_cache(maxsize=64)
 def _slot_steppers(config: PrngConfig):
     make = right_mul_stepper if config.side == "right" else left_mul_stepper
     return [make(config.seeds[i], config.params) for i in config.pattern]
@@ -255,8 +253,50 @@ def composite_period(config: PrngConfig) -> int:
     return _pass_tail_period(config)[1] * len(config.pattern)
 
 
+def find_cycle(step, start, cap: int | None = None):
+    """Return (tail, period) of start, step(start), step(step(start)), ...
+
+    Brent's algorithm: O(tail + period) steps, O(1) states kept.  States
+    must be plain values compared with ==; the step function is pure.
+    If cap is given and the walk would exceed cap steps, returns
+    (None, None).
+    """
+    power = lam = 1
+    tortoise = start
+    hare = step(start)
+    steps = 1
+    while tortoise != hare:
+        if cap is not None and steps >= cap:
+            return None, None
+        if power == lam:
+            tortoise = hare
+            power *= 2
+            lam = 0
+        hare = step(hare)
+        lam += 1
+        steps += 1
+
+    # period known; locate the tail by walking two cursors lam apart
+    hare = start
+    for _ in range(lam):
+        hare = step(hare)
+    mu = 0
+    tortoise = start
+    while tortoise != hare:
+        tortoise = step(tortoise)
+        hare = step(hare)
+        mu += 1
+    return mu, lam
+
+
 def prng_cycle_length(config: PrngConfig, cap: int | None = None) -> CycleResult:
-    """Tail and period of the composite state (vector, position)."""
+    """Tail and period of the composite state (vector, position).
+
+    cap bounds the steps of the Brent walk, not tail + period: the walk
+    sees the cycle after fewer than 3·(tail + period) steps, and when it
+    would need more than cap the result has exceeded_cap set.  The
+    default, 4·state_space + 64, always suffices.
+    """
     if cap is None:
         cap = 4 * config.state_space + 64
     if cap < 1:

@@ -305,24 +305,6 @@ def a_monomial_bound(n: int) -> int:
     return (n + 3) * (n + 2) * (n + 1) // 6 - 1
 
 
-def sym_parenthesizations(n: int) -> list[SymVector3]:
-    """Every full parenthesization of the symbolic n-fold product."""
-    if not (1 <= n <= 5):
-        raise ValueError("symbolic parenthesization enumeration capped at n = 5")
-    a = generic_vector()
-    by_len: dict[int, list[SymVector3]] = {1: [a]}
-    for length in range(2, n + 1):
-        outs: list[SymVector3] = []
-        for split in range(1, length):
-            for x in by_len[split]:
-                for y in by_len[length - split]:
-                    z = sym_mul3(x, y)
-                    if z not in outs:
-                        outs.append(z)
-        by_len[length] = outs
-    return by_len[n]
-
-
 def expansion_listing(n: int, components: Iterable[int] = (0, 1, 2)) -> str:
     """Plain-text dump of sym_pow(n), one monomial per line per component."""
     v = sym_pow(n)

@@ -5,11 +5,10 @@ from math import gcd
 import pytest
 
 from mlmagma import Params3, Params4, Vector3, Vector4, make_modulus, vector
-from mlmagma.cycles import cycle_minimum, find_cycle
 from mlmagma.field import divisors
 from mlmagma.magma import right_mul_stepper
 from mlmagma.orbit import CensusReport, orbit_length
-from mlmagma.prng import UniformityReport, iter_outputs
+from mlmagma.prng import UniformityReport, find_cycle, iter_outputs
 from mlmagma.symbolic import generic_vector, sym_mul3
 
 TEST_PRIMES = (23, 61, 101)
@@ -67,6 +66,38 @@ def sym_pow_oracle(n):
     for _ in range(n - 1):
         out = sym_mul3(out, a)
     return out
+
+
+def sym_parenthesizations(n):
+    """Every distinct full parenthesization of the symbolic n-fold
+    product by sym_mul3: the oracle for power associativity, which
+    holds iff there is one.  Capped at n = 5 (14 bracketings)."""
+    if not (1 <= n <= 5):
+        raise ValueError("symbolic parenthesization enumeration capped at n = 5")
+    a = generic_vector()
+    by_len = {1: [a]}
+    for length in range(2, n + 1):
+        outs = []
+        for split in range(1, length):
+            for x in by_len[split]:
+                for y in by_len[length - split]:
+                    z = sym_mul3(x, y)
+                    if z not in outs:
+                        outs.append(z)
+        by_len[length] = outs
+    return by_len[n]
+
+
+def cycle_minimum(step, on_cycle_state, period):
+    """Smallest state (by natural ordering) over one full turn of the
+    cycle through on_cycle_state: the cycle representative walk_orbit
+    checks orbit_length's closed-form cycle_rep against."""
+    best = cur = on_cycle_state
+    for _ in range(period - 1):
+        cur = step(cur)
+        if cur < best:
+            best = cur
+    return best
 
 
 def walk_orbit(a, ps):

@@ -327,6 +327,13 @@ def test_dip_commands(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("mlmagma: error:")
     assert "samples must be at least 1" in err
+    for exponents in ("", "0"):
+        code, out, err = run(capsys, "dip", "timing", "--p", "101",
+                             "--params", "1,1,1,1,1",
+                             "--exponents", exponents)
+        assert code == 2 and out == ""
+        assert err.startswith("mlmagma: error:")
+        assert "exponents must be a non-empty list of integers >= 1" in err
 
 
 def test_kx_demo(capsys):

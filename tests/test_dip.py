@@ -92,3 +92,10 @@ def test_timing_rejects_no_samples():
     for samples in (0, -2):
         with pytest.raises(ValueError, match="samples must be at least 1"):
             dip_timing(ps, [256], samples=samples)
+
+
+def test_timing_rejects_bad_exponents():
+    ps = Params3(129, 128, 1, 1, 2, make_modulus(257))
+    for exponents in ([], [0], [256, 0], [-3, 256]):
+        with pytest.raises(ValueError, match="exponents must be a non-empty"):
+            dip_timing(ps, exponents)

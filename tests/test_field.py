@@ -37,6 +37,10 @@ def test_is_prime_pseudoprime_traps():
     assert not is_prime(46657)       # 13 * 37 * 97, Carmichael
     assert not is_prime(46337 * 46337)  # square just under 2**31
     assert is_prime(2147483647)      # 2**31 - 1
+    assert not is_prime(3215031751)  # 151 * 751 * 28351, spsp(2,3,5,7)
+    assert is_prime(4294967291)      # largest prime below 2**32
+    assert is_prime(2**61 - 1)
+    assert not is_prime(3825123056546413051)  # spsp(2,...,23)
 
 
 def _trial_primes(n):

@@ -8,9 +8,9 @@ from mlmagma.power import pow_iter
 from mlmagma.symbolic import (MAX_SYM_POWER, CoefficientOverflowError,
                               SymPoly, VARIABLES, a_monomial_bound,
                               expansion_listing, generic_vector,
-                              reference_cube, sym_mul3, sym_parenthesizations,
-                              sym_pow, sym_square_gh, zero_vector)
-from conftest import sym_pow_oracle
+                              reference_cube, sym_mul3, sym_pow,
+                              sym_square_gh, zero_vector)
+from conftest import sym_parenthesizations, sym_pow_oracle
 
 
 def test_polynomial_arithmetic_basics():
