@@ -100,6 +100,13 @@ class KxKeypair:
     public: Vector
 
 
+def _check_bits(exponent_bits: int) -> None:
+    """Refuse, before any draw, a secret size that pow_fast's 64-bit
+    exponents cannot take."""
+    if not 2 <= exponent_bits <= 64:
+        raise ValueError(f"exponent_bits must be in [2, 64], got {exponent_bits}")
+
+
 def keygen(pub: KxPublicParams, exponent_bits: int = 64,
            rng: random.Random | None = None) -> KxKeypair:
     """Secret m uniform in [2^(bits-1), 2^bits); public a^m.
@@ -107,8 +114,7 @@ def keygen(pub: KxPublicParams, exponent_bits: int = 64,
     The rare draw whose public value is the identity is resampled: an
     identity public carries no key material and peers reject it.
     """
-    if exponent_bits < 2:
-        raise ValueError("exponent_bits must be at least 2")
+    _check_bits(exponent_bits)
     rng = rng if rng is not None else random.SystemRandom()
     e = identity(pub.dim, pub.modulus)
     for _ in range(256):
@@ -397,6 +403,7 @@ def serve(listener: socket.socket, pub: KxPublicParams, exponent_bits: int = 64,
                     on_result(exc)
 
     with listener:
+        _check_bits(exponent_bits)
         while True:
             conn, _ = listener.accept()
             if once:

@@ -1,13 +1,17 @@
 """Second-order multilinear binary operations on Z_p^3 and Z_p^4.
 
-With x = (x0, x'), both dimensions share one product
+With x = (x0, x'), y = (y0, y'), s = x0 + 1 and s' = y0 + 1, both
+dimensions share one product, bilinear in the shifted S(x) = (s, x'):
 
-    x*y = (x0 + y0 + x0·y0 + x'ᵀK y',  (1 + y0 + λ·y')·x' + (1 + x0)·y'),
+    S(x*y) = (s·s' + x'ᵀK y',  (s' + λ·y')·x' + s·y').
 
-and differ only in where the paper's coefficients sit in K and λ
-(_form).  Each Params builds its (K, λ) once, as its `form`; mul unrolls
-the product over it per dimension.  It is non-commutative and
-non-associative in general; the zero vector is a two-sided identity.
+The shift removes the paper's linear shifts, so a product with a fixed
+factor, on either side, is linear in S.  Its unit S = (1, 0, ...) is the
+zero vector, a two-sided identity; its zero S = 0 is (p − 1, 0, ...),
+which absorbs every product it is in.  The dimensions differ only in
+where the paper's coefficients sit in K and λ (_form).  Each Params
+builds its (K, λ) once, as its `form`; mul unrolls the product over it
+per dimension.  It is non-commutative and non-associative in general.
 Mixing moduli or dimensions is rejected.
 
 Two value types carry both dimensions: a Vector's dimension is the
@@ -17,8 +21,8 @@ coefficients A..E and Z_p^4 with the nine A..I.  Vector3, Vector4,
 Params3 and Params4 are positional constructors for them.
 
 Powers are associative.  Let L = λ·a', Q = a'ᵀK a' and
-R = F_p[w]/(w² − L w − Q).  For x = (s−1, t·a') and y = (s'−1, t'·a'),
-x'ᵀK y' = t t'Q and λ·y' = t'L, so x*y = (s s' + t t'Q − 1,
+R = F_p[w]/(w² − L w − Q).  For S(x) = (s, t·a') and S(y) = (s', t'·a'),
+x'ᵀK y' = t t'Q and λ·y' = t'L, so S(x*y) = (s s' + t t'Q,
 (s t' + s' t + t t'L)·a'): R's product of s + tw and s' + t'w.  So this
 plane is closed and isomorphic to R, and a^n = (s_n − 1, t_n·a') with
 s_n + t_n w = (a0 + 1 + w)^n under every parenthesization.

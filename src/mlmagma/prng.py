@@ -7,28 +7,29 @@ iter_outputs is the one output path: raw component tuples from the
 slot steppers.  The single-orbit stream a, a^2, ... that the pattern
 improves on is power.powers_upto.
 
-One full pattern pass is an affine map z ↦ Mz + t of the vector (each
-fixed-factor multiplication is affine), and the position-0 subsequence
-of the composite state is exactly its iteration, so the composite-state
-period is pattern_length times the period of the initial vector x under
-the pass.  That period is an element order, not a walk.  Lift the pass
-to H = [[M, t], [0, 1]] acting on v = (x, 1), and let f, of degree at
-most 4, be the monic annihilator of v (the least-degree f with
-f(H)·v = 0).  Write f = X^μ·g with g(0) ≠ 0.
+Shift the first component, S(x) = (x0 + 1, x1, x2): the product is
+bilinear in S (magma docstring), so one full pattern pass is linear,
+S(x) ↦ M·S(x).  The position-0 subsequence of the composite state is
+exactly its iteration, so the composite-state period is pattern_length
+times the period of v = S(initial) under M.  That period is an element
+order, not a walk.  Let f, of degree at most 3, be the monic
+annihilator of v (the least-degree f with f(M)·v = 0), and write
+f = X^μ·g with g(0) ≠ 0.
 
-* H^(m+n)·v = H^m·v iff f | X^m·(X^n − 1), iff m ≥ μ and g | X^n − 1,
+* M^(m+n)·v = M^m·v iff f | X^m·(X^n − 1), iff m ≥ μ and g | X^n − 1,
   as X does not divide X^n − 1.  So the tail is μ and the period is the
-  order of X in (F_p[X]/g)^*.
-* The last coordinate of H·w is that of w, so f(H)·v = 0 gives
-  f(1) = 0: (X − 1) | g, and g's other factors have degree at most 3.
-* An irreducible factor of degree d ≤ 3 and multiplicity e ≤ 4 divides
-  X^((p^d − 1)·p^j) − 1 once p^j ≥ e, so the order divides
-  p²·(p − 1)(p + 1)(p² + p + 1); p² rather than p covers p = 3.
-* So a pass period is at most p³ − 1, reached exactly when g is (X − 1)
-  times a primitive cubic; every other factorisation gives at most
-  p(p² − 1).  The composite maximum is (p³ − 1)·pattern_length, and the
-  "max_period" of p³·pattern_length that `mlmagma prng search` prints
-  can never be reached; it stays so that its stdout does not change.
+  order of X in (F_p[X]/g)^*, or 1 when g = 1: then M^μ·v = 0, and the
+  orbit ends at the absorbing zero (p − 1, 0, 0).
+* An irreducible factor h ≠ X of g, of degree d ≤ 3, divides
+  X^(p^d − 1) − 1, so h^p divides (X^(p^d − 1) − 1)^p = X^((p^d − 1)·p) − 1.
+  h's multiplicity is at most 3 ≤ p, so the order divides
+  p·(p − 1)(p + 1)(p² + p + 1).
+* So a pass period is at most p³ − 1, reached exactly when g is a
+  primitive cubic.  An irreducible cubic that is not primitive gives a
+  proper divisor of p³ − 1, and any other g at most p² − 1.  The
+  composite maximum is (p³ − 1)·pattern_length, and the "max_period" of
+  p³·pattern_length that `mlmagma prng search` prints can never be
+  reached; it stays so that its stdout does not change.
 
 The same (μ, period) folds uniformity_stats: once the samples exceed
 the state space the stream has surely wrapped (μ + period ≤ p³), so it
@@ -165,31 +166,28 @@ def _outputs(steppers, cur, count: int) -> Iterator[tuple[int, int, int]]:
         yield cur
 
 
-def affine_pass(config: PrngConfig) -> tuple[list[list[int]], list[int]]:
-    """Matrix and shift of one full pattern pass acting on the vector.
+def pass_matrix(config: PrngConfig) -> list[list[int]]:
+    """The matrix M of one full pattern pass on the shifted vector
+    (x0 + 1, x1, x2), where the pass is linear (module docstring).
 
-    Built by probing the slot steppers at the origin and unit vectors,
-    so it works for either multiplication side.
+    Its columns are the passes of the shifted unit vectors, probed
+    through the slot steppers, so it works for either multiplication side.
     """
     p = config.modulus.p
-    basis = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    images = []
-    for b in basis:
-        cur = b
-        for st in _slot_steppers(config):
+    steppers = _slot_steppers(config)
+    cols = []
+    for cur in ((0, 0, 0), (p - 1, 1, 0), (p - 1, 0, 1)):
+        for st in steppers:
             cur = st(cur)
-        images.append(cur)
-    t = list(images[0])
-    cols = [[(images[j + 1][i] - t[i]) % p for i in range(3)] for j in range(3)]
-    matrix = [[cols[j][i] for j in range(3)] for i in range(3)]
-    return matrix, t
+        cols.append(((cur[0] + 1) % p, cur[1], cur[2]))
+    return [list(row) for row in zip(*cols)]
 
 
-def _annihilator(H, v, p: int) -> list[int]:
-    """The monic f of least degree with f(H)·v = 0, low coefficient first.
+def _annihilator(M, v, p: int) -> list[int]:
+    """The monic f of least degree with f(M)·v = 0, low coefficient first.
 
-    Eliminates the Krylov vectors v, Hv, H²v, ... mod p, each kept with
-    the polynomial in H that produced it, until one reduces to zero.
+    Eliminates the Krylov vectors v, Mv, M²v, ... mod p, each kept with
+    the polynomial in M that produced it, until one reduces to zero.
     """
     rows = []                            # (pivot, row, poly), row[pivot] = 1
     w, k = v, 0
@@ -207,7 +205,7 @@ def _annihilator(H, v, p: int) -> list[int]:
         inv = pow(r[pivot], -1, p)
         rows.append((pivot, [x * inv % p for x in r],
                      [x * inv % p for x in poly]))
-        w = [sum(h * x for h, x in zip(hrow, w)) % p for hrow in H]
+        w = [sum(m * x for m, x in zip(row, w)) % p for row in M]
         k += 1
 
 
@@ -234,15 +232,16 @@ def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
 
 def _pass_tail_period(config: PrngConfig) -> tuple[int, int]:
     """(μ, period) of the initial vector under one pattern pass: the
-    power of X in the annihilator f of (initial, 1) under H, and the
-    order of X modulo g = f / X^μ (module docstring)."""
+    power of X in the annihilator f of the shifted initial under M, and
+    the order of X modulo g = f / X^μ (module docstring)."""
     p = config.modulus.p
-    matrix, t = affine_pass(config)
-    H = [row + [ti] for row, ti in zip(matrix, t)] + [[0, 0, 0, 1]]
-    f = _annihilator(H, [*config.initial.components, 1], p)
+    x0, x1, x2 = config.initial.components
+    f = _annihilator(pass_matrix(config), [(x0 + 1) % p, x1, x2], p)
     mu = next(i for i, c in enumerate(f) if c)
     g = f[mu:]
-    n = p * p * (p - 1) * (p + 1) * (p * p + p + 1)
+    if len(g) == 1:                      # the orbit ends at the zero
+        return mu, 1
+    n = p * (p - 1) * (p + 1) * (p * p + p + 1)
     primes = order_primes(p)[1] | prime_factors(p * p + p + 1)
     return mu, order(n, primes, lambda k: _x_pow_is_one(k, g, p))
 
@@ -402,9 +401,11 @@ def seed_search(ps: Params, pattern, trials: int, *, rng_seed: int = 0,
     p = ps.modulus.p
     m = ps.modulus
     pattern = tuple(pattern)
-    nseeds = max(pattern) + 1 if pattern else 0
     if not pattern:
         raise ValueError("pattern must be non-empty")
+    if min(pattern) < 0:
+        raise ValueError(f"pattern index {min(pattern)} must be non-negative")
+    nseeds = max(pattern) + 1
     require_dim3(ps, "the PRNG needs")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")

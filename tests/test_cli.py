@@ -164,6 +164,15 @@ def test_prng_search_rejects_four_components_with_zero_trials(capsys):
     assert "3-component" in err
 
 
+def test_prng_search_rejects_negative_pattern_index(capsys):
+    for trials in ("0", "1"):
+        code, out, err = run(capsys, "prng", "search", "--p", "23",
+                             "--params", "1,2,3,4,5", "--pattern", "-1",
+                             "--trials", trials)
+        assert code == 2 and out == ""
+        assert "pattern index -1 must be non-negative" in err
+
+
 def test_orbit_four_components(capsys):
     code, out, _ = run(capsys, "orbit", "length", "--p", "5",
                        "--params", "1,2,3,4,0,1,2,3,4", "--a", "0,1,2,3")
@@ -347,6 +356,19 @@ def test_kx_demo(capsys):
                        "--params", "1,1,1,1,1", "--base", "1,0,0",
                        "--bits", "8", "--seed", "7", "--additive")
     assert json.loads(out)["mode"] == "additive"
+
+
+def test_kx_bits_above_64_rejected_without_leaking_a_secret(capsys):
+    """At --seed 7 the first 65-bit draw would be 35931773795037525048;
+    the size is refused before any draw, so no error can print it."""
+    base = ("--p", "101", "--params", "1,1,1,1,1", "--base", "1,0,0",
+            "--bits", "65")
+    for argv in (("kx", "demo", *base, "--seed", "7"),
+                 ("kx", "listen", *base, "--port", "0", "--once")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "exponent_bits must be in [2, 64], got 65" in err
+        assert "35931773795037525048" not in err
 
 
 def test_kx_listen_connect(capsys):

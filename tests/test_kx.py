@@ -121,6 +121,25 @@ def test_exchange_smallest_bits():
     assert ex.match
 
 
+def test_exponent_bits_outside_pow_fast_range_rejected_before_drawing():
+    """pow_fast takes exponents below 2^64: keygen refuses other sizes
+    before it draws, so no error can carry a secret, and serve refuses
+    them before it accepts a connection."""
+    pub = demo_pub()
+    assert keygen(pub, 64, random.Random(7)).secret.bit_length() == 64
+    for bits in (65, 1, 0):
+        rng = random.Random(7)
+        with pytest.raises(ValueError) as info:
+            keygen(pub, bits, rng)
+        assert str(info.value) == f"exponent_bits must be in [2, 64], got {bits}"
+        assert rng.getstate() == random.Random(7).getstate()
+    listener = make_listener("127.0.0.1", 0)
+    listener.settimeout(2)          # accept() would time out, not hang
+    with pytest.raises(ValueError, match="exponent_bits must be in"):
+        serve(listener, pub, 65)
+    assert listener.fileno() == -1  # closed
+
+
 # --- wire codec ------------------------------------------------------------
 
 def test_public_message_fixed_layout():

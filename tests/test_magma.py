@@ -223,6 +223,37 @@ def test_products_match_paper_formulas(rng):
             assert square_gh(a, ps) == paper_mul(a, a, ps)
 
 
+def _shift(v, p, by):
+    return ((v[0] + by) % p, *v[1:])
+
+
+def test_product_is_bilinear_in_shifted_vectors(rng):
+    """With S(x) = (x0 + 1, x'), S(x*y) is bilinear in S(x) and S(y),
+    and (p - 1, 0, ...), where S is 0, absorbs every product it is in."""
+    for dim in (3, 4):
+        for _ in range(200):
+            p = rng.choice((3, 23, 101, 2**31 - 1))
+            m = make_modulus(p)
+            ps = params([rng.randrange(p) for _ in range(5 if dim == 3 else 9)], m)
+            x, y, z = ([rng.randrange(p) for _ in range(dim)] for _ in range(3))
+            c, d = rng.randrange(p), rng.randrange(p)
+
+            def prod(u, v):          # S(S⁻¹u * S⁻¹v)
+                return list(_shift(mul(vector(_shift(u, p, -1), m),
+                                       vector(_shift(v, p, -1), m),
+                                       ps).components, p, 1))
+
+            def comb(u, v):          # c·S(u) + d·S(v)
+                return [(c * a + d * b) % p for a, b in zip(u, v)]
+
+            sx, sy, sz = (_shift(v, p, 1) for v in (x, y, z))
+            assert prod(comb(sx, sy), sz) == comb(prod(sx, sz), prod(sy, sz))
+            assert prod(sz, comb(sx, sy)) == comb(prod(sz, sx), prod(sz, sy))
+            zero = vector((p - 1,) + (0,) * (dim - 1), m)
+            a = vector(x, m)
+            assert mul(a, zero, ps) == zero == mul(zero, a, ps)
+
+
 def test_square_gh_rejects_mismatch():
     m23, m61 = make_modulus(23), make_modulus(61)
     with pytest.raises(ModulusMismatchError):

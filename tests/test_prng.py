@@ -6,8 +6,8 @@ import pytest
 from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
                      mul)
 from mlmagma.field import prime_factors
-from mlmagma.prng import (SIDES, PrngConfig, _pass_tail_period, affine_pass,
-                          byte_stream, composite_period, iter_outputs,
+from mlmagma.prng import (SIDES, PrngConfig, _pass_tail_period, byte_stream,
+                          composite_period, iter_outputs, pass_matrix,
                           prng_cycle_length, seed_search, uniformity_stats)
 from conftest import count_outputs
 
@@ -208,6 +208,23 @@ def test_pass_tail_period_matches_walk(p, side):
     assert tails
 
 
+@pytest.mark.parametrize("p", (3, 101, 2**31 - 1))
+@pytest.mark.parametrize("side", SIDES)
+def test_pass_reaching_the_zero(p, side):
+    """(p - 1, 0, 0) absorbs.  As the initial it is the shifted 0, so
+    f = 1 and μ = 0; as the first seed it sends every vector to the zero
+    in one pass, so f = X and μ = 1.  The pass period is 1 either way."""
+    seeds, initial = ((0, 1, 2), (2, 2, 1)), (2, 1, 1)
+    zero = (p - 1, 0, 0)
+    for cfg, mu in ((make_config(p, seeds=seeds, pattern=(0, 1, 1),
+                                 initial=zero, side=side), 0),
+                    (make_config(p, seeds=(zero, *seeds), pattern=(0, 1, 2),
+                                 initial=initial, side=side), 1)):
+        assert _pass_tail_period(cfg) == (mu, 1)
+        assert prng_cycle_length(cfg)[:2] == (mu, 3)
+        assert composite_period(cfg) == 3
+
+
 def _mat_mul(x, y, p):
     return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*y)]
             for row in x]
@@ -227,17 +244,17 @@ def test_composite_period_at_large_p():
     p = 65521
     cfg = make_config(p=p, coefs=(19, 18, 1, 1, 2),
                       seeds=((0, 1, 5), (0, 2, 7)), initial=(3, 1, 4))
-    matrix, t = affine_pass(cfg)
-    h = [row + [ti] for row, ti in zip(matrix, t)] + [[0, 0, 0, 1]]
-    v = [[x] for x in (*cfg.initial.components, 1)]
+    mat = pass_matrix(cfg)
+    x0, x1, x2 = cfg.initial.components
+    v = [[(x0 + 1) % p], [x1], [x2]]
     period = composite_period(cfg) // len(cfg.pattern)
     assert period > p**2
-    assert _mat_mul(_mat_pow(h, period, p), v, p) == v
+    assert _mat_mul(_mat_pow(mat, period, p), v, p) == v
     rest = period
     for q in prime_factors(p - 1) | prime_factors(p + 1) | \
             prime_factors(p * p + p + 1) | {p}:
         if rest % q == 0:
-            assert _mat_mul(_mat_pow(h, period // q, p), v, p) != v
+            assert _mat_mul(_mat_pow(mat, period // q, p), v, p) != v
             while rest % q == 0:
                 rest //= q
     assert rest == 1
@@ -358,6 +375,10 @@ def test_seed_search_leaderboard():
     assert seed_search(ps, (0, 1), trials=0, rng_seed=5) == []
     with pytest.raises(ValueError, match="trials must be non-negative"):
         seed_search(ps, (0, 1), trials=-2, rng_seed=5)
+    for pattern in ((-1,), (0, -1, 1)):
+        for trials in (0, 1):
+            with pytest.raises(ValueError, match="pattern index -1 must be"):
+                seed_search(ps, pattern, trials=trials)
     # reported period matches the composite-state measurement
     best = hits[0]
     assert prng_cycle_length(best.config).period == best.period
