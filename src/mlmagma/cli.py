@@ -121,9 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c = pr.add_parser("cycle")
     c.add_argument("--config", required=True)
     c.add_argument("--cap", type=int, default=None,
-                   help="bound on the Brent walk's steps, not on tail + "
-                        "period: the walk takes up to 3 x (tail + period) "
-                        "(default 4 x state space + 64)")
+                   help="report exceeded_cap when tail + period exceeds N "
+                        "(default: no bound)")
     c = pr.add_parser("uniformity")
     c.add_argument("--config", required=True)
     c.add_argument("--samples", type=int, required=True)
@@ -343,6 +342,7 @@ def _cmd_kx(args) -> int:
         _emit(ex.transcript())
         return 0 if ex.match else 1
     if args.kind == "listen":
+        kx_mod._check_bits(args.bits)    # before the listener is announced
         listener = kx_mod.make_listener(args.host, args.port)
         print(f"listening on {args.host}:{listener.getsockname()[1]}",
               file=sys.stderr)

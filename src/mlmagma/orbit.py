@@ -581,6 +581,9 @@ def param_sweep(modulus, c: int, d: int, e: int, a_values=None,
             f"sweep at p = {p} exceeds cap {DEFAULT_FULL_SCAN_CAP}")
     a_values = list(range(p)) if a_values is None else list(a_values)
     b_values = list(range(p)) if b_values is None else list(b_values)
+    for name, values in (("a_values", a_values), ("b_values", b_values)):
+        if not values:
+            raise ValueError(f"{name} must not be empty")
     reports = [scan_space(Params((a, b, c, d, e), modulus))
                for a in a_values for b in b_values]
     return SweepResult(p, (c, d, e), reports)

@@ -17,9 +17,9 @@ annihilator of v (the least-degree f with f(M)·v = 0), and write
 f = X^μ·g with g(0) ≠ 0.
 
 * M^(m+n)·v = M^m·v iff f | X^m·(X^n − 1), iff m ≥ μ and g | X^n − 1,
-  as X does not divide X^n − 1.  So the tail is μ and the period is the
-  order of X in (F_p[X]/g)^*, or 1 when g = 1: then M^μ·v = 0, and the
-  orbit ends at the absorbing zero (p − 1, 0, 0).
+  as X does not divide X^n − 1.  So the pass tail is μ and the pass
+  period P is the order of X in (F_p[X]/g)^*, or 1 when g = 1: then
+  M^μ·v = 0, and the orbit ends at the absorbing zero (p − 1, 0, 0).
 * An irreducible factor h ≠ X of g, of degree d ≤ 3, divides
   X^(p^d − 1) − 1, so h^p divides (X^(p^d − 1) − 1)^p = X^((p^d − 1)·p) − 1.
   h's multiplicity is at most 3 ≤ p, so the order divides
@@ -30,17 +30,22 @@ f = X^μ·g with g(0) ≠ 0.
   composite maximum is (p³ − 1)·pattern_length, and the "max_period" of
   p³·pattern_length that `mlmagma prng search` prints can never be
   reached; it stays so that its stdout does not change.
+* The tail needs no power of M.  For μ ≥ 1 let u = M^(μ−1)·v and
+  w = (f/X)(M)·v ≠ 0 (f is least).  One period on, u's twin is
+  u − g(0)^(−1)·w: X^(μ−1)·(X^P − 1) = (f/X)·h with h = (X^P − 1)/g,
+  and (f/X)(M)·M^i·v = M^(i−1)·f(M)·v = 0 for i ≥ 1, so of h(M) only
+  h(0) = −g(0)^(−1) survives.  Slots are linear on shifted vectors, so
+  the states (u, 0) and (twin, 0), at (μ − 1)·len and one period on,
+  agree after r slots iff their product M_r has M_r·w = 0, whatever u
+  and the factor; M·w = f(M)·v = 0 gives r ≤ len.  So the tail is
+  (μ − 1)·len + r for the least such r ≥ 1, found by stepping w,
+  unshifted, to the zero, or 0 when μ = 0.
 
-The same (μ, period) folds uniformity_stats: once the samples exceed
-the state space the stream has surely wrapped (μ + period ≤ p³), so it
-steps the tail and one period, at most μ + period passes, and counts
-whole periods by a multiplier.
-
-Tails are measured on the true composite state by prng_cycle_length,
-the Brent walk kept as the oracle.  That walk, find_cycle, lives here
-and serves prng_cycle_length and the tests' orbit oracles.  The primes
-of p² + p + 1 come from field.prime_factors, whose Pollard rho keeps
-composite_period fast up to p = 2^31 − 1.
+_tail_period returns the exact (tail, P·len) that composite_period,
+prng_cycle_length and the uniformity_stats fold read; nothing here walks
+an orbit.  The Brent walk find_cycle stays here as the tests' oracle and
+under its name in the benchmark's trace plan.  field.prime_factors'
+Pollard rho factors p² + p + 1, keeping this fast up to p = 2^31 − 1.
 """
 
 from __future__ import annotations
@@ -230,50 +235,56 @@ def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
     return r == [1] + [0] * (d - 1)
 
 
-def _pass_tail_period(config: PrngConfig) -> tuple[int, int]:
-    """(μ, period) of the initial vector under one pattern pass: the
-    power of X in the annihilator f of the shifted initial under M, and
-    the order of X modulo g = f / X^μ (module docstring)."""
+def _tail_period(config: PrngConfig) -> tuple[int, int]:
+    """Exact (tail, period) of the composite state (vector, position),
+    from the annihilator f = X^μ·g of v under M (module docstring)."""
     p = config.modulus.p
+    length = len(config.pattern)
     x0, x1, x2 = config.initial.components
-    f = _annihilator(pass_matrix(config), [(x0 + 1) % p, x1, x2], p)
+    M, v = pass_matrix(config), [(x0 + 1) % p, x1, x2]
+    f = _annihilator(M, v, p)
     mu = next(i for i, c in enumerate(f) if c)
     g = f[mu:]
-    if len(g) == 1:                      # the orbit ends at the zero
-        return mu, 1
     n = p * (p - 1) * (p + 1) * (p * p + p + 1)
     primes = order_primes(p)[1] | prime_factors(p * p + p + 1)
-    return mu, order(n, primes, lambda k: _x_pow_is_one(k, g, p))
+    period = (order(n, primes, lambda k: _x_pow_is_one(k, g, p))
+              if len(g) > 1 else 1)      # g = 1: the orbit ends at the zero
+    if mu == 0:
+        return 0, period * length
+    w = [0, 0, 0]                        # (f/X)(M)·v by Horner
+    for c in reversed(f[1:]):
+        w = [(sum(m * x for m, x in zip(row, w)) + c * y) % p
+             for row, y in zip(M, v)]
+    # the tail ends at the first slot that sends w, unshifted, to the zero
+    outs = _outputs(_slot_steppers(config), ((w[0] - 1) % p, w[1], w[2]), length)
+    r = next(i for i, x in enumerate(outs, 1) if x == (p - 1, 0, 0))
+    return (mu - 1) * length + r, period * length
 
 
 def composite_period(config: PrngConfig) -> int:
     """Exact composite-state period: the pattern length times the pass
     period of the initial vector."""
-    return _pass_tail_period(config)[1] * len(config.pattern)
+    return _tail_period(config)[1]
 
 
-def find_cycle(step, start, cap: int | None = None):
+def find_cycle(step, start):
     """Return (tail, period) of start, step(start), step(step(start)), ...
 
     Brent's algorithm: O(tail + period) steps, O(1) states kept.  States
     must be plain values compared with ==; the step function is pure.
-    If cap is given and the walk would exceed cap steps, returns
-    (None, None).
+    Only the tests call it, as their walk oracle; it stays here because
+    the benchmark's trace plan wraps prng.find_cycle.
     """
     power = lam = 1
     tortoise = start
     hare = step(start)
-    steps = 1
     while tortoise != hare:
-        if cap is not None and steps >= cap:
-            return None, None
         if power == lam:
             tortoise = hare
             power *= 2
             lam = 0
         hare = step(hare)
         lam += 1
-        steps += 1
 
     # period known; locate the tail by walking two cursors lam apart
     hare = start
@@ -289,26 +300,12 @@ def find_cycle(step, start, cap: int | None = None):
 
 
 def prng_cycle_length(config: PrngConfig, cap: int | None = None) -> CycleResult:
-    """Tail and period of the composite state (vector, position).
-
-    cap bounds the steps of the Brent walk, not tail + period: the walk
-    sees the cycle after fewer than 3·(tail + period) steps, and when it
-    would need more than cap the result has exceeded_cap set.  The
-    default, 4·state_space + 64, always suffices.
-    """
-    if cap is None:
-        cap = 4 * config.state_space + 64
-    if cap < 1:
+    """Exact tail and period of the composite state (vector, position),
+    or exceeded_cap when tail + period exceeds cap (None: no bound)."""
+    if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    steppers = _slot_steppers(config)
-    length = len(steppers)
-
-    def step(state):
-        vec, pos = state
-        return steppers[pos](vec), (pos + 1) % length
-
-    tail, period = find_cycle(step, (config.initial.components, 0), cap=cap)
-    if tail is None:
+    tail, period = _tail_period(config)
+    if cap is not None and tail + period > cap:
         return CycleResult(None, None, True)
     return CycleResult(tail, period, False)
 
@@ -355,19 +352,18 @@ def uniformity_stats(config: PrngConfig, samples: int) -> UniformityReport:
     """Per-component counts of the first `samples` outputs over Z_p.
 
     When samples exceed the state space the stream has surely wrapped,
-    and whole periods fold into a count multiplier: with the pass tail μ
-    and period P, output k + n equals output k for every k ≥ head, where
-    head = μ·len and n = P·len.  So at most head + n outputs, one tail
-    and one period, are stepped whatever `samples` is, and the counts
-    are those of stepping every output.
+    and whole periods fold into a count multiplier: output k is composite
+    state k + 1, so with the composite tail head and period n, output
+    k + n equals output k for every k ≥ head.  So at most head + n
+    outputs, one tail and one period, are stepped whatever `samples` is,
+    and the counts are those of stepping every output.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     p = config.modulus.p
     counts = [[0] * p for _ in range(3)]
     if samples > config.state_space:
-        mu, period = _pass_tail_period(config)
-        head, n = mu * len(config.pattern), period * len(config.pattern)
+        head, n = _tail_period(config)
         reps, extra = divmod(samples - head, n)
         outputs = iter_outputs(config, head + n)
         _tally(counts, islice(outputs, head), 1)

@@ -6,7 +6,7 @@ import pytest
 
 from mlmagma import Params3, Params4, Vector3, Vector4, make_modulus, vector
 from mlmagma.field import divisors
-from mlmagma.magma import right_mul_stepper
+from mlmagma.magma import left_mul_stepper, right_mul_stepper
 from mlmagma.orbit import CensusReport, orbit_length
 from mlmagma.prng import UniformityReport, find_cycle, iter_outputs
 from mlmagma.symbolic import generic_vector, sym_mul3
@@ -112,6 +112,21 @@ def walk_orbit(a, ps):
     for _ in range(tail):
         on_cycle = step(on_cycle)
     return tail, period, vector(cycle_minimum(step, on_cycle, period), a.modulus)
+
+
+def walk_prng_cycle(config):
+    """(tail, period) of the PRNG's composite state (vector, position)
+    by Brent's walk over it: the oracle for prng.prng_cycle_length,
+    which reads both from the pass algebra."""
+    make = right_mul_stepper if config.side == "right" else left_mul_stepper
+    steppers = [make(config.seeds[i], config.params) for i in config.pattern]
+    length = len(steppers)
+
+    def step(state):
+        vec, pos = state
+        return steppers[pos](vec), (pos + 1) % length
+
+    return find_cycle(step, (config.initial.components, 0))
 
 
 def walk_census(ps):

@@ -113,13 +113,15 @@ def test_orbit_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "orbit", "length", "--p", "23",
                        "--params", "9,19,1,1,2", "--a", "1,0,0")
     assert json.loads(out)["period"] == 11
-    csv_path = tmp_path / "census.csv"
+    csv_path, json_path = tmp_path / "census.csv", tmp_path / "census.json"
     code, out, _ = run(capsys, "orbit", "scan", "--p", "7",
-                       "--params", "6,1,1,1,2", "--out", str(csv_path))
+                       "--params", "6,1,1,1,2", "--out", str(csv_path),
+                       "--json", str(json_path))
     assert code == 0
     doc = json.loads(out)
     assert doc["total_starts"] == 343
     assert csv_path.exists()
+    assert json.loads(json_path.read_text()) == doc
     code, out, _ = run(capsys, "orbit", "search", "--p", "23",
                        "--params", "9,19,1,1,2")
     assert code == 0
@@ -204,6 +206,15 @@ def test_orbit_sweep(capsys, tmp_path):
     assert "aggregate_walk" in doc
 
 
+def test_orbit_sweep_rejects_empty_values(capsys):
+    for flag in ("--a-values", "--b-values"):
+        code, out, err = run(capsys, "orbit", "sweep", "--p", "5", "--c", "1",
+                             "--d", "1", "--e", "2", flag, ",")
+        assert code == 2 and out == ""
+        name = flag[2:].replace("-", "_")
+        assert err == f"mlmagma: error: {name} must not be empty\n"
+
+
 def prng_config_file(tmp_path):
     m = make_modulus(37)
     cfg = PrngConfig(Params3(19, 18, 1, 1, 2, m),
@@ -252,6 +263,25 @@ def test_prng_malformed_config(capsys, tmp_path, key, value, message):
                          "--count", "3")
     assert code == 2 and out == ""
     assert err.startswith("mlmagma: error:") and message in err
+
+
+def test_prng_cycle_at_large_p(capsys, tmp_path):
+    """The exact tail and period come from the pass algebra: a period of
+    ~2^32 at p = 2^31 − 1 prints at once, where a walk would not end."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"p": 2147483647, "params": [19, 18, 1, 1, 2], '
+                    '"seeds": [[0, 1, 5], [0, 2, 7]], "pattern": [0, 1], '
+                    '"initial": [3, 1, 4]}')
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "prng", "cycle", "--config", str(path))
+    assert code == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert out == ('{"exceeded_cap": false, "period": 4294967292, '
+                   '"state_space": 19807040600895968300706562046, '
+                   '"tail": 0}\n')
+    code, out, _ = run(capsys, "prng", "cycle", "--config", str(path),
+                       "--cap", "4294967291")
+    assert json.loads(out)["exceeded_cap"] is True
 
 
 def test_prng_uniformity_stdout_is_pinned(capsys, tmp_path):
@@ -366,9 +396,9 @@ def test_kx_bits_above_64_rejected_without_leaking_a_secret(capsys):
     for argv in (("kx", "demo", *base, "--seed", "7"),
                  ("kx", "listen", *base, "--port", "0", "--once")):
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "exponent_bits must be in [2, 64], got 65" in err
-        assert "35931773795037525048" not in err
+        # only the error: listen refuses before it announces a listener
+        assert (code, out) == (2, "")
+        assert err == "mlmagma: error: exponent_bits must be in [2, 64], got 65\n"
 
 
 def test_kx_listen_connect(capsys):

@@ -1,3 +1,4 @@
+import queue
 import random
 import socket
 import threading
@@ -372,3 +373,50 @@ def test_tcp_serve_and_connect():
     res = connect("127.0.0.1", port, pub, 8)
     server.join(timeout=5)
     assert results and results[0].shared == res.shared
+
+
+def test_serve_runs_sessions_in_threads_and_reports_aborts():
+    """Without once, each session runs in its own thread: the two
+    responders meet at a barrier in on_result, which a serial loop would
+    never reach.  A peer sending bad magic reaches on_result as a
+    KxSessionError; shutting the listener down ends the loop."""
+    pub = demo_pub()
+    listener = make_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    results, both = queue.Queue(), threading.Barrier(2, timeout=5)
+
+    def on_result(r):
+        results.put(r)
+        if not isinstance(r, Exception):
+            both.wait()
+
+    def run_server():
+        try:
+            serve(listener, pub, 8, on_result=on_result)
+        except OSError:                  # accept on the shut-down listener
+            pass
+
+    server = threading.Thread(target=run_server, daemon=True)
+    server.start()
+    keys = {}
+
+    def initiate():
+        res = connect("127.0.0.1", port, pub, 8)
+        keys[res.keypair.public] = res.shared
+
+    initiators = [threading.Thread(target=initiate) for _ in range(2)]
+    for t in initiators:
+        t.start()
+    for t in initiators:
+        t.join(timeout=5)
+    responders = [results.get(timeout=5) for _ in range(2)]
+    assert {r.peer_public: r.shared for r in responders} == keys
+    assert len(keys) == 2
+
+    with socket.create_connection(("127.0.0.1", port)) as peer:
+        peer.sendall(b"NOPE" + bytes(40))
+        err = results.get(timeout=5)
+    assert isinstance(err, KxSessionError) and "bad magic" in str(err)
+    listener.shutdown(socket.SHUT_RDWR)
+    server.join(timeout=5)
+    assert not server.is_alive()

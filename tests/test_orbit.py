@@ -444,6 +444,15 @@ def test_param_sweep_small():
     assert d["pairs"] == 25
 
 
+def test_param_sweep_rejects_empty_values():
+    """An empty list would leave the aggregate nothing to average."""
+    m = make_modulus(5)
+    with pytest.raises(ValueError, match="a_values must not be empty"):
+        param_sweep(m, 1, 1, 2, a_values=[])
+    with pytest.raises(ValueError, match="b_values must not be empty"):
+        param_sweep(m, 1, 1, 2, a_values=[1], b_values=[])
+
+
 def test_census_regression_anchor_p23():
     """Frozen full census at p=23 (9,19,1,1,2), verified once against the
     sequential reference; guards scan_space against drift."""

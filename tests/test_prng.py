@@ -6,10 +6,10 @@ import pytest
 from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
                      mul)
 from mlmagma.field import prime_factors
-from mlmagma.prng import (SIDES, PrngConfig, _pass_tail_period, byte_stream,
-                          composite_period, iter_outputs, pass_matrix,
-                          prng_cycle_length, seed_search, uniformity_stats)
-from conftest import count_outputs
+from mlmagma.prng import (SIDES, PrngConfig, byte_stream, composite_period,
+                          iter_outputs, pass_matrix, prng_cycle_length,
+                          seed_search, uniformity_stats)
+from conftest import count_outputs, walk_prng_cycle
 
 
 def make_config(p=5, coefs=(1, 1, 1, 1, 2), seeds=((0, 1, 0), (0, 0, 1)),
@@ -181,31 +181,28 @@ def test_composite_period_matches_walk(p, side):
     tails = 0
     for _ in range(60):
         cfg = _random_config(rng, p, side)
-        res = prng_cycle_length(cfg)
-        assert composite_period(cfg) == res.period
-        tails += res.tail > 0
+        tail, period = walk_prng_cycle(cfg)
+        assert composite_period(cfg) == period
+        tails += tail > 0
     assert tails     # some passes were singular
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
 @pytest.mark.parametrize("side", SIDES)
 def test_pass_tail_period_matches_walk(p, side):
-    """The pass tail μ and period against the Brent walk: the composite
-    period is period·len, and the composite tail ends in the last pass
-    of the tail, (μ − 1)·len < tail ≤ μ·len."""
+    """The exact (tail, period) from the pass algebra equals the Brent
+    walk's on the composite state, 2000 configs over the eight cases,
+    tails that end inside a pass included."""
     rng = random.Random(f"tail/{p}/{side}")
-    tails = 0
-    for _ in range(40):
+    tails = inside = 0
+    for _ in range(250):
         cfg = _random_config(rng, p, side)
-        length = len(cfg.pattern)
-        mu, period = _pass_tail_period(cfg)
         res = prng_cycle_length(cfg)
-        assert period * length == res.period
-        assert res.tail <= mu * length
-        if mu > 0:
-            assert res.tail > (mu - 1) * length
-        tails += mu > 0
-    assert tails
+        assert (res.tail, res.period) == walk_prng_cycle(cfg), cfg
+        assert not res.exceeded_cap
+        tails += res.tail > 0
+        inside += res.tail % len(cfg.pattern) != 0
+    assert inside and tails > inside
 
 
 @pytest.mark.parametrize("p", (3, 101, 2**31 - 1))
@@ -220,8 +217,7 @@ def test_pass_reaching_the_zero(p, side):
                                  initial=zero, side=side), 0),
                     (make_config(p, seeds=(zero, *seeds), pattern=(0, 1, 2),
                                  initial=initial, side=side), 1)):
-        assert _pass_tail_period(cfg) == (mu, 1)
-        assert prng_cycle_length(cfg)[:2] == (mu, 3)
+        assert prng_cycle_length(cfg)[:2] == walk_prng_cycle(cfg) == (mu, 3)
         assert composite_period(cfg) == 3
 
 
@@ -260,11 +256,26 @@ def test_composite_period_at_large_p():
     assert rest == 1
 
 
+def _tail_config(side="right"):
+    """A singular pass with pass tail μ = 2: composite tail 4 (right)
+    or 1 (left) of pattern length 3, period 18, ending inside a pass."""
+    return make_config(p=7, coefs=(2, 6, 1, 0, 6),
+                       seeds=((1, 3, 5), (6, 1, 3)), pattern=(0, 0, 1),
+                       initial=(0, 6, 1), side=side)
+
+
 def test_cycle_cap_reported():
+    """cap bounds tail + period: reached exactly, the values are
+    reported; one below, exceeded_cap is set instead."""
     cfg = make_config(p=37, coefs=(19, 18, 1, 1, 2),
                       seeds=((0, 1, 5), (0, 2, 7)))
     res = prng_cycle_length(cfg, cap=10)
     assert res.exceeded_cap and res.tail is None and res.period is None
+    for side, tail in (("right", 4), ("left", 1)):
+        cfg = _tail_config(side)
+        assert walk_prng_cycle(cfg) == (tail, 18)
+        assert prng_cycle_length(cfg, cap=tail + 18) == (tail, 18, False)
+        assert prng_cycle_length(cfg, cap=tail + 17) == (None, None, True)
     for cap in (0, -5):
         with pytest.raises(ValueError, match="cap must be at least 1"):
             prng_cycle_length(cfg, cap=cap)
@@ -280,7 +291,9 @@ def test_period_bounded_by_state_space(rng):
         pattern = tuple(rng.randrange(3) for _ in range(rng.randrange(1, 5)))
         cfg = PrngConfig(ps, seeds, pattern, Vector3(1, 1, 1, m))
         res = prng_cycle_length(cfg)
-        assert res.period <= cfg.state_space
+        # no orbit outgrows the state space, so cap None bounds nothing
+        assert res.tail + res.period <= cfg.state_space
+        assert not res.exceeded_cap
         assert res.period % len(pattern) == 0 or res.period == len(pattern)
 
 
@@ -325,18 +338,15 @@ def test_uniformity_stats_matches_stepping(p, side):
         for samples in (rng.randrange(1, space), space, space + 1,
                         rng.randrange(space + 1, 3 * space + 1)):
             assert uniformity_stats(cfg, samples) == count_outputs(cfg, samples)
-        tails += _pass_tail_period(cfg)[0] > 0
+        tails += walk_prng_cycle(cfg)[0] > 0
     assert tails
 
 
 def test_uniformity_stats_folds_a_tail():
-    """A fixed singular pass with tail μ = 2 and a composite tail of 4
-    that ends inside a pass: the head of the stream is counted once."""
-    cfg = make_config(p=7, coefs=(2, 6, 1, 0, 6),
-                      seeds=((1, 3, 5), (6, 1, 3)), pattern=(0, 0, 1),
-                      initial=(0, 6, 1))
-    assert _pass_tail_period(cfg) == (2, 6)
-    assert prng_cycle_length(cfg)[:2] == (4, 18)
+    """A fixed singular pass with a composite tail of 4 that ends inside
+    a pass: the head of the stream is counted once."""
+    cfg = _tail_config()
+    assert walk_prng_cycle(cfg) == (4, 18)
     for samples in (1000, cfg.state_space + 1, 5000, 5003, 5017):
         assert uniformity_stats(cfg, samples) == count_outputs(cfg, samples)
 
@@ -379,9 +389,9 @@ def test_seed_search_leaderboard():
         for trials in (0, 1):
             with pytest.raises(ValueError, match="pattern index -1 must be"):
                 seed_search(ps, pattern, trials=trials)
-    # reported period matches the composite-state measurement
+    # reported period matches the walk on the composite state
     best = hits[0]
-    assert prng_cycle_length(best.config).period == best.period
+    assert walk_prng_cycle(best.config)[1] == best.period
 
 
 def test_byte_stream_degenerate_stream_fails_loudly():
