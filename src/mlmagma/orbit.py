@@ -97,6 +97,20 @@ With n = p − 1 and φ Euler's function:
     planes, ord α / ord(u/v) in split ones, ord α for a scalar.  So c
     launches iff its lex index precedes the first such launch.  The zero
     scalar lies only in its own and the nilpotents' orbits.
+  - One pass per class (L, Q).  For d = (0, 1) or (1, y) the start
+    (x0, t·d) has lex index x0·p² + offset[t], where offset[t] =
+    (t·d0 mod p)·p + t·d1 mod p is t or t·p + (t·y mod p), strictly
+    increasing in t < p; so the index is strictly increasing in (x0, t).
+    The pass reads only L, Q and p, so its launches in (x0, t) are a
+    function of (L, Q, p), and so are the two things the census keeps:
+    each launch's period, and per scalar order the first (x0, t), whose
+    lex index is the first one.  The pass writes (x0, t) as its plane
+    index x0·p + t, which orders them the same way.  L_d = λ·d does not
+    depend on (A, B), and Q_d = A·d0² + C·d0·d1 + B·d1² takes each value
+    for p of the p² pairs (A, B); so a sweep over (A, B) with (C, D, E)
+    fixed meets at most p² classes in its p²(p + 1) planes.  The last
+    4096 classes passed are kept, so a sweep at p ≤ 61 passes each class
+    once.
 """
 
 from __future__ import annotations
@@ -187,6 +201,8 @@ class CensusReport:
     zero_tail_starts: int
     cycle_period_sum: int           # sum of periods over distinct cycles
     engine: str = "walk"
+    # Seconds spent; far less when the plane passes are reused from an
+    # earlier census (_plane_walks).
     elapsed: float = field(default=0.0, compare=False)
 
     @property
@@ -347,7 +363,7 @@ def _type_periods(p: int) -> dict[str, dict[int, int]]:
 def _cyclic_launches(elements, top: int) -> list[tuple[int, int]]:
     """Launches of a lex pass over part of a cyclic group.
 
-    elements yields (lex index, order) in lex order.  In a cyclic group
+    elements yields (index, order) in lex order.  In a cyclic group
     <β> ⊆ <α> iff ord β | ord α, so an element launches iff its order
     divides no earlier launch's; an element of order top ends the pass.
     """
@@ -360,8 +376,9 @@ def _cyclic_launches(elements, top: int) -> list[tuple[int, int]]:
     return launched
 
 
-def _split_launches(r1: int, r2: int, L: int, offset, p: int):
-    """(lex index, order, scalar order) of each launched unit of a split plane.
+def _split_launches(r1: int, r2: int, L: int, p: int):
+    """(plane index, order, scalar order) of each launched unit of a split
+    plane.
 
     A unit s + t·w is (u, v) = (s + t·r1, s + t·r2), keyed by the id of
     <(log u, log v)> in (Z/n)².  Launching α marks every subgroup of <α>,
@@ -371,7 +388,7 @@ def _split_launches(r1: int, r2: int, L: int, offset, p: int):
     <(g², −g²)>, are left (module docstring).
     """
     _, log, sub, sub_order = _unit_logs(p)
-    n, pp, h = p - 1, p * p, (p - 1) // 2
+    n, h = p - 1, (p - 1) // 2
     dn = divisors(n)
     marked = bytearray(len(sub_order))
     marked[sub[n + 1]] = 1                             # <(g, g)>
@@ -390,7 +407,7 @@ def _split_launches(r1: int, r2: int, L: int, offset, p: int):
             if marked[sub[a * n + b]]:
                 continue
             o = n // gcd(n, a, b)
-            launched.append((x0 * pp + offset[t], o, o * gcd(n, a - b) // n))
+            launched.append((x0 * p + t, o, o * gcd(n, a - b) // n))
             for m in dn:
                 i = sub[m * a % n * n + m * b % n]
                 if not marked[i]:
@@ -405,10 +422,11 @@ def _split_launches(r1: int, r2: int, L: int, offset, p: int):
     return launched
 
 
-def _plane_launches(kind: str, L: int, Q: int, disc: int, offset, p: int):
-    """(lex index, period, scalar order) of each launched non-scalar start
-    of one plane, whose start s + t·w is the vector (s − 1, t·d) at lex
-    index (s − 1)·p² + offset[t].
+def _plane_launches(kind: str, L: int, Q: int, disc: int, p: int):
+    """(plane index, period, scalar order) of each launched non-scalar
+    start of one plane.  Its start s + t·w is the vector (x0, t·d),
+    x0 = s − 1, at plane index x0·p + t, which orders the plane's starts
+    as their lex indices do, whatever d (module docstring).
 
     The scalar order is that of the orbit's scalars: the order of
     <α> ∩ F_p^* for a unit α, 0 for a nilpotent (its orbit ends at the
@@ -423,7 +441,7 @@ def _plane_launches(kind: str, L: int, Q: int, disc: int, offset, p: int):
             for x0 in range(p):
                 s = (x0 + 1) % p
                 for t in range(1, p):
-                    yield x0 * pp + offset[t], order(
+                    yield x0 * p + t, order(
                         pp - 1, primes,
                         lambda k: plane_pow(s, k, t * L % p, t * t * Q % p, p) == (1, 0))
 
@@ -431,22 +449,42 @@ def _plane_launches(kind: str, L: int, Q: int, disc: int, offset, p: int):
     if kind == "dual":
         # s + t·w = c + t·ε with ε = w − L/2 and c = s + t·L/2: a unit of
         # order p·ord(c) if c ≠ 0, else a nilpotent, which always launches.
-        units = ((x0 * pp + offset[t], p * (n // gcd(n, log[c])))
+        units = ((x0 * p + t, p * (n // gcd(n, log[c])))
                  for x0 in range(p) for t in range(1, p)
                  for c in [(x0 + 1 + t * L * half) % p] if c)
-        nilpotents = [((-t * L * half - 1) % p * pp + offset[t], 1, 0)
+        nilpotents = [((-t * L * half - 1) % p * p + t, 1, 0)
                       for t in range(1, p)]
         return [(i, o, o // p) for i, o in _cyclic_launches(units, p * n)] + nilpotents
     root = pow(g, log[disc] // 2, p)
     r1, r2 = (L + root) * half % p, (L - root) * half % p
-    launches = _split_launches(r1, r2, L, offset, p)
+    launches = _split_launches(r1, r2, L, p)
     # The axes u = 0 and v = 0 hold s + t·w = (0, t(r2 − r1)) and
     # (t(r1 − r2), 0), each orbit the cyclic <T>·α on its axis.
     for r, dr in ((r1, r2 - r1), (r2, r1 - r2)):
-        axis = sorted(((-t * r - 1) % p * pp + offset[t],
+        axis = sorted(((-t * r - 1) % p * p + t,
                        n // gcd(n, log[t * dr % p])) for t in range(1, p))
         launches += [(i, o, None) for i, o in _cyclic_launches(axis, n)]
     return launches
+
+
+@lru_cache(maxsize=4096)
+def _plane_walks(L: int, Q: int, p: int):
+    """(type, period histogram, first plane index per scalar order) of the
+    launches of the plane R = F_p[w]/(w² − L w − Q).
+
+    Both summaries survive the strictly increasing relabelling x0·p + t ↦
+    x0·p² + offset[t] of any direction, so every direction and census
+    with this (L, Q) shares them (module docstring).
+    """
+    disc = (L * L + 4 * Q) % p
+    kind = ("dual" if disc == 0 else
+            "split" if pow(disc, (p - 1) // 2, p) == 1 else "field")
+    periods, first = Counter(), {}
+    for i, period, j in _plane_launches(kind, L, Q, disc, p):
+        periods[period] += 1
+        if j is not None:
+            first[j] = min(first.get(j, i), i)
+    return kind, tuple(periods.items()), tuple(first.items())
 
 
 def scan_space(ps: Params, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
@@ -471,17 +509,15 @@ def scan_space(ps: Params, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
     n, pp = p - 1, p * p
     types, walk_hist = Counter(), Counter()
     scalar_first = {}       # scalar order -> first launch whose orbit holds it
-    for d in [(0, 1)] + [(1, y) for y in range(p)]:
-        L, Q = plane(Vector((0, *d), ps.modulus), ps)
-        disc = (L * L + 4 * Q) % p
-        kind = ("dual" if disc == 0 else
-                "split" if pow(disc, n // 2, p) == 1 else "field")
+    for d0, d1 in [(0, 1)] + [(1, y) for y in range(p)]:
+        kind, periods, first = _plane_walks(
+            *plane(Vector((0, d0, d1), ps.modulus), ps), p)
         types[kind] += 1
-        offset = [t * d[0] % p * p + t * d[1] % p for t in range(p)]
-        for idx, period, j in _plane_launches(kind, L, Q, disc, offset, p):
-            walk_hist[period] += 1
-            if j is not None:
-                scalar_first[j] = min(scalar_first.get(j, total), idx)
+        walk_hist.update(dict(periods))
+        for j, i in first:
+            x0, t = divmod(i, p)
+            idx = x0 * pp + t * d0 % p * p + t * d1 % p
+            scalar_first[j] = min(scalar_first.get(j, total), idx)
 
     # The scalars c = x0 + 1 at lex index x0·p².  c ≠ 0 of order j lies in
     # the orbit of every start whose scalars have an order divisible by j,
@@ -599,13 +635,18 @@ def heuristic_search(ps: Params, budget: int | None = None,
     """Look for maximal (p^2 - 1) orbits among structured starts (0, s, x).
 
     Scans x over Z_p for each small second component, stopping after
-    `budget` classified starts.  An empty result is a valid outcome.
+    `budget` classified starts.  A second component outside [0, p) is
+    rejected, as it would repeat or rename another.  An empty result is
+    a valid outcome.
     """
     p = ps.modulus.p
     if budget is None:
         budget = 2 * p
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
+    for s in second_components:
+        if not 0 <= s < p:
+            raise ValueError(f"residue {s} not canonical for modulus {p}")
     target = p * p - 1
     found = []
     trials = 0

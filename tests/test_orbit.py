@@ -11,7 +11,7 @@ from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
 from mlmagma.cli import main
 from mlmagma.dip import find_long_period_base
 from mlmagma.magma import ModulusMismatchError, plane, right_mul_stepper
-from mlmagma.orbit import (BudgetExceededError, heuristic_search,
+from mlmagma.orbit import (BudgetExceededError, _plane_walks, heuristic_search,
                            orbit_length, param_sweep, scan_space,
                            write_census_csv, write_census_json)
 from mlmagma.power import pow_fast
@@ -138,6 +138,47 @@ def test_plane_census_matches_walk_oracle(p, coefs):
     report = scan_space(ps)
     assert report.engine == "plane"
     assert _census_fields(report) == _census_fields(walk_census(ps))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 23])
+def test_lex_offset_increases_along_each_direction(p):
+    """The lex index x0·p² + offset[t] of (x0, t·d) is strictly increasing
+    in (x0, t), so a plane's first launches do not depend on d."""
+    for d0, d1 in [(0, 1)] + [(1, y) for y in range(p)]:
+        offset = [t * d0 % p * p + t * d1 % p for t in range(p)]
+        assert all(a < b for a, b in zip(offset, offset[1:]))
+        assert offset[-1] < p * p
+
+
+CACHE_CASES = [
+    (23, (9, 19, 1, 1, 2)),
+    (23, (6, 1, 1, 1, 2)),
+    (61, (31, 30, 1, 1, 2)),
+    (23, (3, 1, 5, 2, 0)),     # L = 0 split
+    (23, (0, 0, 0, 0, 0)),     # all dual
+]
+
+
+def test_plane_walks_cache_changes_nothing():
+    """A census from a cleared cache equals one read from a warm cache,
+    and a p = 23 sweep passes each of the at most p² classes (L, Q) once."""
+    cold = {}
+    for p, coefs in CACHE_CASES:
+        _plane_walks.cache_clear()
+        cold[p, coefs] = scan_space(Params3(*coefs, make_modulus(p)))
+        assert _plane_walks.cache_info().misses <= p + 1
+    _plane_walks.cache_clear()
+    param_sweep(make_modulus(23), 1, 1, 2)
+    assert _plane_walks.cache_info().misses <= 23 ** 2
+    for (p, coefs), report in cold.items():
+        ps = Params3(*coefs, make_modulus(p))
+        if p != 23:
+            scan_space(ps)                  # warm this p's planes
+        misses = _plane_walks.cache_info().misses
+        warm = scan_space(ps)
+        assert _plane_walks.cache_info().misses == misses
+        assert warm == report               # every field but elapsed
+        assert warm.to_dict() == report.to_dict()
 
 
 def test_census_at_the_cap():
@@ -499,3 +540,17 @@ def test_heuristic_search_budget_respected():
     assert heuristic_search(ps, budget=0) == []
     with pytest.raises(ValueError, match="budget must be non-negative"):
         heuristic_search(ps, budget=-3)
+
+
+@pytest.mark.parametrize("s", [23, 24, 99, -1])
+def test_heuristic_search_rejects_uncanonical_second_component(s, capsys):
+    """s = 24 would repeat s = 1's starts and s = 99 search s = 7."""
+    ps = Params3(9, 19, 1, 1, 2, make_modulus(23))
+    with pytest.raises(ValueError,
+                       match=f"residue {s} not canonical for modulus 23"):
+        heuristic_search(ps, budget=46, second_components=(1, s))
+    assert main(["orbit", "search", "--p", "23", "--params", "9,19,1,1,2",
+                 "--second-components", f"1,{s}", "--budget", "46"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"residue {s} not canonical for modulus 23" in err
