@@ -30,6 +30,9 @@ f = X^μ·g with g(0) ≠ 0.
   composite maximum is (p³ − 1)·pattern_length, and the "max_period" of
   p³·pattern_length that `mlmagma prng search` prints can never be
   reached; it stays so that its stdout does not change.
+* If the seeds the pattern uses have collinear (x1, x2) parts, their
+  shifted plane is closed under the product, so M keeps it and has an
+  eigenvalue in F_p: g is never a primitive cubic, nor the period maximal.
 * The tail needs no power of M.  For μ ≥ 1 let u = M^(μ−1)·v and
   w = (f/X)(M)·v ≠ 0 (f is least).  One period on, u's twin is
   u − g(0)^(−1)·w: X^(μ−1)·(X^P − 1) = (f/X)·h with h = (X^P − 1)/g,
@@ -43,8 +46,10 @@ f = X^μ·g with g(0) ≠ 0.
 
 _tail_period returns the exact (tail, P·len) that composite_period,
 prng_cycle_length and the uniformity_stats fold read; nothing here walks
-an orbit.  The Brent walk find_cycle stays here as the tests' oracle and
-under its name in the benchmark's trace plan.  field.prime_factors'
+an orbit.  The order of X runs on _x_pow_is_one, one kernel per degree of
+g: pow in F_p, power.plane_pow in R, or an unrolled cubic; the generic
+list kernel is the tests' oracle, as is the Brent walk find_cycle, kept
+here under its name in the benchmark's trace plan.  field.prime_factors'
 Pollard rho factors p² + p + 1, keeping this fast up to p = 2^31 − 1.
 """
 
@@ -59,6 +64,7 @@ from typing import Iterator, NamedTuple
 from .field import PrimeModulus, order, order_primes, prime_factors
 from .magma import (Params, Vector, _require_shared, left_mul_stepper, params,
                     require_dim3, right_mul_stepper, vector)
+from .power import plane_pow
 
 SIDES = ("right", "left")
 
@@ -215,24 +221,23 @@ def _annihilator(M, v, p: int) -> list[int]:
 
 
 def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
-    """Whether X^k ≡ 1 modulo the monic g (low coefficient first)."""
-    d = len(g) - 1
-    r = [1] + [0] * (d - 1)
+    """Whether X^k ≡ 1 modulo the monic g (low coefficient first, degree
+    1 to 3), in F_p, in R, or on a + bX + cX² with X³ = c0 + c1·X + c2·X²."""
+    if len(g) == 2:                      # X ≡ −g0
+        return pow(-g[0] % p, k, p) == 1
+    if len(g) == 3:                      # R with L = −g1, Q = −g0
+        return plane_pow(0, k, -g[1] % p, -g[0] % p, p) == (1, 0)
+    c0, c1, c2 = -g[0] % p, -g[1] % p, -g[2] % p
+    a, b, c = 1, 0, 0
     for bit in bin(k)[2:]:
-        sq = [0] * (2 * d)
-        for i, x in enumerate(r):
-            if x:
-                for j, y in enumerate(r):
-                    sq[i + j] += x * y
-        if bit == "1":
-            sq = [0] + sq[:-1]           # times X
-        for i in range(2 * d - 1, d - 1, -1):
-            c = sq[i] % p
-            if c:
-                for j in range(d):
-                    sq[i - d + j] -= c * g[j]
-        r = [x % p for x in sq[:d]]
-    return r == [1] + [0] * (d - 1)
+        # (a + bX + cX²)²: fold c²X⁴ = c²X·X³, then the X³ term
+        e4 = c * c % p
+        e3 = (2 * b * c + e4 * c2) % p
+        a, b, c = ((a * a + e3 * c0) % p, (2 * a * b + e4 * c0 + e3 * c1) % p,
+                   (b * b + 2 * a * c + e4 * c1 + e3 * c2) % p)
+        if bit == "1":                   # times X
+            a, b, c = c * c0 % p, (a + c * c1) % p, (b + c * c2) % p
+    return a == 1 and b == 0 and c == 0
 
 
 def _tail_period(config: PrngConfig) -> tuple[int, int]:
@@ -357,6 +362,11 @@ def uniformity_stats(config: PrngConfig, samples: int) -> UniformityReport:
     k + n equals output k for every k ≥ head.  So at most head + n
     outputs, one tail and one period, are stepped whatever `samples` is,
     and the counts are those of stepping every output.
+
+    Over a maximal period, (p³ − 1)·len, each position visits every
+    vector but (p − 1, 0, 0) once: counts len·p², less len at x0 = p − 1,
+    x1 = 0 and x2 = 0, and chi-square len/(p² + p + 1) by construction,
+    so it is no evidence of randomness.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")

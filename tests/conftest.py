@@ -240,3 +240,28 @@ def count_outputs(config, samples):
         for comp, x in zip(counts, out):
             comp[x] += 1
     return UniformityReport.from_counts(p, samples, counts)
+
+
+def x_pow_is_one_generic(k: int, g: list[int], p: int) -> bool:
+    """Whether X^k ≡ 1 modulo the monic g (low coefficient first).
+
+    Square-and-multiply on coefficient lists of any degree: the oracle
+    for prng._x_pow_is_one's per-degree kernel.
+    """
+    d = len(g) - 1
+    r = [1] + [0] * (d - 1)
+    for bit in bin(k)[2:]:
+        sq = [0] * (2 * d)
+        for i, x in enumerate(r):
+            if x:
+                for j, y in enumerate(r):
+                    sq[i + j] += x * y
+        if bit == "1":
+            sq = [0] + sq[:-1]           # times X
+        for i in range(2 * d - 1, d - 1, -1):
+            c = sq[i] % p
+            if c:
+                for j in range(d):
+                    sq[i - d + j] -= c * g[j]
+        r = [x % p for x in sq[:d]]
+    return r == [1] + [0] * (d - 1)

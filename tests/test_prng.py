@@ -1,15 +1,17 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
 from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
                      mul)
-from mlmagma.field import prime_factors
-from mlmagma.prng import (SIDES, PrngConfig, byte_stream, composite_period,
-                          iter_outputs, pass_matrix, prng_cycle_length,
-                          seed_search, uniformity_stats)
-from conftest import count_outputs, walk_prng_cycle
+from mlmagma import prng
+from mlmagma.field import divisors, order, prime_factors
+from mlmagma.prng import (SIDES, PrngConfig, _x_pow_is_one, byte_stream,
+                          composite_period, iter_outputs, pass_matrix,
+                          prng_cycle_length, seed_search, uniformity_stats)
+from conftest import count_outputs, walk_prng_cycle, x_pow_is_one_generic
 
 
 def make_config(p=5, coefs=(1, 1, 1, 1, 2), seeds=((0, 1, 0), (0, 0, 1)),
@@ -221,6 +223,88 @@ def test_pass_reaching_the_zero(p, side):
         assert composite_period(cfg) == 3
 
 
+def _poly_mul(x, y, p):
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def _order_exponent(p):
+    """n = p(p − 1)(p + 1)(p² + p + 1), which the order of X modulo any
+    g of degree ≤ 3 with g(0) ≠ 0 divides, and its primes."""
+    n = p * (p - 1) * (p + 1) * (p * p + p + 1)
+    return n, prime_factors(n)
+
+
+def _spy_plane_pow(monkeypatch):
+    """Count prng's calls into power.plane_pow, the degree-2 branch."""
+    calls = []
+    real = prng.plane_pow
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(prng, "plane_pow", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_x_pow_is_one_matches_generic(p, monkeypatch):
+    """Every monic g of degree 1 to 3 with g(0) ≠ 0 and every k that
+    field.order can pass: the per-degree kernel answers as the generic
+    list kernel does, and only degree 2 runs on the plane algebra."""
+    calls = _spy_plane_pow(monkeypatch)
+    n, primes = _order_exponent(p)
+    ks = divisors(n)
+    for d in (1, 2, 3):
+        for low in product(range(p), repeat=d):
+            if low[0] == 0:
+                continue
+            g = [*low, 1]
+            before = len(calls)
+            for k in ks:
+                assert _x_pow_is_one(k, g, p) == x_pow_is_one_generic(k, g, p), (g, k)
+            assert (len(calls) > before) == (d == 2), g
+
+    # repeated factors: X has order p modulo (X − 1)² and (X − 1)³, 2
+    # modulo X + 1, and 2p modulo (X + 1)³
+    def x_order(g):
+        return order(n, primes, lambda k: _x_pow_is_one(k, g, p))
+
+    minus, plus = [p - 1, 1], [1, 1]
+    assert x_order(_poly_mul(_poly_mul(minus, minus, p), plus, p)) == 2 * p
+    assert x_order(_poly_mul(_poly_mul(plus, plus, p), plus, p)) == 2 * p
+    if p == 3:                           # (X − 1)³ = X³ − 1 mod 3
+        assert x_order(_poly_mul(_poly_mul(minus, minus, p), minus, p)) == 3
+
+
+@pytest.mark.parametrize("p", (65521, 2**31 - 1))
+def test_x_pow_is_one_matches_generic_at_large_p(p):
+    """Random g of each degree, repeated-factor cubics among them, at
+    the exponents field.order tries and at random ones; the orders
+    agree too."""
+    rng = random.Random(f"xpow/{p}")
+    n, primes = _order_exponent(p)
+
+    def monic(d):
+        return [rng.randrange(1, p), *(rng.randrange(p) for _ in range(d - 1)), 1]
+
+    gs = [monic(d) for d in (1, 2, 3) for _ in range(6)]
+    for _ in range(4):
+        r, s = rng.randrange(1, p), rng.randrange(1, p)
+        gs.append(_poly_mul(_poly_mul([p - r, 1], [p - r, 1], p), [p - s, 1], p))
+    gs.append(_poly_mul(_poly_mul([p - 1, 1], [p - 1, 1], p), [p - 1, 1], p))
+    for g in gs:
+        ks = [n, *(n // q for q in primes), *(rng.randrange(1, n) for _ in range(4))]
+        for k in ks:
+            assert _x_pow_is_one(k, g, p) == x_pow_is_one_generic(k, g, p), (g, k)
+        assert order(n, primes, lambda k: _x_pow_is_one(k, g, p)) == \
+            order(n, primes, lambda k: x_pow_is_one_generic(k, g, p))
+
+
 def _mat_mul(x, y, p):
     return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*y)]
             for row in x]
@@ -340,6 +424,79 @@ def test_uniformity_stats_matches_stepping(p, side):
             assert uniformity_stats(cfg, samples) == count_outputs(cfg, samples)
         tails += walk_prng_cycle(cfg)[0] > 0
     assert tails
+
+
+def _maximal_configs(p, side, length, count):
+    """The first `count` seed-drawn configs whose composite period is the
+    maximum (p³ − 1)·length: g is a primitive cubic."""
+    rng = random.Random(f"maximal/{p}/{side}/{length}")
+    m = make_modulus(p)
+    found = []
+    while len(found) < count:
+        seeds = tuple(Vector3(*(rng.randrange(p) for _ in range(3)), m)
+                      for _ in range(2))
+        cfg = PrngConfig(Params3(*(rng.randrange(p) for _ in range(5)), m),
+                         seeds, tuple(rng.randrange(2) for _ in range(length)),
+                         Vector3(*(rng.randrange(p) for _ in range(3)), m), side)
+        if composite_period(cfg) == (p**3 - 1) * length:
+            found.append(cfg)
+    return found
+
+
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("length", (2, 3))
+def test_uniformity_over_a_maximal_period(p, side, length):
+    """Over one maximal period each pattern position visits every vector
+    but the zero (p − 1, 0, 0) once, so the counts, and the chi-square,
+    are fixed by p and the pattern length alone."""
+    for cfg in _maximal_configs(p, side, length, 2):
+        rep = uniformity_stats(cfg, composite_period(cfg))
+        for comp, missing in zip(rep.counts, (p - 1, 0, 0)):
+            assert comp == [length * (p * p - (x == missing)) for x in range(p)]
+        assert rep.chi_square == pytest.approx([length / (p * p + p + 1)] * 3)
+
+
+def _det3(a, p):
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])) % p
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+@pytest.mark.parametrize("side", SIDES)
+def test_collinear_seeds_never_reach_the_maximum(p, side):
+    """Seeds whose (x1, x2) parts are collinear keep the shifted plane
+    they span invariant under M, so M has an eigenvalue in F_p and g is
+    never a primitive cubic.  Unconstrained configs drawn alike do reach
+    the maximum."""
+    rng = random.Random(f"collinear/{p}/{side}")
+    m = make_modulus(p)
+    unconstrained = 0
+    for _ in range(150):
+        d1, d2 = rng.choice([(x, y) for x in range(p) for y in range(p)
+                             if x or y])
+        pattern = tuple(rng.randrange(3) for _ in range(rng.randrange(1, 5)))
+
+        def seed(i, collinear=True):
+            if collinear and i in pattern:
+                t = rng.randrange(p)
+                return Vector3(rng.randrange(p), t * d1 % p, t * d2 % p, m)
+            return Vector3(*(rng.randrange(p) for _ in range(3)), m)
+
+        ps = Params3(*(rng.randrange(p) for _ in range(5)), m)
+        initial = Vector3(*(rng.randrange(p) for _ in range(3)), m)
+        cfg = PrngConfig(ps, tuple(seed(i) for i in range(3)), pattern,
+                         initial, side)
+        maximum = (p**3 - 1) * len(pattern)
+        assert composite_period(cfg) < maximum, cfg
+        M = pass_matrix(cfg)
+        assert any(_det3([[(M[i][j] - (i == j) * x) % p for j in range(3)]
+                          for i in range(3)], p) == 0 for x in range(p)), cfg
+        free = PrngConfig(ps, tuple(seed(i, False) for i in range(3)),
+                          pattern, initial, side)
+        unconstrained += composite_period(free) == maximum
+    assert unconstrained
 
 
 def test_uniformity_stats_folds_a_tail():
