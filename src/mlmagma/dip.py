@@ -9,8 +9,7 @@ exponent, the empirical face of the hardness conjecture.
 No sub-exhaustive attack is implemented.  Note the power identity
 a^(u+v) = a^u * a^v invites a meet-in-the-middle tabulation; that lead
 is deliberately left on the table.  As a^n = (s_n − 1, t_n·a') (magma),
-recovering n is a discrete log in R^*, a group of order p²−1, p(p−1) or
-(p−1)².
+recovering n is a discrete log in R^* (plane gives |R^*|).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ Element orders (orbit periods, PRNG periods) share one primitive: the
 order of x divides a known n, so divide n by each prime q of n while
 x^(n/q) = 1.  The primes come from trial division below 2**16 and
 Pollard rho (Brent's variant) on what is left, cached per n; those of
-p − 1 and p(p − 1)(p + 1) are also cached per p.
+p(p − 1)(p + 1) are also cached per p.
 """
 
 from dataclasses import dataclass
@@ -156,10 +156,9 @@ def totient(n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def order_primes(p: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The primes of p − 1 and those of p(p − 1)(p + 1)."""
-    small = prime_factors(p - 1)
-    return small, small | prime_factors(p + 1) | {p}
+def order_primes(p: int) -> frozenset[int]:
+    """The primes of p(p − 1)(p + 1)."""
+    return prime_factors(p - 1) | prime_factors(p + 1) | {p}
 
 
 def order(n: int, primes, is_one) -> int:

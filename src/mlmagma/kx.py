@@ -4,8 +4,8 @@ Both parties agree on a public base vector a; each picks a secret
 exponent and publishes its power of a.  The shared key is the peer's
 public value raised to the own secret, i.e. a^(m*n), which both sides
 reach because (a^m)^n = (a^n)^m under the power identity.  As
-a^n = (s_n − 1, t_n·a') (magma), a secret is a discrete log in R^*, a
-group of order p²−1, p(p−1) or (p−1)².
+a^n = (s_n − 1, t_n·a') (magma), a secret is a discrete log in R^*
+(plane gives |R^*|).
 
 An additive variant deriving a^(m+n) exists behind an explicit flag for
 study only: a^(m+n) = a^m * a^n is computable from the two public

@@ -31,6 +31,7 @@ s_n + t_n w = (a0 + 1 + w)^n under every parenthesization.
 from dataclasses import dataclass, field
 
 from .field import PrimeModulus
+from .plane import power
 
 # Product coefficients per dimension; its keys are the supported dimensions.
 COEFFICIENT_COUNTS = {3: 5, 4: 9}
@@ -201,9 +202,7 @@ def square_gh(a, ps):
     g = s² + Q − 1 and h = 2s + L, the trace of s + w.
     """
     L, Q = plane(a, ps)
-    p = a.modulus.p
-    s = a.components[0] + 1
-    return from_plane(a, (s * s + Q) % p, (2 * s + L) % p)
+    return from_plane(a, *power(a.components[0] + 1, 1, 2, L, Q, a.modulus.p))
 
 
 def right_mul_stepper(b, ps):

@@ -6,21 +6,19 @@ or Z_p^4 into (tail, period, lexicographically minimal cycle state); a
 census aggregates every start of Z_p^3.
 
 The classification is an element order, not a walk.  a^n = (s_n − 1,
-t_n·a') with s_n + t_n w = α^n, α = s0 + w and s0 = a0 + 1, in
-R = F_p[w]/(w² − L w − Q) (magma).  α has norm N = s0² + s0·L − Q and
-trace T = 2·s0 + L, and α² = T·α − N (Cayley–Hamilton).
+t_n·a') with s_n + t_n w = α^n in R = F_p[w]/(w² − L w − Q) (magma,
+plane), where α = s0 + w and s0 = a0 + 1.  On the scalar line a' = 0
+the state is s0^n − 1 alone, so there α = s0 (and L = Q = 0); either
+way the state determines α^n.  α has norm N = s0² + s0·L − Q and trace
+T = 2·s0 + L, and α² = T·α − N (Cayley–Hamilton).
 
-* Scalar line, a' = 0: the state is s0^n − 1 alone.  s0 = 0 stays at a
-  (tail 0, period 1); otherwise the period is ord_p(s0), and the cycle
-  holds s0^ord = 1, the identity (0, ..., 0), its smallest state.
-* Unit, N ≠ 0 (a' ≠ 0 here and below, so the state determines α^n): α
-  lies in the finite group R^*, so the orbit has no tail, its period is
-  ord(α) and the cycle passes through α^ord = 1, the identity.  ord(α)
-  divides p(p−1)(p+1) whether R is a field, split or dual, so one bound
-  serves all three.
-* N = 0: α² = T·α, so α^n = T^(n−1)·α.  T = 0 makes α nilpotent: a,
-  then (−1, 0, ..., 0) for ever (tail 1, period 1).  Otherwise the
-  orbit has no tail, the period is k = ord_p(T), and the cycle is
+* Unit, N ≠ 0: α lies in the finite group R^*, so the orbit has no
+  tail, its period is ord(α), plane.unit_order, and the cycle passes
+  through α^ord = 1, the identity (0, ..., 0), its smallest state.
+* N = 0: α² = T·α, so α^n = T^(n−1)·α.  T = 0 makes α nilpotent: the
+  zero scalar (p − 1, 0, ..., 0) stays (tail 0, period 1); with a' ≠ 0,
+  a, then (−1, 0, ..., 0) for ever (tail 1, period 1).  Otherwise a' ≠ 0,
+  the orbit has no tail, the period is k = ord_p(T), and the cycle is
   {(c·s0 − 1, c·a') : c ∈ <T>}.  Its smallest state has the smallest
   c·x, where x is s0 if s0 ≠ 0 and otherwise the first nonzero
   component of a' (every state then starts with −1).  So it is the
@@ -28,8 +26,6 @@ trace T = 2·s0 + L, and α² = T·α − N (Cayley–Hamilton).
   y with y^k = x^k.  When k² ≤ p − 1 it is found by listing <T>, in
   k ≤ √p steps; otherwise by trying y = 1, 2, ..., which meets the
   coset after about its index (p − 1)/k < √p powers.
-
-Orders come from field.order, with the primes of p − 1 and p + 1.
 
 "Proportion of orbits" is ambiguous, so three measures are reported:
 
@@ -53,11 +49,8 @@ lies in the plane of the direction d of a', normalised to (0, 1) or
 (1, y): (a0, t·d) is s + t·w in R_d = F_p[w]/(w² − L w − Q), with
 s = a0 + 1, (L, Q) those of d and t ≠ 0.  Its powers stay in the plane,
 where lex order is that of the pairs (a0, t).  The p scalars (a' = 0)
-lie in every plane.  Δ = L² + 4Q gives the type of R_d: F_{p²} if Δ is
-a non-residue; split, s + t·w ↦ (u, v) = (s + t·r1, s + t·r2) onto
-F_p × F_p for the roots r1, r2 of w² − L w − Q, if Δ is a nonzero
-square; dual, s + t·w = c + t·ε with ε = w − L/2 and ε² = 0, if Δ = 0.
-With n = p − 1 and φ Euler's function:
+lie in every plane.  plane.kind gives the type of R_d: a field, split
+or dual (plane).  With n = p − 1 and φ Euler's function:
 
 * Elements and tails, over the p² − p non-scalar elements of a plane.
   Field: all are units, φ(k) of period k for each k | p² − 1, k ∤ n
@@ -123,9 +116,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from .field import divisors, order, order_primes, prime_factors, totient
+from .field import divisors, prime_factors, totient
 from .magma import Params, Vector, from_plane, identity, plane, require_dim3
-from .power import plane_pow
+from .plane import kind as plane_kind, unit_order
 
 DEFAULT_FULL_SCAN_CAP = 127
 
@@ -164,21 +157,15 @@ def orbit_length(a: Vector, ps: Params) -> OrbitRecord:
     """
     L, Q = plane(a, ps)   # rejects mixed dimensions and moduli
     p = a.modulus.p
-    small, bound = order_primes(p)
     s0 = (a.components[0] + 1) % p
-    if not any(a.components[1:]):
-        if s0 == 0:
-            return OrbitRecord(a, 0, 1, a)
-        period = order(p - 1, small, lambda k: pow(s0, k, p) == 1)
-        return OrbitRecord(a, 0, period, identity(a.dim, a.modulus))
+    t0 = int(any(a.components[1:]))   # α = s0 + t0·w
     if (s0 * s0 + s0 * L - Q) % p:
-        period = order(p * (p - 1) * (p + 1), bound,
-                       lambda k: plane_pow(s0, k, L, Q, p) == (1, 0))
+        period = unit_order(s0, t0, L, Q, p)
         return OrbitRecord(a, 0, period, identity(a.dim, a.modulus))
     T = (2 * s0 + L) % p
-    if T == 0:
-        return OrbitRecord(a, 1, 1, from_plane(a, 0, 0))
-    period = order(p - 1, small, lambda k: pow(T, k, p) == 1)
+    if T == 0:                        # nilpotent: a tail only off the scalars
+        return OrbitRecord(a, t0, 1, from_plane(a, 0, 0))
+    period = unit_order(T, 0, L, Q, p)
     x = s0 or next(c for c in a.components[1:] if c)
     c = _coset_minimum(x, T, period, p) * pow(x, -1, p) % p
     return OrbitRecord(a, 0, period, from_plane(a, c * s0 % p, c))
@@ -422,7 +409,7 @@ def _split_launches(r1: int, r2: int, L: int, p: int):
     return launched
 
 
-def _plane_launches(kind: str, L: int, Q: int, disc: int, p: int):
+def _plane_launches(kind: str, L: int, Q: int, p: int):
     """(plane index, period, scalar order) of each launched non-scalar
     start of one plane.  Its start s + t·w is the vector (x0, t·d),
     x0 = s − 1, at plane index x0·p + t, which orders the plane's starts
@@ -435,17 +422,9 @@ def _plane_launches(kind: str, L: int, Q: int, disc: int, p: int):
     g, log = _unit_logs(p)[:2]
     n, pp, half = p - 1, p * p, pow(2, -1, p)
     if kind == "field":
-        primes = prime_factors(n) | prime_factors(p + 1)
-
-        def orders():
-            for x0 in range(p):
-                s = (x0 + 1) % p
-                for t in range(1, p):
-                    yield x0 * p + t, order(
-                        pp - 1, primes,
-                        lambda k: plane_pow(s, k, t * L % p, t * t * Q % p, p) == (1, 0))
-
-        return [(i, o, gcd(o, n)) for i, o in _cyclic_launches(orders(), pp - 1)]
+        units = ((x0 * p + t, unit_order((x0 + 1) % p, t, L, Q, p))
+                 for x0 in range(p) for t in range(1, p))
+        return [(i, o, gcd(o, n)) for i, o in _cyclic_launches(units, pp - 1)]
     if kind == "dual":
         # s + t·w = c + t·ε with ε = w − L/2 and c = s + t·L/2: a unit of
         # order p·ord(c) if c ≠ 0, else a nilpotent, which always launches.
@@ -455,7 +434,7 @@ def _plane_launches(kind: str, L: int, Q: int, disc: int, p: int):
         nilpotents = [((-t * L * half - 1) % p * p + t, 1, 0)
                       for t in range(1, p)]
         return [(i, o, o // p) for i, o in _cyclic_launches(units, p * n)] + nilpotents
-    root = pow(g, log[disc] // 2, p)
+    root = pow(g, log[(L * L + 4 * Q) % p] // 2, p)
     r1, r2 = (L + root) * half % p, (L - root) * half % p
     launches = _split_launches(r1, r2, L, p)
     # The axes u = 0 and v = 0 hold s + t·w = (0, t(r2 − r1)) and
@@ -476,11 +455,9 @@ def _plane_walks(L: int, Q: int, p: int):
     x0·p² + offset[t] of any direction, so every direction and census
     with this (L, Q) shares them (module docstring).
     """
-    disc = (L * L + 4 * Q) % p
-    kind = ("dual" if disc == 0 else
-            "split" if pow(disc, (p - 1) // 2, p) == 1 else "field")
+    kind = plane_kind(L, Q, p)
     periods, first = Counter(), {}
-    for i, period, j in _plane_launches(kind, L, Q, disc, p):
+    for i, period, j in _plane_launches(kind, L, Q, p):
         periods[period] += 1
         if j is not None:
             first[j] = min(first.get(j, i), i)
@@ -636,8 +613,8 @@ def heuristic_search(ps: Params, budget: int | None = None,
 
     Scans x over Z_p for each small second component, stopping after
     `budget` classified starts.  A second component outside [0, p) is
-    rejected, as it would repeat or rename another.  An empty result is
-    a valid outcome.
+    rejected, as it would repeat or rename another, and so is a repeated
+    one.  An empty result is a valid outcome.
     """
     p = ps.modulus.p
     if budget is None:
@@ -647,6 +624,8 @@ def heuristic_search(ps: Params, budget: int | None = None,
     for s in second_components:
         if not 0 <= s < p:
             raise ValueError(f"residue {s} not canonical for modulus {p}")
+        if second_components.count(s) > 1:
+            raise ValueError(f"second component {s} given twice")
     target = p * p - 1
     found = []
     trials = 0

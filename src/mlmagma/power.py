@@ -2,10 +2,12 @@
 
 Powers are left-associative: a^(n+1) = a^n * a.  They are also power
 associative (proof in magma's docstring); pow_fast squares and
-multiplies in that algebra R, and pow_iter stays as its oracle.
+multiplies in that algebra R with plane.power, and pow_iter stays as
+its oracle.
 """
 
 from .magma import Vector, from_plane, identity, mul, plane, right_mul_stepper
+from .plane import power
 
 MAX_EXPONENT = 2**64
 
@@ -30,20 +32,6 @@ def pow_iter(a, n: int, ps):
     return Vector(cur, a.modulus)
 
 
-def plane_pow(s0: int, n: int, L: int, Q: int, p: int) -> tuple[int, int]:
-    """(s, t) with s + t w = (s0 + w)^n in R = F_p[w]/(w² − L w − Q).
-
-    Square-and-multiply for any n >= 0; pow_fast and orbit_length's
-    order computation both run on it.
-    """
-    s, t = 1, 0
-    for bit in bin(n)[2:]:
-        s, t = (s * s + t * t * Q) % p, (2 * s + t * L) * t % p
-        if bit == "1":
-            s, t = (s * s0 + t * Q) % p, (s + t * (s0 + L)) % p
-    return s, t
-
-
 def pow_fast(a, n: int, ps):
     """a^n by square-and-multiply on (s, t) in R.
 
@@ -52,7 +40,7 @@ def pow_fast(a, n: int, ps):
     """
     _check_exponent(n)
     L, Q = plane(a, ps)
-    return from_plane(a, *plane_pow(a.components[0] + 1, n, L, Q, a.modulus.p))
+    return from_plane(a, *power(a.components[0] + 1, 1, n, L, Q, a.modulus.p))
 
 
 def powers_upto(a, n: int, ps) -> list:

@@ -47,7 +47,7 @@ f = X^μ·g with g(0) ≠ 0.
 _tail_period returns the exact (tail, P·len) that composite_period,
 prng_cycle_length and the uniformity_stats fold read; nothing here walks
 an orbit.  The order of X runs on _x_pow_is_one, one kernel per degree of
-g: pow in F_p, power.plane_pow in R, or an unrolled cubic; the generic
+g: pow in F_p, plane.power in R, or an unrolled cubic; the generic
 list kernel is the tests' oracle, as is the Brent walk find_cycle, kept
 here under its name in the benchmark's trace plan.  field.prime_factors'
 Pollard rho factors p² + p + 1, keeping this fast up to p = 2^31 − 1.
@@ -64,7 +64,7 @@ from typing import Iterator, NamedTuple
 from .field import PrimeModulus, order, order_primes, prime_factors
 from .magma import (Params, Vector, _require_shared, left_mul_stepper, params,
                     require_dim3, right_mul_stepper, vector)
-from .power import plane_pow
+from .plane import power
 
 SIDES = ("right", "left")
 
@@ -226,7 +226,7 @@ def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
     if len(g) == 2:                      # X ≡ −g0
         return pow(-g[0] % p, k, p) == 1
     if len(g) == 3:                      # R with L = −g1, Q = −g0
-        return plane_pow(0, k, -g[1] % p, -g[0] % p, p) == (1, 0)
+        return power(0, 1, k, -g[1] % p, -g[0] % p, p) == (1, 0)
     c0, c1, c2 = -g[0] % p, -g[1] % p, -g[2] % p
     a, b, c = 1, 0, 0
     for bit in bin(k)[2:]:
@@ -251,7 +251,7 @@ def _tail_period(config: PrngConfig) -> tuple[int, int]:
     mu = next(i for i, c in enumerate(f) if c)
     g = f[mu:]
     n = p * (p - 1) * (p + 1) * (p * p + p + 1)
-    primes = order_primes(p)[1] | prime_factors(p * p + p + 1)
+    primes = order_primes(p) | prime_factors(p * p + p + 1)
     period = (order(n, primes, lambda k: _x_pow_is_one(k, g, p))
               if len(g) > 1 else 1)      # g = 1: the orbit ends at the zero
     if mu == 0:

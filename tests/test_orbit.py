@@ -554,3 +554,18 @@ def test_heuristic_search_rejects_uncanonical_second_component(s, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"residue {s} not canonical for modulus 23" in err
+
+
+@pytest.mark.parametrize("seconds", [(1, 1), (1, 2, 1)])
+def test_heuristic_search_rejects_repeated_second_component(seconds, capsys):
+    """A repeat would classify its starts twice, spending budget and
+    doubling their records."""
+    ps = Params3(9, 19, 1, 1, 2, make_modulus(23))
+    with pytest.raises(ValueError, match="second component 1 given twice"):
+        heuristic_search(ps, budget=100, second_components=seconds)
+    assert main(["orbit", "search", "--p", "23", "--params", "9,19,1,1,2",
+                 "--second-components", ",".join(map(str, seconds)),
+                 "--budget", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "second component 1 given twice" in err

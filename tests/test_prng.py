@@ -239,15 +239,15 @@ def _order_exponent(p):
 
 
 def _spy_plane_pow(monkeypatch):
-    """Count prng's calls into power.plane_pow, the degree-2 branch."""
+    """Count prng's calls into plane.power, the degree-2 branch."""
     calls = []
-    real = prng.plane_pow
+    real = prng.power
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(prng, "plane_pow", spy)
+    monkeypatch.setattr(prng, "power", spy)
     return calls
 
 
