@@ -377,9 +377,16 @@ def run_session(role: str, sock, pub: KxPublicParams, exponent_bits: int = 64,
     return SessionResult(role, own, peer, shared)
 
 
+def _address(host: str, port: int) -> tuple[str, int]:
+    """(host, port), refusing a port that a TCP socket cannot name."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be in [0, 65535], got {port}")
+    return host, port
+
+
 def make_listener(host: str, port: int) -> socket.socket:
     """Bind a listening socket; port 0 picks a free one."""
-    return socket.create_server((host, port))
+    return socket.create_server(_address(host, port))
 
 
 def serve(listener: socket.socket, pub: KxPublicParams, exponent_bits: int = 64,
@@ -416,6 +423,6 @@ def connect(host: str, port: int, pub: KxPublicParams, exponent_bits: int = 64,
             *, timeout: float = 10.0,
             mode: str = MODE_MULTIPLICATIVE) -> SessionResult:
     """Dial a responder and run one exchange as the initiator."""
-    with socket.create_connection((host, port), timeout=timeout) as sock:
+    with socket.create_connection(_address(host, port), timeout=timeout) as sock:
         return run_session(ROLE_INITIATOR, sock, pub, exponent_bits,
                            timeout=timeout, mode=mode)

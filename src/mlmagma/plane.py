@@ -3,8 +3,11 @@
 Δ = L² + 4Q gives the kind of R: F_{p²} if Δ is a non-residue; split,
 s + t·w ↦ (u, v) = (s + t·r1, s + t·r2) onto F_p × F_p for the roots
 r1, r2 of w² − L w − Q, if Δ is a nonzero square; dual, s + t·w =
-c + t·ε with ε = w − L/2 and ε² = 0, if Δ = 0.  So |R^*| is p² − 1,
-(p − 1)² or p(p − 1), and p(p − 1)(p + 1) bounds every unit's order.
+c + t·ε with ε = w − L/2 and ε² = 0, if Δ = 0.  So R^* is cyclic of
+order p² − 1, or F_p^* × F_p^*, or F_p^* × (1 + ε·F_p) of order p(p − 1),
+and a unit's order divides its group's exponent: p² − 1, p − 1 (as
+lcm(ord u, ord v) | p − 1) or p(p − 1).  A scalar s + 0·w lies in F_p^*,
+so its order divides p − 1 whatever the kind.
 """
 
 from .field import order, order_primes
@@ -30,6 +33,8 @@ def power(s: int, t: int, n: int, L: int, Q: int, p: int) -> tuple[int, int]:
 
 
 def unit_order(s: int, t: int, L: int, Q: int, p: int) -> int:
-    """The order of the unit s + t·w of R."""
-    return order(p * (p - 1) * (p + 1), order_primes(p),
+    """The order of the unit s + t·w of R, from the exponent of its own
+    group: p − 1 for t = 0, else p² − 1, p − 1 or p(p − 1) by kind."""
+    m = {"field": p + 1, "split": 1, "dual": p}[kind(L, Q, p)] if t else 1
+    return order((p - 1) * m, order_primes(p),
                  lambda k: power(s, t, k, L, Q, p) == (1, 0))

@@ -46,11 +46,13 @@ f = X^μ·g with g(0) ≠ 0.
 
 _tail_period returns the exact (tail, P·len) that composite_period,
 prng_cycle_length and the uniformity_stats fold read; nothing here walks
-an orbit.  The order of X runs on _x_pow_is_one, one kernel per degree of
-g: pow in F_p, plane.power in R, or an unrolled cubic; the generic
-list kernel is the tests' oracle, as is the Brent walk find_cycle, kept
-here under its name in the benchmark's trace plan.  field.prime_factors'
-Pollard rho factors p² + p + 1, keeping this fast up to p = 2^31 − 1.
+an orbit.  The order of X is _x_order: for deg g ≤ 2, X is a unit of
+F_p or of R = F_p[w]/(w² − L w − Q), and plane.unit_order gives it; for
+a cubic, field.order runs on _x_pow_is_one, an unrolled kernel.  The
+generic list kernel is the tests' oracle, as is the Brent walk
+find_cycle, kept here under its name in the benchmark's trace plan.
+field.prime_factors' Pollard rho factors p² + p + 1, keeping this fast
+up to p = 2^31 − 1.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from typing import Iterator, NamedTuple
 from .field import PrimeModulus, order, order_primes, prime_factors
 from .magma import (Params, Vector, _require_shared, left_mul_stepper, params,
                     require_dim3, right_mul_stepper, vector)
-from .plane import power
+from .plane import unit_order
 
 SIDES = ("right", "left")
 
@@ -220,13 +222,23 @@ def _annihilator(M, v, p: int) -> list[int]:
         k += 1
 
 
-def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
-    """Whether X^k ≡ 1 modulo the monic g (low coefficient first, degree
-    1 to 3), in F_p, in R, or on a + bX + cX² with X³ = c0 + c1·X + c2·X²."""
+def _x_order(g: list[int], p: int) -> int:
+    """The order of X modulo the monic g (low coefficient first, degree
+    1 to 3, g(0) ≠ 0): of the unit −g0 of F_p, of the unit w of R with
+    L = −g1 and Q = −g0 (both plane.unit_order), or, for a cubic, of X
+    by field.order on the kernel _x_pow_is_one."""
     if len(g) == 2:                      # X ≡ −g0
-        return pow(-g[0] % p, k, p) == 1
-    if len(g) == 3:                      # R with L = −g1, Q = −g0
-        return power(0, 1, k, -g[1] % p, -g[0] % p, p) == (1, 0)
+        return unit_order(-g[0] % p, 0, 0, 0, p)
+    if len(g) == 3:                      # X² ≡ −g1·X − g0
+        return unit_order(0, 1, -g[1] % p, -g[0] % p, p)
+    n = p * (p - 1) * (p + 1) * (p * p + p + 1)
+    primes = order_primes(p) | prime_factors(p * p + p + 1)
+    return order(n, primes, lambda k: _x_pow_is_one(k, g, p))
+
+
+def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
+    """Whether X^k ≡ 1 modulo the monic cubic g (low coefficient first),
+    on a + bX + cX² with X³ = c0 + c1·X + c2·X²."""
     c0, c1, c2 = -g[0] % p, -g[1] % p, -g[2] % p
     a, b, c = 1, 0, 0
     for bit in bin(k)[2:]:
@@ -250,10 +262,7 @@ def _tail_period(config: PrngConfig) -> tuple[int, int]:
     f = _annihilator(M, v, p)
     mu = next(i for i, c in enumerate(f) if c)
     g = f[mu:]
-    n = p * (p - 1) * (p + 1) * (p * p + p + 1)
-    primes = order_primes(p) | prime_factors(p * p + p + 1)
-    period = (order(n, primes, lambda k: _x_pow_is_one(k, g, p))
-              if len(g) > 1 else 1)      # g = 1: the orbit ends at the zero
+    period = _x_order(g, p) if len(g) > 1 else 1   # g = 1: ends at the zero
     if mu == 0:
         return 0, period * length
     w = [0, 0, 0]                        # (f/X)(M)·v by Horner

@@ -246,7 +246,8 @@ def x_pow_is_one_generic(k: int, g: list[int], p: int) -> bool:
     """Whether X^k ≡ 1 modulo the monic g (low coefficient first).
 
     Square-and-multiply on coefficient lists of any degree: the oracle
-    for prng._x_pow_is_one's per-degree kernel.
+    for prng's order of X, plane.unit_order for degree 1 and 2 and the
+    cubic kernel prng._x_pow_is_one for degree 3.
     """
     d = len(g) - 1
     r = [1] + [0] * (d - 1)

@@ -401,6 +401,38 @@ def test_kx_bits_above_64_rejected_without_leaking_a_secret(capsys):
         assert err == "mlmagma: error: exponent_bits must be in [2, 64], got 65\n"
 
 
+@pytest.mark.parametrize("port", ("70000", "-1"))
+def test_kx_port_outside_tcp_range_rejected(capsys, port):
+    base = ("--p", "101", "--params", "1,1,1,1,1", "--base", "1,0,0",
+            "--bits", "8", "--port", port)
+    for argv in (("kx", "listen", *base, "--once"),
+                 ("kx", "connect", *base, "--host", "127.0.0.1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"mlmagma: error: port must be in [0, 65535], got {port}\n"
+
+
+def test_kx_listen_on_port_0_announces_a_free_port(capsys):
+    """--port 0 binds a free port, which the stderr announcement names
+    and a connect can reach."""
+    base = ["--p", "101", "--params", "1,1,1,1,1", "--base", "1,0,0",
+            "--bits", "8"]
+    server = threading.Thread(
+        target=main, args=(["kx", "listen", *base, "--port", "0", "--once"],),
+        daemon=True)
+    server.start()
+    err, deadline = "", time.time() + 5
+    while "listening on" not in err and time.time() < deadline:
+        time.sleep(0.02)
+        err += capsys.readouterr().err
+    port = int(err.split("listening on 127.0.0.1:")[1].split()[0])
+    assert 0 < port <= 65535
+    code = main(["kx", "connect", *base, "--host", "127.0.0.1",
+                 "--port", str(port)])
+    server.join(timeout=5)
+    assert code == 0 and '"shared"' in capsys.readouterr().out
+
+
 def test_kx_listen_connect(capsys):
     # race-free: grab a free port first, then start the CLI listener on it
     probe = socket.socket()

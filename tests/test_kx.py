@@ -375,6 +375,23 @@ def test_tcp_serve_and_connect():
     assert results and results[0].shared == res.shared
 
 
+@pytest.mark.parametrize("port", (70000, 65536, -1))
+def test_ports_outside_tcp_range_refused(port, monkeypatch):
+    """A port outside [0, 65535] is refused by name, before a bind or a
+    dial: it would otherwise raise OverflowError, or be taken mod 2^16."""
+    dials = []
+    monkeypatch.setattr(socket, "create_connection",
+                        lambda *a, **k: dials.append(a))
+    message = f"port must be in [0, 65535], got {port}"
+    with pytest.raises(ValueError) as info:
+        make_listener("127.0.0.1", port)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        connect("127.0.0.1", port, demo_pub(), 8)
+    assert str(info.value) == message
+    assert dials == []
+
+
 def test_serve_runs_sessions_in_threads_and_reports_aborts():
     """Without once, each session runs in its own thread: the two
     responders meet at a barrier in on_result, which a serial loop would

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from mlmagma import plane
 from mlmagma.plane import kind, power, unit_order
 
 SMALL_PRIMES = (3, 5, 7)
@@ -45,6 +46,31 @@ def test_unit_order_is_least_power_to_one(p):
         assert (x == (1, 0)) == is_unit, (L, Q, s, t)
         if is_unit:
             assert unit_order(s, t, L, Q, p) == k, (L, Q, s, t)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_unit_order_tries_divisors_of_the_group_exponent(p, monkeypatch):
+    """Every exponent unit_order powers to divides the exponent of the
+    unit's own group: p − 1 on the scalar line t = 0 and on F_p × F_p,
+    p² − 1 on F_{p²}, p(p − 1) on F_p[ε], told apart by counting roots."""
+    tried = []
+
+    def spy(s, t, n, L, Q, p):
+        tried.append(n)
+        return power(s, t, n, L, Q, p)
+
+    monkeypatch.setattr(plane, "power", spy)
+    for L, Q in product(range(p), repeat=2):
+        roots = sum((r * r - L * r - Q) % p == 0 for r in range(p))
+        plane_exponent = {0: p * p - 1, 1: p * (p - 1), 2: p - 1}[roots]
+        for s, t in product(range(p), repeat=2):
+            if (s * s + s * t * L - t * t * Q) % p == 0:
+                continue                 # not a unit
+            exponent = plane_exponent if t else p - 1
+            del tried[:]
+            unit_order(s, t, L, Q, p)
+            assert tried and all(exponent % n == 0 for n in tried), \
+                (L, Q, s, t, tried)
 
 
 def test_power_matches_rescaled_plane_at_large_p():

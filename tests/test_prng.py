@@ -8,9 +8,10 @@ from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
                      mul)
 from mlmagma import prng
 from mlmagma.field import divisors, order, prime_factors
-from mlmagma.prng import (SIDES, PrngConfig, _x_pow_is_one, byte_stream,
-                          composite_period, iter_outputs, pass_matrix,
-                          prng_cycle_length, seed_search, uniformity_stats)
+from mlmagma.prng import (SIDES, PrngConfig, _x_order, _x_pow_is_one,
+                          byte_stream, composite_period, iter_outputs,
+                          pass_matrix, prng_cycle_length, seed_search,
+                          uniformity_stats)
 from conftest import count_outputs, walk_prng_cycle, x_pow_is_one_generic
 
 
@@ -239,23 +240,37 @@ def _order_exponent(p):
 
 
 def _spy_plane_pow(monkeypatch):
-    """Count prng's calls into plane.power, the degree-2 branch."""
+    """Record prng's calls into plane.unit_order, the degree-1 and
+    degree-2 branches."""
     calls = []
-    real = prng.power
+    real = prng.unit_order
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(prng, "power", spy)
+    monkeypatch.setattr(prng, "unit_order", spy)
     return calls
+
+
+def _check_x_order(g, ks, p):
+    """X^k ≡ 1 modulo g, as the generic list kernel says, iff _x_order(g)
+    divides k, and for a cubic iff _x_pow_is_one(k, g) holds."""
+    o = _x_order(g, p)
+    for k in ks:
+        one = x_pow_is_one_generic(k, g, p)
+        assert (k % o == 0) == one, (g, k)
+        if len(g) == 4:
+            assert _x_pow_is_one(k, g, p) == one, (g, k)
+    return o
 
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_x_pow_is_one_matches_generic(p, monkeypatch):
     """Every monic g of degree 1 to 3 with g(0) ≠ 0 and every k that
-    field.order can pass: the per-degree kernel answers as the generic
-    list kernel does, and only degree 2 runs on the plane algebra."""
+    field.order can pass: the per-degree order answers as the generic
+    list kernel does; degree 1 is the scalar −g0 and degree 2 the plane
+    unit w of plane.unit_order, and a cubic runs on its own kernel."""
     calls = _spy_plane_pow(monkeypatch)
     n, primes = _order_exponent(p)
     ks = divisors(n)
@@ -265,9 +280,10 @@ def test_x_pow_is_one_matches_generic(p, monkeypatch):
                 continue
             g = [*low, 1]
             before = len(calls)
-            for k in ks:
-                assert _x_pow_is_one(k, g, p) == x_pow_is_one_generic(k, g, p), (g, k)
-            assert (len(calls) > before) == (d == 2), g
+            _check_x_order(g, ks, p)
+            unit = {1: [(-g[0] % p, 0, 0, 0, p)],
+                    2: [(0, 1, -g[1] % p, -g[0] % p, p)], 3: []}[d]
+            assert calls[before:] == unit, g
 
     # repeated factors: X has order p modulo (X − 1)² and (X − 1)³, 2
     # modulo X + 1, and 2p modulo (X + 1)³
@@ -299,9 +315,7 @@ def test_x_pow_is_one_matches_generic_at_large_p(p):
     gs.append(_poly_mul(_poly_mul([p - 1, 1], [p - 1, 1], p), [p - 1, 1], p))
     for g in gs:
         ks = [n, *(n // q for q in primes), *(rng.randrange(1, n) for _ in range(4))]
-        for k in ks:
-            assert _x_pow_is_one(k, g, p) == x_pow_is_one_generic(k, g, p), (g, k)
-        assert order(n, primes, lambda k: _x_pow_is_one(k, g, p)) == \
+        assert _check_x_order(g, ks, p) == \
             order(n, primes, lambda k: x_pow_is_one_generic(k, g, p))
 
 
