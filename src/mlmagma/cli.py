@@ -162,11 +162,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if kind == "demo":
             c.add_argument("--seed", type=int, default=None,
                            help="RNG seed for a reproducible transcript")
-        if kind != "demo":
+        if kind == "listen":
             c.add_argument("--host", default="127.0.0.1")
             c.add_argument("--port", type=int, required=True)
-        if kind == "listen":
             c.add_argument("--once", action="store_true")
+        if kind == "connect":
+            c.add_argument("--host", default="127.0.0.1")
+            c.add_argument("--port", type=int, required=True)
 
     return top
 

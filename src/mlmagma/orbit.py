@@ -273,7 +273,10 @@ class CensusReport:
                 "cycle_count": self.cycle_count(period),
                 "element_count": self.start_count(period),
                 "walk_count": self.walk_count(period),
-                **{f"is_{name}": int(period == n) for name, n in sp.items()},
+                "is_n_minus_1": int(period == sp["n_minus_1"]),
+                "is_n2_minus_1": int(period == sp["n2_minus_1"]),
+                "is_half_n_minus_1": int(period == sp["half_n_minus_1"]),
+                "is_half_n2_minus_1": int(period == sp["half_n2_minus_1"]),
             })
         return rows
 

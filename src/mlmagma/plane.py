@@ -1,13 +1,16 @@
 """The plane algebra R = F_p[w]/(w² − L w − Q) of a start's powers (magma).
 
-Δ = L² + 4Q gives the kind of R: F_{p²} if Δ is a non-residue; split,
-s + t·w ↦ (u, v) = (s + t·r1, s + t·r2) onto F_p × F_p for the roots
-r1, r2 of w² − L w − Q, if Δ is a nonzero square; dual, s + t·w =
-c + t·ε with ε = w − L/2 and ε² = 0, if Δ = 0.  So R^* is cyclic of
-order p² − 1, or F_p^* × F_p^*, or F_p^* × (1 + ε·F_p) of order p(p − 1),
-and a unit's order divides its group's exponent: p² − 1, p − 1 (as
-lcm(ord u, ord v) | p − 1) or p(p − 1).  A scalar s + 0·w lies in F_p^*,
-so its order divides p − 1 whatever the kind.
+The roots of w² − L w − Q in F_p give the kind of R: F_{p²} if it has
+none; split, s + t·w ↦ (u, v) = (s + t·r1, s + t·r2) onto F_p × F_p, if
+it has two, r1 and r2; dual, s + t·w = c + t·ε with ε = w − r and
+ε² = 0, if it has one, r.  For odd p, Δ = L² + 4Q counts them: a
+non-residue, a nonzero square or 0; at p = 2, w² + L w + Q has one root
+if L is even, else two if Q is even and none if Q is odd.
+
+So R^* is cyclic of order p² − 1, or F_p^* × F_p^*, or F_p^* × (1 + ε·F_p)
+of order p(p − 1), and a unit's order divides its group's exponent:
+p² − 1, p − 1 (as lcm(ord u, ord v) | p − 1) or p(p − 1).  A scalar
+s + 0·w lies in F_p^*, so its order divides p − 1 whatever the kind.
 """
 
 from .field import order, order_primes
@@ -15,6 +18,8 @@ from .field import order, order_primes
 
 def kind(L: int, Q: int, p: int) -> str:
     """'field', 'split' or 'dual': w² − L w − Q has no, two or one root."""
+    if p == 2:                           # Δ = L² mod 2 does not tell
+        return "dual" if L % 2 == 0 else "field" if Q % 2 else "split"
     disc = (L * L + 4 * Q) % p
     return ("dual" if disc == 0 else
             "split" if pow(disc, (p - 1) // 2, p) == 1 else "field")

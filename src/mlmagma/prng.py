@@ -226,7 +226,8 @@ def _x_order(g: list[int], p: int) -> int:
     """The order of X modulo the monic g (low coefficient first, degree
     1 to 3, g(0) ≠ 0): of the unit −g0 of F_p, of the unit w of R with
     L = −g1 and Q = −g0 (both plane.unit_order), or, for a cubic, of X
-    by field.order on the kernel _x_pow_is_one."""
+    by field.order on the kernel _x_pow_is_one; the cubic's bound n
+    needs p odd, as PrimeModulus makes it."""
     if len(g) == 2:                      # X ≡ −g0
         return unit_order(-g[0] % p, 0, 0, 0, p)
     if len(g) == 3:                      # X² ≡ −g1·X − g0

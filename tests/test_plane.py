@@ -6,7 +6,7 @@ import pytest
 from mlmagma import plane
 from mlmagma.plane import kind, power, unit_order
 
-SMALL_PRIMES = (3, 5, 7)
+SMALL_PRIMES = (2, 3, 5, 7)
 KIND_OF_ROOTS = {0: "field", 1: "dual", 2: "split"}
 
 

@@ -297,6 +297,16 @@ def test_x_pow_is_one_matches_generic(p, monkeypatch):
         assert x_order(_poly_mul(_poly_mul(minus, minus, p), minus, p)) == 3
 
 
+def test_x_order_below_cubics_at_p2():
+    """Every g of degree 1 or 2 with g(0) ≠ 0 at p = 2, where Δ = L² + 4Q
+    cannot tell the kind: X has order 1 modulo X + 1, 2 modulo
+    X² + 1 = (X + 1)² and 3 modulo X² + X + 1, whose quotient is F_4.
+    (A cubic needs p odd: X has order 4 modulo (X + 1)³ at p = 2, which
+    does not divide the cubic bound; PrimeModulus refuses p = 2.)"""
+    for g, o in (([1, 1], 1), ([1, 0, 1], 2), ([1, 1, 1], 3)):
+        assert _check_x_order(g, range(1, 13), 2) == o, g
+
+
 @pytest.mark.parametrize("p", (65521, 2**31 - 1))
 def test_x_pow_is_one_matches_generic_at_large_p(p):
     """Random g of each degree, repeated-factor cubics among them, at
