@@ -3,6 +3,13 @@
 One subcommand family per subsystem; JSON on stdout for structured
 results, CSV files for bulk tables, bare tuples for single vectors.
 Exit code 0 on success, nonzero with a diagnostic on stderr otherwise.
+
+The instance options are declared once, in two parent parsers: one
+holds `--p`, the other adds `--params` to it.  Every subcommand that
+takes an instance lists one of them first, and its handler builds
+`(modulus, params)` with `_instance`.  Files are written by the library
+(`orbit.write_census_csv`, `orbit.write_census_json`,
+`dip.write_timing_csv`), not here.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import dip as dip_mod
 from . import kx as kx_mod
@@ -30,8 +38,10 @@ def _vec(text: str, modulus):
     return make_vector(_ints(text), modulus)
 
 
-def _params(text: str, modulus):
-    return make_params(_ints(text), modulus)
+def _instance(args):
+    """The (modulus, params) named by --p and --params."""
+    m = make_modulus(args.p)
+    return m, make_params(_ints(args.params), m)
 
 
 def _fmt_vec(v) -> str:
@@ -47,16 +57,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mlmagma",
         description="second-order multilinear magma toolkit over prime fields")
     sub = top.add_subparsers(dest="command", required=True)
+    modulus = argparse.ArgumentParser(add_help=False)
+    modulus.add_argument("--p", type=int, required=True)
+    instance = argparse.ArgumentParser(add_help=False, parents=[modulus])
+    instance.add_argument("--params", required=True)
 
-    q = sub.add_parser("mul", help="multiply two vectors")
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--params", required=True)
+    q = sub.add_parser("mul", help="multiply two vectors", parents=[instance])
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
 
-    q = sub.add_parser("pow", help="left-associative power")
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--params", required=True)
+    q = sub.add_parser("pow", help="left-associative power", parents=[instance])
     q.add_argument("--a", required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--check-iter", action="store_true",
@@ -65,9 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("check", help="single-element algebra checkers")
     ck = q.add_subparsers(dest="kind", required=True)
     for kind in ("assoc", "commute", "power-identity"):
-        c = ck.add_parser(kind)
-        c.add_argument("--p", type=int, required=True)
-        c.add_argument("--params", required=True)
+        c = ck.add_parser(kind, parents=[instance])
         c.add_argument("--a", required=True)
         if kind == "assoc":
             c.add_argument("--max-n", type=int, default=6)
@@ -86,19 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("orbit", help="orbit classification and censuses")
     ob = q.add_subparsers(dest="kind", required=True)
-    c = ob.add_parser("length")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--params", required=True)
+    c = ob.add_parser("length", parents=[instance])
     c.add_argument("--a", required=True)
-    c = ob.add_parser("scan")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--params", required=True)
+    c = ob.add_parser("scan", parents=[instance])
     c.add_argument("--out", help="census CSV path")
     c.add_argument("--json", dest="json_path", help="summary JSON path")
     c.add_argument("--cap", type=int, default=orbit_mod.DEFAULT_FULL_SCAN_CAP,
                    help="largest p accepted for a full scan")
-    c = ob.add_parser("sweep")
-    c.add_argument("--p", type=int, required=True)
+    c = ob.add_parser("sweep", parents=[modulus])
     c.add_argument("--c", type=int, required=True)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--e", type=int, required=True)
@@ -106,9 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--b-values", help="comma list, default all of Z_p")
     c.add_argument("--out", help="per-pair census CSV path")
     c.add_argument("--json", dest="json_path", help="aggregate JSON path")
-    c = ob.add_parser("search")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--params", required=True)
+    c = ob.add_parser("search", parents=[instance])
     c.add_argument("--budget", type=int, default=None)
     c.add_argument("--second-components", default="1,2")
 
@@ -126,9 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = pr.add_parser("uniformity")
     c.add_argument("--config", required=True)
     c.add_argument("--samples", type=int, required=True)
-    c = pr.add_parser("search")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--params", required=True)
+    c = pr.add_parser("search", parents=[instance])
     c.add_argument("--pattern", required=True)
     c.add_argument("--trials", type=int, default=500)
     c.add_argument("--rng-seed", type=int, default=0)
@@ -136,15 +135,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("dip", help="iteration-count recovery")
     dp = q.add_subparsers(dest="kind", required=True)
-    c = dp.add_parser("solve")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--params", required=True)
+    c = dp.add_parser("solve", parents=[instance])
     c.add_argument("--base", required=True)
     c.add_argument("--target", required=True)
     c.add_argument("--cap", type=int, required=True)
-    c = dp.add_parser("timing")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--params", required=True)
+    c = dp.add_parser("timing", parents=[instance])
     c.add_argument("--exponents", default=",".join(str(2**k) for k in range(10, 17)))
     c.add_argument("--samples", type=int, default=3)
     c.add_argument("--out", help="timing CSV path")
@@ -152,9 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("kx", help="key exchange demo and sessions")
     kc = q.add_subparsers(dest="kind", required=True)
     for kind in ("demo", "listen", "connect"):
-        c = kc.add_parser(kind)
-        c.add_argument("--p", type=int, required=True)
-        c.add_argument("--params", required=True)
+        c = kc.add_parser(kind, parents=[instance])
         c.add_argument("--base", required=True)
         c.add_argument("--bits", type=int, default=64)
         c.add_argument("--additive", action="store_true",
@@ -174,16 +167,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mul(args) -> int:
-    m = make_modulus(args.p)
-    ps = _params(args.params, m)
-    result = mul(_vec(args.a, m), _vec(args.b, m), ps)
-    print(_fmt_vec(result))
+    m, ps = _instance(args)
+    print(_fmt_vec(mul(_vec(args.a, m), _vec(args.b, m), ps)))
     return 0
 
 
 def _cmd_pow(args) -> int:
-    m = make_modulus(args.p)
-    ps = _params(args.params, m)
+    m, ps = _instance(args)
     a = _vec(args.a, m)
     result = pow_fast(a, args.n, ps)
     if args.check_iter:
@@ -196,8 +186,7 @@ def _cmd_pow(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    m = make_modulus(args.p)
-    ps = _params(args.params, m)
+    m, ps = _instance(args)
     a = _vec(args.a, m)
     if args.kind == "assoc":
         ok, witness = check_power_associativity(a, ps, args.max_n)
@@ -235,49 +224,40 @@ def _cmd_sym(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    m = make_modulus(args.p)
-    if args.kind == "length":
-        ps = _params(args.params, m)
-        rec = orbit_mod.orbit_length(_vec(args.a, m), ps)
-        _emit({"start": list(rec.start.components), "tail": rec.tail,
-               "period": rec.period, "cycle_rep": list(rec.cycle_rep.components)})
-        return 0
-    if args.kind == "scan":
-        ps = _params(args.params, m)
-        report = orbit_mod.scan_space(ps, full_scan_cap=args.cap)
-        if args.out:
-            orbit_mod.write_census_csv(report, args.out)
-        if args.json_path:
-            orbit_mod.write_census_json(report, args.json_path)
-        _emit(report.to_dict())
-        return 0
     if args.kind == "sweep":
-        a_values = _ints(args.a_values) if args.a_values else None
-        b_values = _ints(args.b_values) if args.b_values else None
-        sweep = orbit_mod.param_sweep(m, args.c, args.d, args.e,
-                                      a_values, b_values)
-        if args.out:
-            orbit_mod.write_census_csv(sweep.reports, args.out)
-        if args.json_path:
-            with open(args.json_path, "w") as fh:
-                json.dump(sweep.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        _emit(sweep.to_dict())
-        return 0
-    # search
-    ps = _params(args.params, m)
-    found = orbit_mod.heuristic_search(ps, args.budget,
-                                       tuple(_ints(args.second_components)))
-    _emit({"target_period": args.p * args.p - 1,
-           "found": [{"start": list(r.start.components), "period": r.period}
-                     for r in found]})
+        m = make_modulus(args.p)
+        a_values = None if args.a_values is None else _ints(args.a_values)
+        b_values = None if args.b_values is None else _ints(args.b_values)
+        result = orbit_mod.param_sweep(m, args.c, args.d, args.e,
+                                       a_values, b_values)
+        reports = result.reports
+    else:
+        m, ps = _instance(args)
+        if args.kind == "length":
+            rec = orbit_mod.orbit_length(_vec(args.a, m), ps)
+            _emit({"start": list(rec.start.components), "tail": rec.tail,
+                   "period": rec.period,
+                   "cycle_rep": list(rec.cycle_rep.components)})
+            return 0
+        if args.kind == "search":
+            found = orbit_mod.heuristic_search(
+                ps, args.budget, tuple(_ints(args.second_components)))
+            _emit({"target_period": args.p * args.p - 1,
+                   "found": [{"start": list(r.start.components),
+                              "period": r.period} for r in found]})
+            return 0
+        result = reports = orbit_mod.scan_space(ps, full_scan_cap=args.cap)
+    if args.out:
+        orbit_mod.write_census_csv(reports, args.out)
+    if args.json_path:
+        orbit_mod.write_census_json(result, args.json_path)
+    _emit(result.to_dict())
     return 0
 
 
 def _cmd_prng(args) -> int:
     if args.kind == "search":
-        m = make_modulus(args.p)
-        ps = _params(args.params, m)
+        _, ps = _instance(args)
         hits = prng_mod.seed_search(ps, _ints(args.pattern), args.trials,
                                     rng_seed=args.rng_seed, side=args.side)
         # the state space, not the reachable (p³ − 1)·len (prng docstring);
@@ -288,8 +268,7 @@ def _cmd_prng(args) -> int:
                    {"period": h.period, "config": h.config.to_dict()}
                    for h in hits]})
         return 0
-    with open(args.config) as fh:
-        config = prng_mod.PrngConfig.from_json(fh.read())
+    config = prng_mod.PrngConfig.from_json(Path(args.config).read_text())
     if args.kind == "run":
         if args.format == "bytes":
             sys.stdout.buffer.write(prng_mod.byte_stream(config, args.count))
@@ -314,8 +293,7 @@ def _cmd_prng(args) -> int:
 
 
 def _cmd_dip(args) -> int:
-    m = make_modulus(args.p)
-    ps = _params(args.params, m)
+    m, ps = _instance(args)
     if args.kind == "solve":
         inst = dip_mod.DipInstance(_vec(args.base, m), _vec(args.target, m),
                                    ps, args.cap)
@@ -332,8 +310,7 @@ def _cmd_dip(args) -> int:
 def _cmd_kx(args) -> int:
     import random as _random
 
-    m = make_modulus(args.p)
-    ps = _params(args.params, m)
+    m, ps = _instance(args)
     pub = kx_mod.KxPublicParams(ps, _vec(args.base, m))
     mode = kx_mod.MODE_ADDITIVE if args.additive else kx_mod.MODE_MULTIPLICATIVE
     if args.kind == "demo":

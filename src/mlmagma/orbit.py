@@ -175,6 +175,8 @@ def orbit_length(a: Vector, ps: Params) -> OrbitRecord:
 
 
 MEASURES = ("cycle", "element", "walk")
+# the period lengths each census reports on: p − 1, p² − 1 and their halves
+SPECIAL_NAMES = ("n_minus_1", "n2_minus_1", "half_n_minus_1", "half_n2_minus_1")
 
 
 @dataclass
@@ -198,12 +200,8 @@ class CensusReport:
     @property
     def special_lengths(self) -> dict[str, int]:
         p = self.p
-        return {
-            "n_minus_1": p - 1,
-            "n2_minus_1": p * p - 1,
-            "half_n_minus_1": (p - 1) // 2,
-            "half_n2_minus_1": (p * p - 1) // 2,
-        }
+        lengths = (p - 1, p * p - 1, (p - 1) // 2, (p * p - 1) // 2)
+        return dict(zip(SPECIAL_NAMES, lengths))
 
     def start_count(self, period: int) -> int:
         return self.start_periods.get(period, 0)
@@ -273,10 +271,8 @@ class CensusReport:
                 "cycle_count": self.cycle_count(period),
                 "element_count": self.start_count(period),
                 "walk_count": self.walk_count(period),
-                "is_n_minus_1": int(period == sp["n_minus_1"]),
-                "is_n2_minus_1": int(period == sp["n2_minus_1"]),
-                "is_half_n_minus_1": int(period == sp["half_n_minus_1"]),
-                "is_half_n2_minus_1": int(period == sp["half_n2_minus_1"]),
+                **{f"is_{name}": int(period == length)
+                   for name, length in sp.items()},
             })
         return rows
 
@@ -284,7 +280,7 @@ class CensusReport:
 CSV_FIELDS = [
     "p", "A", "B", "C", "D", "E", "period",
     "cycle_count", "element_count", "walk_count",
-    "is_n_minus_1", "is_n2_minus_1", "is_half_n_minus_1", "is_half_n2_minus_1",
+    *(f"is_{name}" for name in SPECIAL_NAMES),
 ]
 
 
@@ -299,7 +295,11 @@ def write_census_csv(reports, path) -> None:
                 writer.writerow(row)
 
 
-def write_census_json(report: CensusReport, path) -> None:
+def write_census_json(report, path) -> None:
+    """Write report.to_dict() as indented, key-sorted JSON.
+
+    Any result with to_dict() will do: a CensusReport or a SweepResult.
+    """
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -546,8 +546,6 @@ def scan_space(ps: Params, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
 # ---------------------------------------------------------------------------
 # parameter sweeps and heuristic maximal-orbit search
 
-SPECIAL_NAMES = ("n_minus_1", "n2_minus_1", "half_n_minus_1", "half_n2_minus_1")
-
 
 @dataclass
 class SweepResult:
@@ -589,7 +587,11 @@ class SweepResult:
 
 def param_sweep(modulus, c: int, d: int, e: int, a_values=None,
                 b_values=None) -> SweepResult:
-    """One census per (A, B) pair with C, D, E fixed."""
+    """One census per (A, B) pair with C, D, E fixed.
+
+    Each value list defaults to all of Z_p; an empty list, or one that
+    repeats a value, is rejected.
+    """
     p = modulus.p
     if p > DEFAULT_FULL_SCAN_CAP:
         raise BudgetExceededError(
@@ -599,6 +601,9 @@ def param_sweep(modulus, c: int, d: int, e: int, a_values=None,
     for name, values in (("a_values", a_values), ("b_values", b_values)):
         if not values:
             raise ValueError(f"{name} must not be empty")
+        for v in values:
+            if values.count(v) > 1:
+                raise ValueError(f"{name} value {v} given twice")
     reports = [scan_space(Params((a, b, c, d, e), modulus))
                for a in a_values for b in b_values]
     return SweepResult(p, (c, d, e), reports)
@@ -616,13 +621,15 @@ def heuristic_search(ps: Params, budget: int | None = None,
     Scans x over Z_p for each small second component, stopping after
     `budget` classified starts.  A second component outside [0, p) is
     rejected, as it would repeat or rename another, and so is a repeated
-    one.  An empty result is a valid outcome.
+    one or an empty tuple.  An empty result is a valid outcome.
     """
     p = ps.modulus.p
     if budget is None:
         budget = 2 * p
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
+    if not second_components:
+        raise ValueError("second_components must not be empty")
     for s in second_components:
         if not 0 <= s < p:
             raise ValueError(f"residue {s} not canonical for modulus {p}")

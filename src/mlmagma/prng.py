@@ -366,12 +366,14 @@ def _tally(counts, outputs, weight: int) -> None:
 def uniformity_stats(config: PrngConfig, samples: int) -> UniformityReport:
     """Per-component counts of the first `samples` outputs over Z_p.
 
-    When samples exceed the state space the stream has surely wrapped,
-    and whole periods fold into a count multiplier: output k is composite
+    Whole periods fold into a count multiplier: output k is composite
     state k + 1, so with the composite tail head and period n, output
     k + n equals output k for every k ≥ head.  So at most head + n
     outputs, one tail and one period, are stepped whatever `samples` is,
-    and the counts are those of stepping every output.
+    and the counts are those of stepping every output: the tail is
+    tallied once, the first `extra` period outputs reps + 1 times and
+    the rest reps times, and a tally that runs out of outputs (samples
+    below head + n) takes only what is left.
 
     Over a maximal period, (p³ − 1)·len, each position visits every
     vector but (p − 1, 0, 0) once: counts len·p², less len at x0 = p − 1,
@@ -382,15 +384,12 @@ def uniformity_stats(config: PrngConfig, samples: int) -> UniformityReport:
         raise ValueError(f"samples must be at least 1, got {samples}")
     p = config.modulus.p
     counts = [[0] * p for _ in range(3)]
-    if samples > config.state_space:
-        head, n = _tail_period(config)
-        reps, extra = divmod(samples - head, n)
-        outputs = iter_outputs(config, head + n)
-        _tally(counts, islice(outputs, head), 1)
-        _tally(counts, islice(outputs, extra), reps + 1)
-        _tally(counts, outputs, reps)
-    else:
-        _tally(counts, iter_outputs(config, samples), 1)
+    head, n = _tail_period(config)
+    reps, extra = divmod(samples - head, n)
+    outputs = iter_outputs(config, min(samples, head + n))
+    _tally(counts, islice(outputs, head), 1)
+    _tally(counts, islice(outputs, extra), reps + 1)
+    _tally(counts, outputs, reps)
     return UniformityReport.from_counts(p, samples, counts)
 
 

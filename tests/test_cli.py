@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import socket
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from mlmagma.cli import main
+from mlmagma.cli import _build_parser, main
 from mlmagma.prng import PrngConfig
 from mlmagma import Params3, Vector3, make_modulus
 from conftest import walk_census
@@ -46,6 +47,68 @@ README_STDOUT = [
      '"p": 101, "params": [1, 1, 1, 1, 1], "shared_alice": [86, 0, 0], '
      '"shared_bob": [86, 0, 0]}\n'),
 ]
+
+
+# Every leaf subcommand's options in declaration order, with whether each
+# is required.  Order fixes the usage line and the missing-argument error.
+PARSER_OPTIONS = {
+    "mul": [("--p", True), ("--params", True), ("--a", True), ("--b", True)],
+    "pow": [("--p", True), ("--params", True), ("--a", True), ("--n", True),
+            ("--check-iter", False)],
+    "check assoc": [("--p", True), ("--params", True), ("--a", True),
+                    ("--max-n", False)],
+    "check commute": [("--p", True), ("--params", True), ("--a", True),
+                      ("--max-m", False), ("--max-n", False)],
+    "check power-identity": [("--p", True), ("--params", True), ("--a", True),
+                             ("--max-m", False), ("--max-n", False)],
+    "sym expand": [("--n", True), ("--component", False)],
+    "sym verify": [],
+    "sym count": [("--max-n", False)],
+    "orbit length": [("--p", True), ("--params", True), ("--a", True)],
+    "orbit scan": [("--p", True), ("--params", True), ("--out", False),
+                   ("--json", False), ("--cap", False)],
+    "orbit sweep": [("--p", True), ("--c", True), ("--d", True),
+                    ("--e", True), ("--a-values", False),
+                    ("--b-values", False), ("--out", False),
+                    ("--json", False)],
+    "orbit search": [("--p", True), ("--params", True), ("--budget", False),
+                     ("--second-components", False)],
+    "prng run": [("--config", True), ("--count", True), ("--format", False)],
+    "prng cycle": [("--config", True), ("--cap", False)],
+    "prng uniformity": [("--config", True), ("--samples", True)],
+    "prng search": [("--p", True), ("--params", True), ("--pattern", True),
+                    ("--trials", False), ("--rng-seed", False),
+                    ("--side", False)],
+    "dip solve": [("--p", True), ("--params", True), ("--base", True),
+                  ("--target", True), ("--cap", True)],
+    "dip timing": [("--p", True), ("--params", True), ("--exponents", False),
+                   ("--samples", False), ("--out", False)],
+    "kx demo": [("--p", True), ("--params", True), ("--base", True),
+                ("--bits", False), ("--additive", False), ("--seed", False)],
+    "kx listen": [("--p", True), ("--params", True), ("--base", True),
+                  ("--bits", False), ("--additive", False),
+                  ("--host", False), ("--port", True), ("--once", False)],
+    "kx connect": [("--p", True), ("--params", True), ("--base", True),
+                   ("--bits", False), ("--additive", False),
+                   ("--host", False), ("--port", True)],
+}
+
+
+def _leaf_options(parser, path=()):
+    """(command path, [(option, required)]) for every leaf subcommand."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), [(a.option_strings[-1], a.required)
+                               for a in parser._actions
+                               if not isinstance(a, argparse._HelpAction)]
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_options(child, path + (name,))
+
+
+def test_parser_options_per_subcommand():
+    assert dict(_leaf_options(_build_parser())) == PARSER_OPTIONS
 
 
 def test_readme_examples_stdout_is_pinned(capsys):
@@ -207,12 +270,25 @@ def test_orbit_sweep(capsys, tmp_path):
 
 
 def test_orbit_sweep_rejects_empty_values(capsys):
+    """`--a-values ,` and `--a-values=` both name no value; neither may
+    fall back to sweeping all of Z_p."""
     for flag in ("--a-values", "--b-values"):
+        for values in ([flag, ","], [flag + "="], [flag, ""]):
+            code, out, err = run(capsys, "orbit", "sweep", "--p", "5",
+                                 "--c", "1", "--d", "1", "--e", "2", *values)
+            assert code == 2 and out == "", values
+            name = flag[2:].replace("-", "_")
+            assert err == f"mlmagma: error: {name} must not be empty\n"
+
+
+def test_orbit_sweep_rejects_repeated_values(capsys):
+    for flag, values in (("--a-values", "1,1,2"), ("--b-values", "0,4,0")):
         code, out, err = run(capsys, "orbit", "sweep", "--p", "5", "--c", "1",
-                             "--d", "1", "--e", "2", flag, ",")
+                             "--d", "1", "--e", "2", flag, values)
         assert code == 2 and out == ""
         name = flag[2:].replace("-", "_")
-        assert err == f"mlmagma: error: {name} must not be empty\n"
+        value = values.split(",")[0]
+        assert err == f"mlmagma: error: {name} value {value} given twice\n"
 
 
 def prng_config_file(tmp_path):

@@ -494,6 +494,16 @@ def test_param_sweep_rejects_empty_values():
         param_sweep(m, 1, 1, 2, a_values=[1], b_values=[])
 
 
+@pytest.mark.parametrize("a_values, b_values, message", [
+    ([1, 1, 2], [1], "a_values value 1 given twice"),
+    ([1, 2], [3, 0, 3], "b_values value 3 given twice"),
+], ids=["a", "b"])
+def test_param_sweep_rejects_repeated_values(a_values, b_values, message):
+    """A repeat would count its pair's census twice in every mean."""
+    with pytest.raises(ValueError, match=message):
+        param_sweep(make_modulus(5), 1, 1, 2, a_values, b_values)
+
+
 def test_census_regression_anchor_p23():
     """Frozen full census at p=23 (9,19,1,1,2), verified once against the
     sequential reference; guards scan_space against drift."""
@@ -569,3 +579,17 @@ def test_heuristic_search_rejects_repeated_second_component(seconds, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "second component 1 given twice" in err
+
+
+def test_heuristic_search_rejects_empty_second_components(capsys):
+    """No second component leaves nothing to search: an error, not an
+    empty result."""
+    ps = Params3(9, 19, 1, 1, 2, make_modulus(23))
+    with pytest.raises(ValueError,
+                       match="second_components must not be empty"):
+        heuristic_search(ps, second_components=())
+    assert main(["orbit", "search", "--p", "23", "--params", "9,19,1,1,2",
+                 "--second-components="]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mlmagma: error: second_components must not be empty\n"

@@ -525,10 +525,12 @@ def test_collinear_seeds_never_reach_the_maximum(p, side):
 
 def test_uniformity_stats_folds_a_tail():
     """A fixed singular pass with a composite tail of 4 that ends inside
-    a pass: the head of the stream is counted once."""
+    a pass: the head of the stream is counted once, and fewer samples
+    than the tail take only the outputs asked for."""
     cfg = _tail_config()
     assert walk_prng_cycle(cfg) == (4, 18)
-    for samples in (1000, cfg.state_space + 1, 5000, 5003, 5017):
+    for samples in (1, 2, 3, 4, 5, 21, 22, 23,
+                    1000, cfg.state_space + 1, 5000, 5003, 5017):
         assert uniformity_stats(cfg, samples) == count_outputs(cfg, samples)
 
 
