@@ -31,7 +31,11 @@ from .power import (check_internal_commutativity, check_power_associativity,
 
 
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    """The comma-separated integers of text; [] if every field is empty."""
+    fields = text.split(",")
+    if any(fields) and not all(fields):
+        raise ValueError(f"empty field in integer list {text!r}")
+    return [int(x) for x in fields if x]
 
 
 def _vec(text: str, modulus):

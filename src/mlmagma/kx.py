@@ -5,7 +5,11 @@ exponent and publishes its power of a.  The shared key is the peer's
 public value raised to the own secret, i.e. a^(m*n), which both sides
 reach because (a^m)^n = (a^n)^m under the power identity.  As
 a^n = (s_n − 1, t_n·a') (magma), a secret is a discrete log in R^*
-(plane gives |R^*|).
+(plane gives |R^*|).  For a unit base, a public value depends on the
+secret only modulo ord(base), which divides p² − 1, p − 1 or p(p − 1)
+as R is a field, split or dual; plane.power folds the secret by the
+Frobenius of R, so at p = 2³¹ − 1 a 64-bit secret costs what a ~31-bit
+one does.
 
 An additive variant deriving a^(m+n) exists behind an explicit flag for
 study only: a^(m+n) = a^m * a^n is computable from the two public

@@ -155,7 +155,7 @@ def orbit_length(a: Vector, ps: Params) -> OrbitRecord:
     square-and-multiply powers per prime of the exponent of α's group
     (p² − 1, p − 1 or p(p − 1); p − 1 for ord_p(T)), plus a coset search
     of about √p steps at most when N = 0 ≠ T.  At p = 2³¹ − 1 that is
-    ~0.25 ms per start, ~0.35 ms with the search, on one core of a
+    ~0.2 ms per start, ~0.25 ms with the search, on one core of a
     2-vCPU x86-64 VM.
     """
     L, Q = plane(a, ps)   # rejects mixed dimensions and moduli

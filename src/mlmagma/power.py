@@ -36,7 +36,8 @@ def pow_fast(a, n: int, ps):
     """a^n by square-and-multiply on (s, t) in R.
 
     a = (s0 − 1, a') is s0 + w in R, and a^n = (s − 1, t·a') for
-    s + t w = (s0 + w)^n.
+    s + t w = (s0 + w)^n.  plane.power folds n by the Frobenius of R,
+    so the loop runs over at most ~log₂ p bits, not all 64 of a large n.
     """
     _check_exponent(n)
     L, Q = plane(a, ps)

@@ -266,3 +266,16 @@ def x_pow_is_one_generic(k: int, g: list[int], p: int) -> bool:
                     sq[i - d + j] -= c * g[j]
         r = [x % p for x in sq[:d]]
     return r == [1] + [0] * (d - 1)
+
+
+def power_unfolded(s: int, t: int, n: int, L: int, Q: int, p: int):
+    """(s + t·w)^n in F_p[w]/(w² − L w − Q) by square-and-multiply over
+    every bit of n: the oracle for plane.power, which first folds n by
+    the Frobenius of the plane."""
+    tQ, stL = t * Q % p, (s + t * L) % p
+    a, b = 1, 0
+    for bit in bin(n)[2:]:
+        a, b = (a * a + b * b * Q) % p, (2 * a + b * L) * b % p
+        if bit == "1":
+            a, b = (a * s + b * tQ) % p, (a * t + b * stL) % p
+    return a, b

@@ -281,6 +281,22 @@ def test_orbit_sweep_rejects_empty_values(capsys):
             assert err == f"mlmagma: error: {name} must not be empty\n"
 
 
+def test_empty_list_field_is_refused(capsys):
+    """A list that mixes empty and non-empty fields names no instance;
+    it is refused, not read as the list without its empty fields."""
+    mul = ["mul", "--p", "23", "--params", "9,19,1,1,2",
+           "--a", "0,1,0", "--b", "0,0,1"]
+    for i, bad in ((4, "9,,19,1,1,2"), (6, "0,1,,0"), (8, "0,0,1,")):
+        code, out, err = run(capsys, *mul[:i], bad, *mul[i + 1:])
+        assert code == 2 and out == "", bad
+        assert err == f"mlmagma: error: empty field in integer list '{bad}'\n"
+    code, out, err = run(capsys, "orbit", "sweep", "--p", "5", "--c", "1",
+                         "--d", "1", "--e", "2", "--a-values", "1,,2,",
+                         "--b-values", ",1")
+    assert code == 2 and out == ""
+    assert err == "mlmagma: error: empty field in integer list '1,,2,'\n"
+
+
 def test_orbit_sweep_rejects_repeated_values(capsys):
     for flag, values in (("--a-values", "1,1,2"), ("--b-values", "0,4,0")):
         code, out, err = run(capsys, "orbit", "sweep", "--p", "5", "--c", "1",

@@ -3,10 +3,12 @@ from itertools import product
 
 import pytest
 
+from conftest import power_unfolded
 from mlmagma import plane
 from mlmagma.plane import kind, power, unit_order
 
 SMALL_PRIMES = (2, 3, 5, 7)
+FOLD_PRIMES = (65521, 2**31 - 1, 2147483629)   # 1, 3 and 1 mod 4
 KIND_OF_ROOTS = {0: "field", 1: "dual", 2: "split"}
 
 
@@ -83,3 +85,39 @@ def test_power_matches_rescaled_plane_at_large_p():
         n = rng.randrange(2**64)
         s_n, t_n = power(s, 1, n, t * L % p, t * t * Q % p, p)
         assert power(s, t, n, L, Q, p) == (s_n, t * t_n % p), (s, t, L, Q, n)
+
+
+def _forced_planes(p, rng):
+    """(kind, L, Q, elements) for a field, a split and a dual plane,
+    from drawn roots (a non-residue Δ for the field).  The elements are
+    random ones, a scalar, 0 and the non-units s = −t·r on each root r,
+    which have norm 0."""
+    while True:
+        L, Q = rng.randrange(p), rng.randrange(p)
+        if pow((L * L + 4 * Q) % p, (p - 1) // 2, p) == p - 1:
+            break
+    r1, r2, r = rng.sample(range(1, p), 3)
+    t = rng.randrange(1, p)
+    common = [(rng.randrange(p), rng.randrange(1, p)) for _ in range(4)]
+    common += [(rng.randrange(1, p), 0), (0, 0)]
+    yield "field", L, Q, common
+    yield "split", (r1 + r2) % p, -r1 * r2 % p, \
+        common + [(-t * r1 % p, t), (-t * r2 % p, t)]
+    yield "dual", 2 * r % p, -r * r % p, common + [(-t * r % p, t)]
+
+
+@pytest.mark.parametrize("p", FOLD_PRIMES)
+def test_power_fold_matches_unfolded_loop(p):
+    """The Frobenius fold of n > p agrees with square-and-multiply over
+    every bit of n on each kind, for units and non-units, at exponents
+    around and at multiples of p − 1, p and p + 1, and 64-bit ones."""
+    rng = random.Random(p)
+    k = rng.randrange(2, 2**32)
+    exponents = [p - 1, p, p + 1, p + 2, 2 * (p - 1), k * (p - 1),
+                 k * (p + 1), k * p, k * p + 1, 2**64 - 1]
+    exponents += [rng.randrange(2**64) for _ in range(4)]
+    for want, L, Q, elements in _forced_planes(p, rng):
+        assert kind(L, Q, p) == want
+        for (s, t), n in product(elements, exponents):
+            assert power(s, t, n, L, Q, p) == \
+                power_unfolded(s, t, n, L, Q, p), (want, L, Q, s, t, n)
