@@ -20,10 +20,19 @@ f = X^μ·g with g(0) ≠ 0.
   as X does not divide X^n − 1.  So the pass tail is μ and the pass
   period P is the order of X in (F_p[X]/g)^*, or 1 when g = 1: then
   M^μ·v = 0, and the orbit ends at the absorbing zero (p − 1, 0, 0).
-* An irreducible factor h ≠ X of g, of degree d ≤ 3, divides
-  X^(p^d − 1) − 1, so h^p divides (X^(p^d − 1) − 1)^p = X^((p^d − 1)·p) − 1.
-  h's multiplicity is at most 3 ≤ p, so the order divides
-  p·(p − 1)(p + 1)(p² + p + 1).
+* For a cubic g = X³ + aX² + bX + c, the discriminant
+  D = a²b² − 4b³ − 4a³c − 27c² + 18abc mod p fixes g's factor shape,
+  and so a bound n that the order divides; for odd p, as PrimeModulus
+  makes it, Stickelberger's theorem (Swan 1962) says that a squarefree
+  g has D a square iff 3 minus its number of irreducible factors is even.
+  - D = 0: a repeated root r, in F_p (a repeated factor of degree 2
+    would not fit), of multiplicity e ≤ 3 ≤ p.  X^(p−1) is 1 modulo any
+    other root's factor, and 1 plus a nilpotent modulo (X − r)^e, whose
+    p-th power is 1, so n = p(p − 1).
+  - D a nonzero square: g is squarefree with 1 or 3 factors, an
+    irreducible cubic or three roots, so n = p³ − 1.
+  - D a non-square: g is a root times an irreducible quadratic, so
+    n = p² − 1.
 * So a pass period is at most p³ − 1, reached exactly when g is a
   primitive cubic.  An irreducible cubic that is not primitive gives a
   proper divisor of p³ − 1, and any other g at most p² − 1.  The
@@ -48,9 +57,10 @@ _tail_period returns the exact (tail, P·len) that composite_period,
 prng_cycle_length and the uniformity_stats fold read; nothing here walks
 an orbit.  The order of X is _x_order: for deg g ≤ 2, X is a unit of
 F_p or of R = F_p[w]/(w² − L w − Q), and plane.unit_order gives it; for
-a cubic, field.order runs on _x_pow_is_one, an unrolled kernel.  The
-generic list kernel is the tests' oracle, as is the Brent walk
-find_cycle, kept here under its name in the benchmark's trace plan.
+a cubic, field.order runs on _x_pow_is_one, an unrolled kernel, below
+the discriminant's bound.  The generic list kernel is the tests'
+oracle, as is the Brent walk find_cycle, kept here under its name in
+the benchmark's trace plan.
 field.prime_factors' Pollard rho factors p² + p + 1, keeping this fast
 up to p = 2^31 − 1.
 """
@@ -63,7 +73,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .field import PrimeModulus, order, order_primes, prime_factors
+from .field import PrimeModulus, order, prime_factors
 from .magma import (Params, Vector, _require_shared, left_mul_stepper, params,
                     require_dim3, right_mul_stepper, vector)
 from .plane import unit_order
@@ -226,15 +236,25 @@ def _x_order(g: list[int], p: int) -> int:
     """The order of X modulo the monic g (low coefficient first, degree
     1 to 3, g(0) ≠ 0): of the unit −g0 of F_p, of the unit w of R with
     L = −g1 and Q = −g0 (both plane.unit_order), or, for a cubic, of X
-    by field.order on the kernel _x_pow_is_one; the cubic's bound n
-    needs p odd, as PrimeModulus makes it."""
+    by field.order on the kernel _x_pow_is_one, below the bound that
+    the discriminant D of g fixes: (p − 1)·m with m = p, p² + p + 1 or
+    p + 1 as D is 0, a nonzero square or a non-square (module
+    docstring); Stickelberger's rule needs p odd, as PrimeModulus
+    makes it."""
     if len(g) == 2:                      # X ≡ −g0
         return unit_order(-g[0] % p, 0, 0, 0, p)
     if len(g) == 3:                      # X² ≡ −g1·X − g0
         return unit_order(0, 1, -g[1] % p, -g[0] % p, p)
-    n = p * (p - 1) * (p + 1) * (p * p + p + 1)
-    primes = order_primes(p) | prime_factors(p * p + p + 1)
-    return order(n, primes, lambda k: _x_pow_is_one(k, g, p))
+    c, b, a = g[:3]
+    disc = (a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c
+            + 18 * a * b * c) % p
+    if disc == 0:                        # a repeated root, in F_p
+        m, primes = p, {p}
+    else:                                # 0 or 3 roots, or 1 root
+        m = p * p + p + 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1
+        primes = prime_factors(m)
+    return order((p - 1) * m, prime_factors(p - 1) | primes,
+                 lambda k: _x_pow_is_one(k, g, p))
 
 
 def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
@@ -424,6 +444,10 @@ def seed_search(ps: Params, pattern, trials: int, *, rng_seed: int = 0,
     require_dim3(ps, "the PRNG needs")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if keep < 0:
+        raise ValueError(f"keep must be non-negative, got {keep}")
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}")
     rng = random.Random(rng_seed)
 
     def random_vec():

@@ -302,7 +302,8 @@ def test_x_order_below_cubics_at_p2():
     cannot tell the kind: X has order 1 modulo X + 1, 2 modulo
     X² + 1 = (X + 1)² and 3 modulo X² + X + 1, whose quotient is F_4.
     (A cubic needs p odd: X has order 4 modulo (X + 1)³ at p = 2, which
-    does not divide the cubic bound; PrimeModulus refuses p = 2.)"""
+    does not divide p(p − 1), a repeated root's bound, either, as the
+    multiplicity 3 exceeds p; PrimeModulus refuses p = 2.)"""
     for g, o in (([1, 1], 1), ([1, 0, 1], 2), ([1, 1, 1], 3)):
         assert _check_x_order(g, range(1, 13), 2) == o, g
 
@@ -327,6 +328,95 @@ def test_x_pow_is_one_matches_generic_at_large_p(p):
         ks = [n, *(n // q for q in primes), *(rng.randrange(1, n) for _ in range(4))]
         assert _check_x_order(g, ks, p) == \
             order(n, primes, lambda k: x_pow_is_one_generic(k, g, p))
+
+
+def _cubic_disc(g, p):
+    """The discriminant of the monic cubic g = X³ + aX² + bX + c."""
+    c, b, a = g[:3]
+    return (a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c
+            + 18 * a * b * c) % p
+
+
+def _cubic_shape(g, p):
+    """By brute force over F_p: whether g has a repeated root (one of g
+    and its derivative together), and how many distinct roots it has."""
+    c, b, a = g[:3]
+    roots = [r for r in range(p) if (c + r * (b + r * (a + r))) % p == 0]
+    repeated = any((b + r * (2 * a + 3 * r)) % p == 0 for r in roots)
+    return repeated, len(roots)
+
+
+def _shape_bound(repeated, roots, p):
+    """The bound _x_order searches below for a cubic of that shape."""
+    if repeated:
+        return p * (p - 1)
+    return p ** 3 - 1 if roots in (0, 3) else p * p - 1
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_cubic_discriminant_tells_the_shape(p):
+    """Every monic cubic with g0 ≠ 0: D = 0 iff g has a repeated root,
+    and D a nonzero square iff g has 0 or 3 roots in F_p (Stickelberger)."""
+    for low in product(range(1, p), range(p), range(p)):
+        g = [*low, 1]
+        disc = _cubic_disc(g, p)
+        repeated, roots = _cubic_shape(g, p)
+        assert (disc == 0) == repeated, g
+        square = disc != 0 and pow(disc, (p - 1) // 2, p) == 1
+        assert square == (not repeated and roots in (0, 3)), g
+
+
+def _spy_x_pow(monkeypatch):
+    """Record the exponents _x_order tries on the cubic kernel."""
+    ks = []
+    real = prng._x_pow_is_one
+
+    def spy(k, g, p):
+        ks.append(k)
+        return real(k, g, p)
+
+    monkeypatch.setattr(prng, "_x_pow_is_one", spy)
+    return ks
+
+
+def _check_shape_bound(ks, g, bound, p):
+    """_x_order(g) tries only divisors of its shape's bound, and agrees
+    with field.order over the full bound on the generic list kernel."""
+    n, primes = _order_exponent(p)
+    ks.clear()
+    o = _x_order(g, p)
+    assert ks and all(bound % k == 0 for k in ks), (g, bound, ks)
+    assert o == order(n, primes, lambda k: x_pow_is_one_generic(k, g, p)), g
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_x_order_searches_below_the_shape_bound(p, monkeypatch):
+    """Every monic cubic with g0 ≠ 0, its shape found by brute force:
+    p(p − 1) with a repeated root, else p³ − 1 with 0 or 3 roots and
+    p² − 1 with one."""
+    ks = _spy_x_pow(monkeypatch)
+    for low in product(range(1, p), range(p), range(p)):
+        g = [*low, 1]
+        _check_shape_bound(ks, g, _shape_bound(*_cubic_shape(g, p), p), p)
+
+
+@pytest.mark.parametrize("p", (65521, 2**31 - 1))
+def test_x_order_below_p_times_p_minus_1_for_repeated_roots(p, monkeypatch):
+    """The repeated-root cubics of test_x_pow_is_one_matches_generic_at_large_p,
+    drawn the same way, search below p(p − 1)."""
+    rng = random.Random(f"xpow/{p}")
+    for d in (1, 2, 3):                  # that test's other draws first
+        for _ in range(6):
+            [rng.randrange(1, p), *(rng.randrange(p) for _ in range(d - 1))]
+    gs = []
+    for _ in range(4):
+        r, s = rng.randrange(1, p), rng.randrange(1, p)
+        gs.append(_poly_mul(_poly_mul([p - r, 1], [p - r, 1], p), [p - s, 1], p))
+    gs.append(_poly_mul(_poly_mul([p - 1, 1], [p - 1, 1], p), [p - 1, 1], p))
+    ks = _spy_x_pow(monkeypatch)
+    for g in gs:
+        assert _cubic_disc(g, p) == 0, g
+        _check_shape_bound(ks, g, p * (p - 1), p)
 
 
 def _mat_mul(x, y, p):
@@ -575,6 +665,29 @@ def test_seed_search_leaderboard():
     # reported period matches the walk on the composite state
     best = hits[0]
     assert walk_prng_cycle(best.config)[1] == best.period
+
+
+def test_seed_search_keep():
+    """keep bounds the leaderboard; a negative keep is refused, not read
+    as a slice that drops the last hits."""
+    ps = Params3(19, 18, 1, 1, 2, make_modulus(37))
+    assert len(seed_search(ps, (0, 1), trials=5, keep=5)) == 5
+    assert len(seed_search(ps, (0, 1), trials=5, keep=3)) == 3
+    assert seed_search(ps, (0, 1), trials=5, keep=0) == []
+    for trials in (0, 5):
+        with pytest.raises(ValueError, match="keep must be non-negative"):
+            seed_search(ps, (0, 1), trials=trials, keep=-1)
+
+
+def test_seed_search_side():
+    """Both sides search; any other side is refused, with or without
+    trials, as PrngConfig refuses it."""
+    ps = Params3(19, 18, 1, 1, 2, make_modulus(37))
+    hits = seed_search(ps, (0, 1), trials=4, side="left")
+    assert all(h.config.side == "left" for h in hits)
+    for trials in (0, 4):
+        with pytest.raises(ValueError, match="side must be one of"):
+            seed_search(ps, (0, 1), trials=trials, side="up")
 
 
 def test_byte_stream_degenerate_stream_fails_loudly():
