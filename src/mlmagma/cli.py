@@ -209,6 +209,8 @@ def _cmd_sym(args) -> int:
         sys.stdout.write(sym_mod.expansion_listing(args.n, comps))
         return 0
     if args.kind == "count":
+        if args.max_n < 1:
+            raise ValueError(f"max-n must be at least 1, got {args.max_n}")
         rows = []
         for n in range(1, args.max_n + 1):
             poly = sym_mod.sym_pow(n).c0

@@ -86,8 +86,11 @@ class KxPublicParams:
 
     def __post_init__(self):
         _require_shared(self.base, self.base, self.params)
-        if self.base == identity(self.base.dim, self.base.modulus):
-            raise ValueError("base must differ from the identity vector")
+        square = mul(self.base, self.base, self.params)
+        if mul(square, self.base, self.params) == square:
+            # the identity, the zero (p − 1, 0, ...), a nilpotent or an
+            # idempotent: every public value and shared key would be a²
+            raise ValueError("base powers are constant from a² on (a² = a³)")
 
     @property
     def modulus(self) -> PrimeModulus:

@@ -50,28 +50,30 @@ lies in the plane of the direction d of a', normalised to (0, 1) or
 s = a0 + 1, (L, Q) those of d and t ≠ 0.  Its powers stay in the plane,
 where lex order is that of the pairs (a0, t).  The p scalars (a' = 0)
 lie in every plane.  plane.kind gives the type of R_d: a field, split
-or dual (plane).  With n = p − 1 and φ Euler's function:
+or dual (plane), and plane.exponent the exponent e of R_d^*: p² − 1,
+p − 1 or p·n.  With n = p − 1 and φ Euler's function:
 
 * Elements and tails, over the p² − p non-scalar elements of a plane.
-  Field: all are units, φ(k) of period k for each k | p² − 1, k ∤ n
-  (orders dividing n belong to F_p^*).  Dual: c + t·ε with c ≠ 0 has
-  period p·ord(c), so φ(j)·n have period p·j; the n nilpotents t·ε have
-  tail 1 and period 1.  Split: a unit (u, v), u ≠ v, has period
-  lcm(ord u, ord v), so Σ_{lcm(i,j)=k} φ(i)φ(j) − φ(k) have period k;
-  each axis u = 0, v = 0 holds φ(j) elements of period j (N = 0 ≠ T).
-  The scalars add φ(j) of period j | n and the zero scalar one of 1.
+  Field and dual: R_d^* is cyclic, so φ(k) units have period k for each
+  k | e, k ∤ n (its one subgroup of order n is F_p^*, the scalars); the
+  dual's other n elements, its nilpotents t·ε, have tail 1 and period 1.
+  Split: a unit (u, v), u ≠ v, has period lcm(ord u, ord v), so
+  Σ_{lcm(i,j)=k} φ(i)φ(j) − φ(k) have period k; each axis u = 0, v = 0
+  holds φ(j) elements of period j (N = 0 ≠ T).  The scalars add φ(j) of
+  period j | n and the zero scalar one of 1.
 * Cycles.  Every unit cycle holds the identity, so each distinct unit
-  period is one key.  The zero scalar and the nilpotents share the key
-  ((p − 1, 0, 0), 1).  Each axis of each split plane holds one cycle
-  {x^j = 1} per j | n, the orbit of its elements of order j.
+  period is one key: one per divisor of each present type's e.  The
+  zero scalar and the nilpotents share the key ((p − 1, 0, 0), 1).
+  Each axis of each split plane holds one cycle {x^j = 1} per j | n,
+  the orbit of its elements of order j.
 * Walks.  An orbit that holds a start holds that start's orbit, so
   the lex-least start whose orbit holds β launches, and β launches iff
   no lex-smaller start's orbit holds it.  A non-scalar orbit stays in
   its plane and the scalars, and a unit's orbit is the group <α>.
-  - Field and dual planes: R_d^* is cyclic, of order p² − 1 or p·n, so
-    β ∈ <α> iff ord β | ord α.  The lex pass over the units launches
-    each order that divides no earlier launch's, and ends at the first
-    generator.
+  - Field and dual planes: R_d^* is cyclic, so β ∈ <α> iff
+    ord β | ord α, each order from plane.unit_order.  The lex pass over
+    the units launches each order that divides no earlier launch's, and
+    ends at the first generator, of order e.  Each nilpotent launches.
   - Split planes: (log u, log v) maps the units onto (Z/n)², whose cyclic
     subgroups have ids from a per-p table.  Launching α marks the ids of
     every subgroup of <α>; β launches iff <β>'s id is unmarked.  Every
@@ -84,7 +86,7 @@ or dual (plane).  With n = p − 1 and φ Euler's function:
     the last row s = 0: once every other subgroup of order n is marked,
     the pass jumps to that row.
   - An axis is cyclic (the orbit of α is <T>·α), passed like a field
-    plane; each nilpotent's orbit {β, 0} holds no other start.
+    plane.  A nilpotent's orbit {β, 0} holds no other start.
   - Scalars: c ≠ 0 of order j lies in the orbit of α iff j divides the
     order of its scalars <α> ∩ F_p^*: gcd(ord α, n) in field and dual
     planes, ord α / ord(u/v) in split ones, ord α for a scalar.  So c
@@ -96,14 +98,16 @@ or dual (plane).  With n = p − 1 and φ Euler's function:
     increasing in t < p; so the index is strictly increasing in (x0, t).
     The pass reads only L, Q and p, so its launches in (x0, t) are a
     function of (L, Q, p), and so are the two things the census keeps:
-    each launch's period, and per scalar order the first (x0, t), whose
-    lex index is the first one.  The pass writes (x0, t) as its plane
-    index x0·p + t, which orders them the same way.  L_d = λ·d does not
-    depend on (A, B), and Q_d = A·d0² + C·d0·d1 + B·d1² takes each value
-    for p of the p² pairs (A, B); so a sweep over (A, B) with (C, D, E)
-    fixed meets at most p² classes in its p²(p + 1) planes.  The last
-    4096 classes passed are kept, so a sweep at p ≤ 61 passes each class
-    once.
+    each launch's period, and per scalar order the first row x0 of a
+    launch whose orbit holds that scalar.  The pass writes (x0, t) as
+    its plane index x0·p + t, which orders them the same way.  Only x0
+    reaches the scalar rule: offset[t] lies in [1, p²), so the scalar of
+    row x0, at x0·p², precedes every non-scalar start of rows ≥ x0 and
+    follows those of earlier rows.  L_d = λ·d does not depend on (A, B),
+    and Q_d = A·d0² + C·d0·d1 + B·d1² takes each value for p of the p²
+    pairs (A, B); so a sweep over (A, B) with (C, D, E) fixed meets at
+    most p² classes in its p²(p + 1) planes.  Every class passed is
+    kept, so a sweep passes each class once.
 """
 
 from __future__ import annotations
@@ -113,12 +117,12 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 
 from .field import divisors, totient
 from .magma import Params, Vector, from_plane, identity, plane, require_dim3
-from .plane import kind as plane_kind, unit_order
+from .plane import exponent, kind as plane_kind, unit_order
 
 DEFAULT_FULL_SCAN_CAP = 127
 
@@ -338,15 +342,16 @@ def _type_periods(p: int) -> dict[str, dict[int, int]]:
     """Period histogram of the non-scalar elements of one plane, per type."""
     n = p - 1
     dn = divisors(n)
-    field = {k: totient(k) for k in divisors(p * p - 1) if n % k}
-    dual = {p * j: totient(j) * n for j in dn} | {1: n}   # and the nilpotents
-    split = Counter()
+    periods = {kind: {k: totient(k) for k in divisors(exponent(kind, p)) if n % k}
+               for kind in ("field", "dual")}
+    periods["dual"][1] = n                  # the nilpotents
+    periods["split"] = split = Counter()
     for i in dn:
         for j in dn:
             split[i * j // gcd(i, j)] += totient(i) * totient(j)
     for k in dn:
         split[k] += totient(k)              # two axes, less the diagonal
-    return {"field": field, "dual": dual, "split": dict(split)}
+    return periods
 
 
 def _cyclic_launches(elements, top: int) -> list[tuple[int, int]]:
@@ -417,25 +422,26 @@ def _plane_launches(kind: str, L: int, Q: int, p: int):
     x0 = s − 1, at plane index x0·p + t, which orders the plane's starts
     as their lex indices do, whatever d (module docstring).
 
-    The scalar order is that of the orbit's scalars: the order of
-    <α> ∩ F_p^* for a unit α, 0 for a nilpotent (its orbit ends at the
-    zero scalar) and None on a split axis (its orbit holds no scalar).
+    The scalar order is that of the orbit's scalars: the order
+    gcd(ord α, n) of <α> ∩ F_p^* for a unit α of a cyclic R^*, 0 for a
+    nilpotent (its orbit ends at the zero scalar) and None on a split
+    axis (its orbit holds no scalar).
     """
+    n, half = p - 1, pow(2, -1, p)
+    if kind != "split":
+        # R^* is cyclic; the non-units, of norm 0, are the dual plane's
+        # nilpotents c + t·ε, ε = w − L/2, c = s + t·L/2 = 0, each of which
+        # launches, as its orbit {β, 0} holds no other start.
+        units = ((x0 * p + t, unit_order(s, t, L, Q, p))
+                 for x0 in range(p) for s in [(x0 + 1) % p]
+                 for t in range(1, p) if (s * s + s * t * L - t * t * Q) % p)
+        launches = [(i, o, gcd(o, n))
+                    for i, o in _cyclic_launches(units, exponent(kind, p))]
+        if kind == "dual":
+            launches += [((-t * L * half - 1) % p * p + t, 1, 0)
+                         for t in range(1, p)]
+        return launches
     g, log = _unit_logs(p)[:2]
-    n, pp, half = p - 1, p * p, pow(2, -1, p)
-    if kind == "field":
-        units = ((x0 * p + t, unit_order((x0 + 1) % p, t, L, Q, p))
-                 for x0 in range(p) for t in range(1, p))
-        return [(i, o, gcd(o, n)) for i, o in _cyclic_launches(units, pp - 1)]
-    if kind == "dual":
-        # s + t·w = c + t·ε with ε = w − L/2 and c = s + t·L/2: a unit of
-        # order p·ord(c) if c ≠ 0, else a nilpotent, which always launches.
-        units = ((x0 * p + t, p * (n // gcd(n, log[c])))
-                 for x0 in range(p) for t in range(1, p)
-                 for c in [(x0 + 1 + t * L * half) % p] if c)
-        nilpotents = [((-t * L * half - 1) % p * p + t, 1, 0)
-                      for t in range(1, p)]
-        return [(i, o, o // p) for i, o in _cyclic_launches(units, p * n)] + nilpotents
     root = pow(g, log[(L * L + 4 * Q) % p] // 2, p)
     r1, r2 = (L + root) * half % p, (L - root) * half % p
     launches = _split_launches(r1, r2, L, p)
@@ -448,21 +454,21 @@ def _plane_launches(kind: str, L: int, Q: int, p: int):
     return launches
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _plane_walks(L: int, Q: int, p: int):
-    """(type, period histogram, first plane index per scalar order) of the
+    """(type, period histogram, first row x0 per scalar order) of the
     launches of the plane R = F_p[w]/(w² − L w − Q).
 
-    Both summaries survive the strictly increasing relabelling x0·p + t ↦
-    x0·p² + offset[t] of any direction, so every direction and census
-    with this (L, Q) shares them (module docstring).
+    Neither summary depends on the direction d (module docstring), so
+    every direction and census with this (L, Q) shares them.  A census
+    meets at most p² classes, and each is kept.
     """
     kind = plane_kind(L, Q, p)
     periods, first = Counter(), {}
     for i, period, j in _plane_launches(kind, L, Q, p):
         periods[period] += 1
         if j is not None:
-            first[j] = min(first.get(j, i), i)
+            first[j] = min(first.get(j, p), i // p)
     return kind, tuple(periods.items()), tuple(first.items())
 
 
@@ -485,32 +491,33 @@ def scan_space(ps: Params, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
         )
 
     t_start = time.perf_counter()
-    n, pp = p - 1, p * p
+    n = p - 1
     types, walk_hist = Counter(), Counter()
-    scalar_first = {}       # scalar order -> first launch whose orbit holds it
+    # Starts sort as keys: the scalar of row x0 as 2·x0, and a non-scalar
+    # start of row x0 as 2·x0 + 1, as its lex index x0·p² + offset lies
+    # strictly between the scalars' x0·p² and (x0 + 1)·p².
+    scalar_first = {}       # scalar order -> key of the first launch holding it
     for d0, d1 in [(0, 1)] + [(1, y) for y in range(p)]:
         kind, periods, first = _plane_walks(
             *plane(Vector((0, d0, d1), ps.modulus), ps), p)
         types[kind] += 1
         walk_hist.update(dict(periods))
-        for j, i in first:
-            x0, t = divmod(i, p)
-            idx = x0 * pp + t * d0 % p * p + t * d1 % p
-            scalar_first[j] = min(scalar_first.get(j, total), idx)
+        for j, x0 in first:
+            scalar_first[j] = min(scalar_first.get(j, 2 * p), 2 * x0 + 1)
 
-    # The scalars c = x0 + 1 at lex index x0·p².  c ≠ 0 of order j lies in
-    # the orbit of every start whose scalars have an order divisible by j,
-    # a scalar start included; 0 only in its own and a nilpotent's orbit.
+    # The scalars c = x0 + 1.  c ≠ 0 of order j lies in the orbit of every
+    # start whose scalars have an order divisible by j, a scalar start
+    # included; 0 only in its own and a nilpotent's orbit.
     log = _unit_logs(p)[1]
-    first = {j: min((i for k, i in scalar_first.items() if k and k % j == 0),
-                    default=total) for j in divisors(n)}
+    first = {j: min((x for k, x in scalar_first.items() if k and k % j == 0),
+                    default=2 * p) for j in divisors(n)}
     for x0 in range(n):
         j = n // gcd(n, log[x0 + 1])
-        if x0 * pp < first[j]:
+        if 2 * x0 < first[j]:
             walk_hist[j] += 1
         for k in divisors(j):
-            first[k] = min(first[k], x0 * pp)
-    if n * pp < scalar_first.get(0, total):
+            first[k] = min(first[k], 2 * x0)
+    if 2 * n < scalar_first.get(0, 2 * p):
         walk_hist[1] += 1
 
     start_hist = Counter({j: totient(j) for j in divisors(n)})
@@ -521,13 +528,10 @@ def scan_space(ps: Params, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
     nilpotents = n * types["dual"]
     tail_hist = Counter({0: total - nilpotents, 1: nilpotents})
     # Cycle keys: one per unit period, as every unit cycle holds the
-    # identity; ((p − 1, 0, 0), 1); and one per order on each split axis.
-    unit_periods = set(divisors(n))
-    if types["field"]:
-        unit_periods |= set(divisors(pp - 1))
-    if types["dual"]:
-        unit_periods |= {p * j for j in divisors(n)}
-    cycle_hist = Counter(unit_periods)
+    # identity, so one per divisor of each present type's exponent of R^*
+    # (each a multiple of the scalars' n); ((p − 1, 0, 0), 1); and one per
+    # order on each split axis.
+    cycle_hist = Counter({k for kind in types for k in divisors(exponent(kind, p))})
     cycle_hist[1] += 1
     for j in divisors(n):
         cycle_hist[j] += 2 * types["split"]

@@ -7,10 +7,11 @@ it has two, r1 and r2; dual, s + t·w = c + t·ε with ε = w − r and
 non-residue, a nonzero square or 0; at p = 2, w² + L w + Q has one root
 if L is even, else two if Q is even and none if Q is odd.
 
-So R^* is cyclic of order p² − 1, or F_p^* × F_p^*, or F_p^* × (1 + ε·F_p)
-of order p(p − 1), and a unit's order divides its group's exponent:
-p² − 1, p − 1 (as lcm(ord u, ord v) | p − 1) or p(p − 1).  A scalar
-s + 0·w lies in F_p^*, so its order divides p − 1 whatever the kind.
+So R^* is F_{p²}^*, cyclic of order p² − 1; or F_p^* × F_p^*; or
+F_p^* × (1 + ε·F_p), cyclic of order p(p − 1) as gcd(p − 1, p) = 1.  A
+unit's order divides the exponent of R^*, `exponent`: p² − 1, p − 1 (as
+lcm(ord u, ord v) | p − 1) or p(p − 1).  A scalar s + 0·w lies in F_p^*,
+so its order divides p − 1 whatever the kind.
 
 The Frobenius x ↦ x^p of R has a closed form on each kind, for every
 α = s + t·w, unit or not: α^(p+1) = N(α) = s² + s·t·L − t²·Q in the
@@ -59,9 +60,13 @@ def power(s: int, t: int, n: int, L: int, Q: int, p: int) -> tuple[int, int]:
     return a * c % p, b * c % p
 
 
+def exponent(kind: str, p: int) -> int:
+    """The exponent of R^* of a kind: p² − 1, p − 1 or p(p − 1)."""
+    return (p - 1) * {"field": p + 1, "split": 1, "dual": p}[kind]
+
+
 def unit_order(s: int, t: int, L: int, Q: int, p: int) -> int:
     """The order of the unit s + t·w of R, from the exponent of its own
-    group: p − 1 for t = 0, else p² − 1, p − 1 or p(p − 1) by kind."""
-    m = {"field": p + 1, "split": 1, "dual": p}[kind(L, Q, p)] if t else 1
-    return order((p - 1) * m, order_primes(p),
+    group: p − 1 for t = 0 (F_p^*), else that of R^*."""
+    return order(exponent(kind(L, Q, p), p) if t else p - 1, order_primes(p),
                  lambda k: power(s, t, k, L, Q, p) == (1, 0))

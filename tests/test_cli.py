@@ -172,6 +172,13 @@ def test_sym_commands(capsys):
     assert out.startswith("# component 0:")
 
 
+@pytest.mark.parametrize("max_n", ("0", "-1"))
+def test_sym_count_below_one_rejected(capsys, max_n):
+    code, out, err = run(capsys, "sym", "count", "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert err == f"mlmagma: error: max-n must be at least 1, got {max_n}\n"
+
+
 def test_orbit_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "orbit", "length", "--p", "23",
                        "--params", "9,19,1,1,2", "--a", "1,0,0")
@@ -478,6 +485,14 @@ def test_kx_demo(capsys):
                        "--params", "1,1,1,1,1", "--base", "1,0,0",
                        "--bits", "8", "--seed", "7", "--additive")
     assert json.loads(out)["mode"] == "additive"
+
+
+@pytest.mark.parametrize("base", ("100,0,0", "96,9,0"))
+def test_kx_base_constant_from_the_square_rejected(capsys, base):
+    code, out, err = run(capsys, "kx", "demo", "--p", "101", "--params",
+                         "1,1,1,1,1", "--base", base, "--seed", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("mlmagma: error:") and "a² = a³" in err
 
 
 def test_kx_bits_above_64_rejected_without_leaking_a_secret(capsys):

@@ -32,6 +32,22 @@ def test_public_params_validation():
         KxPublicParams(ps, Vector3(1, 0, 0, make_modulus(61)))
 
 
+@pytest.mark.parametrize("base", [
+    (100, 0, 0),     # the zero scalar: 0² = 0
+    (15, 1, 68),     # a nilpotent of a dual plane: its square is the zero
+    (96, 9, 0),      # an idempotent of a split plane: a² = a
+])
+def test_public_params_reject_a_base_constant_from_the_square(base):
+    """a² = a³ makes every public value and both shared keys a², so
+    such a base hides nothing and is refused."""
+    m = make_modulus(101)
+    ps, a = Params3(1, 1, 1, 1, 1, m), Vector3(*base, m)
+    square = mul(a, a, ps)
+    assert mul(square, a, ps) == square
+    with pytest.raises(ValueError, match="a² = a³"):
+        KxPublicParams(ps, a)
+
+
 def test_keygen_range_and_reproducibility():
     pub = demo_pub()
     for _ in range(20):
@@ -415,11 +431,11 @@ def test_serve_runs_sessions_in_threads_and_reports_aborts():
 
     server = threading.Thread(target=run_server, daemon=True)
     server.start()
-    keys = {}
+    keys = []   # a list: two 8-bit secrets can share a public value
 
     def initiate():
         res = connect("127.0.0.1", port, pub, 8)
-        keys[res.keypair.public] = res.shared
+        keys.append((res.keypair.public.components, res.shared.components))
 
     initiators = [threading.Thread(target=initiate) for _ in range(2)]
     for t in initiators:
@@ -427,7 +443,8 @@ def test_serve_runs_sessions_in_threads_and_reports_aborts():
     for t in initiators:
         t.join(timeout=5)
     responders = [results.get(timeout=5) for _ in range(2)]
-    assert {r.peer_public: r.shared for r in responders} == keys
+    assert sorted((r.peer_public.components, r.shared.components)
+                  for r in responders) == sorted(keys)
     assert len(keys) == 2
 
     with socket.create_connection(("127.0.0.1", port)) as peer:

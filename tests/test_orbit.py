@@ -73,7 +73,10 @@ SEEDED_CASES = [(p, tuple(_seeded.randrange(p) for _ in range(5)))
     (13, (0, 0, 0, 0, 0)),
     (7, (1, 4, 1, 1, 2)),     # one dual direction: tail-1 starts
     (11, (1, 2, 1, 1, 2)),
-] + SEEDED_CASES)
+] + SEEDED_CASES + [
+    (7, (5, 6, 6, 1, 2)),     # zero form: every direction dual, L varies
+    (11, (8, 10, 10, 1, 2)),
+])
 def test_engines_agree(p, coefs):
     ps = Params3(*coefs, make_modulus(p))
     ref = scan_python(ps)
@@ -119,6 +122,11 @@ SPECIAL_CASES = {
     (23, (1, 1, 2, 0, 0)): "no field",
     (29, (1, 1, 2, 0, 0)): "no field",
     (29, (0, 0, 0, 1, 0)): "no field",
+    # (A, B, C) = (−D²/4, −E²/4, −DE/2): Q_d = −L_d²/4 for every d, so
+    # Δ = 0 in every plane while L_d = D·d0 + E·d1 takes p values: the
+    # one shape whose census passes many dual classes.
+    (7, (5, 6, 6, 1, 2)): "zero form",
+    (23, (17, 22, 22, 1, 2)): "zero form",
 }
 
 
@@ -135,6 +143,9 @@ def test_plane_census_matches_walk_oracle(p, coefs):
         assert ("split", 0) in kinds
     elif special == "no field":
         assert all(kind != "field" for kind, _ in kinds)
+    elif special == "zero form":
+        assert all(kind == "dual" for kind, _ in kinds)
+        assert len({L for _, L in kinds}) == p
     report = scan_space(ps)
     assert report.engine == "plane"
     assert _census_fields(report) == _census_fields(walk_census(ps))
@@ -161,7 +172,9 @@ CACHE_CASES = [
 
 def test_plane_walks_cache_changes_nothing():
     """A census from a cleared cache equals one read from a warm cache,
-    and a p = 23 sweep passes each of the at most p² classes (L, Q) once."""
+    and a p = 23 sweep passes each of the at most p² classes (L, Q) once:
+    the cache has no size bound to evict them."""
+    assert _plane_walks.cache_info().maxsize is None
     cold = {}
     for p, coefs in CACHE_CASES:
         _plane_walks.cache_clear()
