@@ -9,7 +9,8 @@ exponent, the empirical face of the hardness conjecture.
 No sub-exhaustive attack is implemented.  Note the power identity
 a^(u+v) = a^u * a^v invites a meet-in-the-middle tabulation; that lead
 is deliberately left on the table.  As a^n = (s_n − 1, t_n·a') (magma),
-recovering n is a discrete log in R^* (plane gives |R^*|).
+recovering n is a discrete log in R^* (plane.Plane is R, and
+plane.exponent gives the exponent of R^*).
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ s_n + t_n w = (a0 + 1 + w)^n under every parenthesization.
 from dataclasses import dataclass, field
 
 from .field import PrimeModulus
-from .plane import power
+from .plane import Plane
 
 # Product coefficients per dimension; its keys are the supported dimensions.
 COEFFICIENT_COUNTS = {3: 5, 4: 9}
@@ -145,7 +145,8 @@ def _form(coefficients) -> tuple:
 
 
 def plane(a, ps) -> tuple[int, int]:
-    """(L, Q) = (λ·a', a'ᵀK a') mod p: a's plane is F_p[w]/(w² − L w − Q)."""
+    """(L, Q) = (λ·a', a'ᵀK a') mod p: a's plane is F_p[w]/(w² − L w − Q),
+    the algebra plane.Plane(L, Q, p)."""
     p = _require_shared(a, a, ps).p
     K, lam = ps.form
     x = a.components[1:]
@@ -201,8 +202,8 @@ def square_gh(a, ps):
     With s = a0 + 1, (s + w)² = (s² + Q) + (2s + L) w in a's plane, so
     g = s² + Q − 1 and h = 2s + L, the trace of s + w.
     """
-    L, Q = plane(a, ps)
-    return from_plane(a, *power(a.components[0] + 1, 1, 2, L, Q, a.modulus.p))
+    R = Plane(*plane(a, ps), a.modulus.p)
+    return from_plane(a, *R.power(a.components[0] + 1, 1, 2))
 
 
 def right_mul_stepper(b, ps):

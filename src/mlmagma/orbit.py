@@ -13,7 +13,7 @@ way the state determines α^n.  α has norm N = s0² + s0·L − Q and trace
 T = 2·s0 + L, and α² = T·α − N (Cayley–Hamilton).
 
 * Unit, N ≠ 0: α lies in the finite group R^*, so the orbit has no
-  tail, its period is ord(α), plane.unit_order, and the cycle passes
+  tail, its period is ord(α), Plane.unit_order, and the cycle passes
   through α^ord = 1, the identity (0, ..., 0), its smallest state.
 * N = 0: α² = T·α, so α^n = T^(n−1)·α.  T = 0 makes α nilpotent: the
   zero scalar (p − 1, 0, ..., 0) stays (tail 0, period 1); with a' ≠ 0,
@@ -49,9 +49,9 @@ lies in the plane of the direction d of a', normalised to (0, 1) or
 (1, y): (a0, t·d) is s + t·w in R_d = F_p[w]/(w² − L w − Q), with
 s = a0 + 1, (L, Q) those of d and t ≠ 0.  Its powers stay in the plane,
 where lex order is that of the pairs (a0, t).  The p scalars (a' = 0)
-lie in every plane.  plane.kind gives the type of R_d: a field, split
-or dual (plane), and plane.exponent the exponent e of R_d^*: p² − 1,
-p − 1 or p·n.  With n = p − 1 and φ Euler's function:
+lie in every plane.  Plane(L, Q, p).kind gives the type of R_d: a
+field, split or dual (plane), and plane.exponent the exponent e of
+R_d^*: p² − 1, p − 1 or p·n.  With n = p − 1 and φ Euler's function:
 
 * Elements and tails, over the p² − p non-scalar elements of a plane.
   Field and dual: R_d^* is cyclic, so φ(k) units have period k for each
@@ -71,7 +71,7 @@ p − 1 or p·n.  With n = p − 1 and φ Euler's function:
   no lex-smaller start's orbit holds it.  A non-scalar orbit stays in
   its plane and the scalars, and a unit's orbit is the group <α>.
   - Field and dual planes: R_d^* is cyclic, so β ∈ <α> iff
-    ord β | ord α, each order from plane.unit_order.  The lex pass over
+    ord β | ord α, each order from Plane.unit_order.  The lex pass over
     the units launches each order that divides no earlier launch's, and
     ends at the first generator, of order e.  Each nilpotent launches.
   - Split planes: (log u, log v) maps the units onto (Z/n)², whose cyclic
@@ -122,7 +122,7 @@ from math import gcd
 
 from .field import divisors, totient
 from .magma import Params, Vector, from_plane, identity, plane, require_dim3
-from .plane import exponent, kind as plane_kind, unit_order
+from .plane import Plane, exponent
 
 DEFAULT_FULL_SCAN_CAP = 127
 
@@ -158,21 +158,21 @@ def orbit_length(a: Vector, ps: Params) -> OrbitRecord:
     An order computation in a's plane R (module docstring): a few
     square-and-multiply powers per prime of the exponent of α's group
     (p² − 1, p − 1 or p(p − 1); p − 1 for ord_p(T)), plus a coset search
-    of about √p steps at most when N = 0 ≠ T.  At p = 2³¹ − 1 that is
-    ~0.2 ms per start, ~0.25 ms with the search, on one core of a
-    2-vCPU x86-64 VM.
+    of about √p steps at most when N = 0 ≠ T.  The start's Plane works
+    out its kind at most once.  At p = 2³¹ − 1 that is ~0.23 ms per
+    random start, and about as much for an N = 0 ≠ T start with its
+    search, on one core of a 2-vCPU x86-64 VM (Python 3.11).
     """
-    L, Q = plane(a, ps)   # rejects mixed dimensions and moduli
-    p = a.modulus.p
+    R = Plane(*plane(a, ps), a.modulus.p)   # rejects mixed dimensions and moduli
+    p = R.p
     s0 = (a.components[0] + 1) % p
     t0 = int(any(a.components[1:]))   # α = s0 + t0·w
-    if (s0 * s0 + s0 * L - Q) % p:
-        period = unit_order(s0, t0, L, Q, p)
-        return OrbitRecord(a, 0, period, identity(a.dim, a.modulus))
-    T = (2 * s0 + L) % p
+    if R.norm(s0, t0):
+        return OrbitRecord(a, 0, R.unit_order(s0, t0), identity(a.dim, a.modulus))
+    T = (2 * s0 + R.L) % p
     if T == 0:                        # nilpotent: a tail only off the scalars
         return OrbitRecord(a, t0, 1, from_plane(a, 0, 0))
-    period = unit_order(T, 0, L, Q, p)
+    period = R.unit_order(T, 0)
     x = s0 or next(c for c in a.components[1:] if c)
     c = _coset_minimum(x, T, period, p) * pow(x, -1, p) % p
     return OrbitRecord(a, 0, period, from_plane(a, c * s0 % p, c))
@@ -196,7 +196,7 @@ class CensusReport:
     total_walks: int
     zero_tail_starts: int
     cycle_period_sum: int           # sum of periods over distinct cycles
-    engine: str = "walk"
+    engine: str
     # Seconds spent; far less when the plane passes are reused from an
     # earlier census (_plane_walks).
     elapsed: float = field(default=0.0, compare=False)
@@ -320,7 +320,7 @@ def _unit_logs(p: int):
     generators k·(a, b), gcd(k, order) = 1.
     """
     n = p - 1
-    g = next(g for g in range(2, p) if unit_order(g, 0, 0, 0, p) == n)
+    g = next(g for g in range(2, p) if Plane(0, 0, p).unit_order(g, 0) == n)
     log, x = [0] * p, 1
     for e in range(n):
         log[x] = e
@@ -416,60 +416,52 @@ def _split_launches(r1: int, r2: int, L: int, p: int):
     return launched
 
 
-def _plane_launches(kind: str, L: int, Q: int, p: int):
-    """(plane index, period, scalar order) of each launched non-scalar
-    start of one plane.  Its start s + t·w is the vector (x0, t·d),
-    x0 = s − 1, at plane index x0·p + t, which orders the plane's starts
-    as their lex indices do, whatever d (module docstring).
+@cache
+def _plane_walks(L: int, Q: int, p: int):
+    """(type, period histogram, first row x0 per scalar order) of the
+    launched non-scalar starts of the plane R = F_p[w]/(w² − L w − Q).
 
-    The scalar order is that of the orbit's scalars: the order
+    A start s + t·w of R is the vector (x0, t·d), x0 = s − 1, at plane
+    index x0·p + t, which orders the plane's starts as their lex indices
+    do, whatever d.  So neither summary depends on d (module docstring),
+    and every direction and census with this (L, Q) shares them.  A
+    census meets at most p² classes, and each is kept.
+
+    A launch's scalar order is that of its orbit's scalars: the order
     gcd(ord α, n) of <α> ∩ F_p^* for a unit α of a cyclic R^*, 0 for a
     nilpotent (its orbit ends at the zero scalar) and None on a split
     axis (its orbit holds no scalar).
     """
-    n, half = p - 1, pow(2, -1, p)
-    if kind != "split":
+    R, n = Plane(L, Q, p), p - 1
+    if R.kind != "split":
         # R^* is cyclic; the non-units, of norm 0, are the dual plane's
-        # nilpotents c + t·ε, ε = w − L/2, c = s + t·L/2 = 0, each of which
+        # nilpotents c + t·ε, ε = w − r, c = s + t·r = 0, each of which
         # launches, as its orbit {β, 0} holds no other start.
-        units = ((x0 * p + t, unit_order(s, t, L, Q, p))
+        units = ((x0 * p + t, R.unit_order(s, t))
                  for x0 in range(p) for s in [(x0 + 1) % p]
-                 for t in range(1, p) if (s * s + s * t * L - t * t * Q) % p)
+                 for t in range(1, p) if R.norm(s, t))
         launches = [(i, o, gcd(o, n))
-                    for i, o in _cyclic_launches(units, exponent(kind, p))]
-        if kind == "dual":
-            launches += [((-t * L * half - 1) % p * p + t, 1, 0)
-                         for t in range(1, p)]
-        return launches
-    g, log = _unit_logs(p)[:2]
-    root = pow(g, log[(L * L + 4 * Q) % p] // 2, p)
-    r1, r2 = (L + root) * half % p, (L - root) * half % p
-    launches = _split_launches(r1, r2, L, p)
-    # The axes u = 0 and v = 0 hold s + t·w = (0, t(r2 − r1)) and
-    # (t(r1 − r2), 0), each orbit the cyclic <T>·α on its axis.
-    for r, dr in ((r1, r2 - r1), (r2, r1 - r2)):
-        axis = sorted(((-t * r - 1) % p * p + t,
-                       n // gcd(n, log[t * dr % p])) for t in range(1, p))
-        launches += [(i, o, None) for i, o in _cyclic_launches(axis, n)]
-    return launches
-
-
-@cache
-def _plane_walks(L: int, Q: int, p: int):
-    """(type, period histogram, first row x0 per scalar order) of the
-    launches of the plane R = F_p[w]/(w² − L w − Q).
-
-    Neither summary depends on the direction d (module docstring), so
-    every direction and census with this (L, Q) shares them.  A census
-    meets at most p² classes, and each is kept.
-    """
-    kind = plane_kind(L, Q, p)
+                    for i, o in _cyclic_launches(units, exponent(R.kind, p))]
+        if R.kind == "dual":
+            r = R.dual_root
+            launches += [((-t * r - 1) % p * p + t, 1, 0) for t in range(1, p)]
+    else:
+        g, log = _unit_logs(p)[:2]
+        root, half = pow(g, log[(L * L + 4 * Q) % p] // 2, p), pow(2, -1, p)
+        r1, r2 = (L + root) * half % p, (L - root) * half % p
+        launches = _split_launches(r1, r2, L, p)
+        # The axes u = 0 and v = 0 hold s + t·w = (0, t(r2 − r1)) and
+        # (t(r1 − r2), 0), each orbit the cyclic <T>·α on its axis.
+        for r, dr in ((r1, r2 - r1), (r2, r1 - r2)):
+            axis = sorted(((-t * r - 1) % p * p + t,
+                           n // gcd(n, log[t * dr % p])) for t in range(1, p))
+            launches += [(i, o, None) for i, o in _cyclic_launches(axis, n)]
     periods, first = Counter(), {}
-    for i, period, j in _plane_launches(kind, L, Q, p):
+    for i, period, j in launches:
         periods[period] += 1
         if j is not None:
             first[j] = min(first.get(j, p), i // p)
-    return kind, tuple(periods.items()), tuple(first.items())
+    return R.kind, tuple(periods.items()), tuple(first.items())
 
 
 def scan_space(ps: Params, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP

@@ -1,11 +1,16 @@
 """The plane algebra R = F_p[w]/(w² − L w − Q) of a start's powers (magma).
 
+Plane(L, Q, p) is R, one value per class (L, Q, p), with its norm,
+powers and unit orders; its kind, from `kind`, is worked out once, on
+the first fold or order that needs it.
+
 The roots of w² − L w − Q in F_p give the kind of R: F_{p²} if it has
 none; split, s + t·w ↦ (u, v) = (s + t·r1, s + t·r2) onto F_p × F_p, if
 it has two, r1 and r2; dual, s + t·w = c + t·ε with ε = w − r and
-ε² = 0, if it has one, r.  For odd p, Δ = L² + 4Q counts them: a
-non-residue, a nonzero square or 0; at p = 2, w² + L w + Q has one root
-if L is even, else two if Q is even and none if Q is odd.
+ε² = 0, if it has one, r = L/2 (Plane.dual_root).  For odd p,
+Δ = L² + 4Q counts them: a non-residue, a nonzero square or 0; at
+p = 2, w² + L w + Q has one root if L is even, else two if Q is even
+and none if Q is odd.
 
 So R^* is F_{p²}^*, cyclic of order p² − 1; or F_p^* × F_p^*; or
 F_p^* × (1 + ε·F_p), cyclic of order p(p − 1) as gcd(p − 1, p) = 1.  A
@@ -16,11 +21,11 @@ so its order divides p − 1 whatever the kind.
 The Frobenius x ↦ x^p of R has a closed form on each kind, for every
 α = s + t·w, unit or not: α^(p+1) = N(α) = s² + s·t·L − t²·Q in the
 field (α^p is α's conjugate), α^p = α on F_p × F_p, and α^p = s + t·r
-in F_p[ε] (binomial terms vanish, ε² = 0).  So for odd p, power folds
-an n > p to an exponent of at most p + 1: modulo p + 1 with a factor
-N^e in the field, to (n − 1) mod (p − 1) + 1 when split (exact for
-non-units, as x^p = x on F_p), and modulo p with a factor (s + t·r)^e,
-r = L/2, when dual; e is the quotient, and the factor one builtin pow.
+in F_p[ε] (binomial terms vanish, ε² = 0).  So for odd p, Plane.power
+folds an n > p to an exponent of at most p + 1: modulo p + 1 with a
+factor N^e in the field, to (n − 1) mod (p − 1) + 1 when split (exact
+for non-units, as x^p = x on F_p), and modulo p with a factor
+(s + t·r)^e when dual; e is the quotient, and the factor one builtin pow.
 """
 
 from .field import order, order_primes
@@ -35,38 +40,64 @@ def kind(L: int, Q: int, p: int) -> str:
             "split" if pow(disc, (p - 1) // 2, p) == 1 else "field")
 
 
-def power(s: int, t: int, n: int, L: int, Q: int, p: int) -> tuple[int, int]:
-    """(s + t·w)^n in R for any n >= 0.  For odd p an n > p is first
-    folded by the Frobenius (module docstring), so square-and-multiply
-    runs over at most ~log₂ p bits; tQ and s + tL are formed once, so
-    a multiply costs what a square does."""
-    c = 1                                # F_p factor left by the fold
-    if n > p > 2:
-        k = kind(L, Q, p)
-        if k == "field":
-            e, n = divmod(n, p + 1)
-            c = pow(s * s + s * t * L - t * t * Q, e, p)
-        elif k == "split":
-            n = (n - 1) % (p - 1) + 1
-        else:                            # double root r = L/2
-            e, n = divmod(n, p)
-            c = pow(s + t * L * (p + 1) // 2, e, p)
-    tQ, stL = t * Q % p, (s + t * L) % p
-    a, b = 1, 0
-    for bit in bin(n)[2:]:
-        a, b = (a * a + b * b * Q) % p, (2 * a + b * L) * b % p
-        if bit == "1":
-            a, b = (a * s + b * tQ) % p, (a * t + b * stL) % p
-    return a * c % p, b * c % p
-
-
 def exponent(kind: str, p: int) -> int:
     """The exponent of R^* of a kind: p² − 1, p − 1 or p(p − 1)."""
     return (p - 1) * {"field": p + 1, "split": 1, "dual": p}[kind]
 
 
-def unit_order(s: int, t: int, L: int, Q: int, p: int) -> int:
-    """The order of the unit s + t·w of R, from the exponent of its own
-    group: p − 1 for t = 0 (F_p^*), else that of R^*."""
-    return order(exponent(kind(L, Q, p), p) if t else p - 1, order_primes(p),
-                 lambda k: power(s, t, k, L, Q, p) == (1, 0))
+class Plane:
+    """R = F_p[w]/(w² − L w − Q); an element s + t·w is the pair (s, t).
+
+    A value: L, Q and p are not changed after construction.  Slots and a
+    lazy kind keep a Plane cheap to build, as orbit_length and pow_fast
+    build one per call.
+    """
+    __slots__ = ("L", "Q", "p", "_kind")
+
+    def __init__(self, L: int, Q: int, p: int):
+        self.L, self.Q, self.p, self._kind = L, Q, p, None
+
+    @property
+    def kind(self) -> str:
+        """'field', 'split' or 'dual', from `kind` on first use."""
+        if self._kind is None:
+            self._kind = kind(self.L, self.Q, self.p)
+        return self._kind
+
+    @property
+    def dual_root(self) -> int:
+        """r = L/2, the double root of w² − L w − Q when R is dual."""
+        return self.L * (self.p + 1) // 2 % self.p
+
+    def norm(self, s: int, t: int) -> int:
+        """N(s + t·w) = s² + s·t·L − t²·Q; s + t·w is a unit iff N ≠ 0."""
+        return (s * s + s * t * self.L - t * t * self.Q) % self.p
+
+    def power(self, s: int, t: int, n: int) -> tuple[int, int]:
+        """(s + t·w)^n for any n >= 0.  For odd p an n > p is first
+        folded by the Frobenius (module docstring), so square-and-multiply
+        runs over at most ~log₂ p bits; tQ and s + tL are formed once, so
+        a multiply costs what a square does."""
+        L, Q, p = self.L, self.Q, self.p
+        a, b, c = 1, 0, 1                # (a + b·w)·c; c is left by the fold
+        if n > p > 2:
+            if self.kind == "field":
+                e, n = divmod(n, p + 1)
+                c = pow(self.norm(s, t), e, p)
+            elif self.kind == "split":
+                n = (n - 1) % (p - 1) + 1
+            else:                        # dual: α^p = s + t·r
+                e, n = divmod(n, p)
+                c = pow(s + t * self.dual_root, e, p)
+        tQ, stL = t * Q % p, (s + t * L) % p
+        for bit in bin(n)[2:]:
+            a, b = (a * a + b * b * Q) % p, (2 * a + b * L) * b % p
+            if bit == "1":
+                a, b = (a * s + b * tQ) % p, (a * t + b * stL) % p
+        return a * c % p, b * c % p
+
+    def unit_order(self, s: int, t: int) -> int:
+        """The order of the unit s + t·w, from the exponent of its own
+        group: p − 1 for t = 0 (F_p^*), else that of R^*."""
+        return order(exponent(self.kind, self.p) if t else self.p - 1,
+                     order_primes(self.p), lambda k: self.power(s, t, k) == (1, 0))

@@ -2,12 +2,12 @@
 
 Powers are left-associative: a^(n+1) = a^n * a.  They are also power
 associative (proof in magma's docstring); pow_fast squares and
-multiplies in that algebra R with plane.power, and pow_iter stays as
+multiplies in that algebra R with Plane.power, and pow_iter stays as
 its oracle.
 """
 
 from .magma import Vector, from_plane, identity, mul, plane, right_mul_stepper
-from .plane import power
+from .plane import Plane
 
 MAX_EXPONENT = 2**64
 
@@ -36,12 +36,14 @@ def pow_fast(a, n: int, ps):
     """a^n by square-and-multiply on (s, t) in R.
 
     a = (s0 − 1, a') is s0 + w in R, and a^n = (s − 1, t·a') for
-    s + t w = (s0 + w)^n.  plane.power folds n by the Frobenius of R,
-    so the loop runs over at most ~log₂ p bits, not all 64 of a large n.
+    s + t w = (s0 + w)^n.  Plane.power folds an n > p by the Frobenius
+    of R, so the loop runs over at most ~log₂ p bits, not all 64 of a
+    large n; only that fold works out the plane's kind, so an n ≤ p
+    costs no Euler criterion.
     """
     _check_exponent(n)
-    L, Q = plane(a, ps)
-    return from_plane(a, *power(a.components[0] + 1, 1, n, L, Q, a.modulus.p))
+    R = Plane(*plane(a, ps), a.modulus.p)
+    return from_plane(a, *R.power(a.components[0] + 1, 1, n))
 
 
 def powers_upto(a, n: int, ps) -> list:

@@ -56,7 +56,7 @@ f = X^μ·g with g(0) ≠ 0.
 _tail_period returns the exact (tail, P·len) that composite_period,
 prng_cycle_length and the uniformity_stats fold read; nothing here walks
 an orbit.  The order of X is _x_order: for deg g ≤ 2, X is a unit of
-F_p or of R = F_p[w]/(w² − L w − Q), and plane.unit_order gives it; for
+F_p or of R = F_p[w]/(w² − L w − Q), and Plane.unit_order gives it; for
 a cubic, field.order runs on _x_pow_is_one, an unrolled kernel, below
 the discriminant's bound.  The generic list kernel is the tests'
 oracle, as is the Brent walk find_cycle, kept here under its name in
@@ -76,7 +76,7 @@ from typing import Iterator, NamedTuple
 from .field import PrimeModulus, order, prime_factors
 from .magma import (Params, Vector, _require_shared, left_mul_stepper, params,
                     require_dim3, right_mul_stepper, vector)
-from .plane import unit_order
+from .plane import Plane
 
 SIDES = ("right", "left")
 
@@ -235,16 +235,16 @@ def _annihilator(M, v, p: int) -> list[int]:
 def _x_order(g: list[int], p: int) -> int:
     """The order of X modulo the monic g (low coefficient first, degree
     1 to 3, g(0) ≠ 0): of the unit −g0 of F_p, of the unit w of R with
-    L = −g1 and Q = −g0 (both plane.unit_order), or, for a cubic, of X
+    L = −g1 and Q = −g0 (both Plane.unit_order), or, for a cubic, of X
     by field.order on the kernel _x_pow_is_one, below the bound that
     the discriminant D of g fixes: (p − 1)·m with m = p, p² + p + 1 or
     p + 1 as D is 0, a nonzero square or a non-square (module
     docstring); Stickelberger's rule needs p odd, as PrimeModulus
     makes it."""
     if len(g) == 2:                      # X ≡ −g0
-        return unit_order(-g[0] % p, 0, 0, 0, p)
+        return Plane(0, 0, p).unit_order(-g[0] % p, 0)
     if len(g) == 3:                      # X² ≡ −g1·X − g0
-        return unit_order(0, 1, -g[1] % p, -g[0] % p, p)
+        return Plane(-g[1] % p, -g[0] % p, p).unit_order(0, 1)
     c, b, a = g[:3]
     disc = (a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c
             + 18 * a * b * c) % p

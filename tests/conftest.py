@@ -246,7 +246,7 @@ def x_pow_is_one_generic(k: int, g: list[int], p: int) -> bool:
     """Whether X^k ≡ 1 modulo the monic g (low coefficient first).
 
     Square-and-multiply on coefficient lists of any degree: the oracle
-    for prng's order of X, plane.unit_order for degree 1 and 2 and the
+    for prng's order of X, Plane.unit_order for degree 1 and 2 and the
     cubic kernel prng._x_pow_is_one for degree 3.
     """
     d = len(g) - 1
@@ -270,7 +270,7 @@ def x_pow_is_one_generic(k: int, g: list[int], p: int) -> bool:
 
 def power_unfolded(s: int, t: int, n: int, L: int, Q: int, p: int):
     """(s + t·w)^n in F_p[w]/(w² − L w − Q) by square-and-multiply over
-    every bit of n: the oracle for plane.power, which first folds n by
+    every bit of n: the oracle for Plane.power, which first folds n by
     the Frobenius of the plane."""
     tQ, stL = t * Q % p, (s + t * L) % p
     a, b = 1, 0

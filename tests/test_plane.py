@@ -4,8 +4,11 @@ from itertools import product
 import pytest
 
 from conftest import power_unfolded
-from mlmagma import plane
-from mlmagma.plane import kind, power, unit_order
+from mlmagma import Params3, Vector3, make_modulus
+from mlmagma.magma import plane
+from mlmagma.orbit import orbit_length
+from mlmagma.plane import Plane, kind
+from mlmagma.power import pow_fast
 
 SMALL_PRIMES = (2, 3, 5, 7)
 FOLD_PRIMES = (65521, 2**31 - 1, 2147483629)   # 1, 3 and 1 mod 4
@@ -27,12 +30,12 @@ def test_kind_counts_roots(p):
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_power_is_repeated_product(p):
-    """power(s, t, n) is the n-fold product, for every element, every
-    n ≤ 2p² and every (L, Q)."""
+    """Plane.power(s, t, n) is the n-fold product, for every element,
+    every n ≤ 2p² and every (L, Q)."""
     for L, Q, s, t in product(range(p), repeat=4):
-        x = (1, 0)
+        R, x = Plane(L, Q, p), (1, 0)
         for n in range(2 * p * p + 1):
-            assert power(s, t, n, L, Q, p) == x, (L, Q, s, t, n)
+            assert R.power(s, t, n) == x, (L, Q, s, t, n)
             x = _mul(x, (s, t), L, Q, p)
 
 
@@ -47,21 +50,22 @@ def test_unit_order_is_least_power_to_one(p):
         is_unit = (s * s + s * t * L - t * t * Q) % p != 0
         assert (x == (1, 0)) == is_unit, (L, Q, s, t)
         if is_unit:
-            assert unit_order(s, t, L, Q, p) == k, (L, Q, s, t)
+            assert Plane(L, Q, p).unit_order(s, t) == k, (L, Q, s, t)
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_unit_order_tries_divisors_of_the_group_exponent(p, monkeypatch):
-    """Every exponent unit_order powers to divides the exponent of the
-    unit's own group: p − 1 on the scalar line t = 0 and on F_p × F_p,
+    """Every exponent Plane.unit_order powers to divides the exponent of
+    the unit's own group: p − 1 on the scalar line t = 0 and on F_p × F_p,
     p² − 1 on F_{p²}, p(p − 1) on F_p[ε], told apart by counting roots."""
     tried = []
+    power = Plane.power
 
-    def spy(s, t, n, L, Q, p):
+    def spy(R, s, t, n):
         tried.append(n)
-        return power(s, t, n, L, Q, p)
+        return power(R, s, t, n)
 
-    monkeypatch.setattr(plane, "power", spy)
+    monkeypatch.setattr(Plane, "power", spy)
     for L, Q in product(range(p), repeat=2):
         roots = sum((r * r - L * r - Q) % p == 0 for r in range(p))
         plane_exponent = {0: p * p - 1, 1: p * (p - 1), 2: p - 1}[roots]
@@ -70,21 +74,22 @@ def test_unit_order_tries_divisors_of_the_group_exponent(p, monkeypatch):
                 continue                 # not a unit
             exponent = plane_exponent if t else p - 1
             del tried[:]
-            unit_order(s, t, L, Q, p)
+            Plane(L, Q, p).unit_order(s, t)
             assert tried and all(exponent % n == 0 for n in tried), \
                 (L, Q, s, t, tried)
 
 
 def test_power_matches_rescaled_plane_at_large_p():
     """t·w is a root of w² − tL·w − t²Q, so (s + t·w)^n = s_n + t·t_n·w
-    for (s_n, t_n) = power(s, 1, n, tL, t²Q), with 64-bit n."""
+    for (s_n, t_n) = Plane(tL, t²Q, p).power(s, 1, n), with 64-bit n."""
     p = 2**31 - 1
     rng = random.Random(0x9A7E)
     for _ in range(200):
         s, t, L, Q = (rng.randrange(p) for _ in range(4))
         n = rng.randrange(2**64)
-        s_n, t_n = power(s, 1, n, t * L % p, t * t * Q % p, p)
-        assert power(s, t, n, L, Q, p) == (s_n, t * t_n % p), (s, t, L, Q, n)
+        s_n, t_n = Plane(t * L % p, t * t * Q % p, p).power(s, 1, n)
+        assert Plane(L, Q, p).power(s, t, n) == (s_n, t * t_n % p), \
+            (s, t, L, Q, n)
 
 
 def _forced_planes(p, rng):
@@ -117,7 +122,40 @@ def test_power_fold_matches_unfolded_loop(p):
                  k * (p + 1), k * p, k * p + 1, 2**64 - 1]
     exponents += [rng.randrange(2**64) for _ in range(4)]
     for want, L, Q, elements in _forced_planes(p, rng):
-        assert kind(L, Q, p) == want
+        R = Plane(L, Q, p)
+        assert R.kind == want
         for (s, t), n in product(elements, exponents):
-            assert power(s, t, n, L, Q, p) == \
+            assert R.power(s, t, n) == \
                 power_unfolded(s, t, n, L, Q, p), (want, L, Q, s, t, n)
+
+
+def test_kind_is_worked_out_once_per_plane(monkeypatch):
+    """A Plane works out its kind only when a fold or an order needs it,
+    and then once: never for a pow_fast with n ≤ p, once for a pow_fast
+    with a 64-bit exponent, a unit_order or an orbit_length."""
+    calls = []
+
+    def spy(L, Q, p):
+        calls.append((L, Q, p))
+        return kind(L, Q, p)
+
+    monkeypatch.setattr("mlmagma.plane.kind", spy)
+    m = make_modulus(23)
+    ps = Params3(9, 19, 1, 1, 2, m)
+    for n in range(24):
+        pow_fast(Vector3(3, 1, 4, m), n, ps)
+    assert calls == []
+
+    p = 2**31 - 1
+    m = make_modulus(p)
+    ps = Params3(19, 18, 1, 1, 2, m)
+    a = Vector3(3, 1, 4, m)
+    L, Q = plane(a, ps)
+    pow_fast(a, 2**64 - 1, ps)
+    assert calls == [(L, Q, p)]
+    del calls[:]
+    assert Plane(L, Q, p).unit_order(4, 1) == 9150170662961152
+    assert calls == [(L, Q, p)]
+    del calls[:]
+    orbit_length(a, ps)
+    assert calls == [(L, Q, p)]

@@ -8,6 +8,7 @@ from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
                      mul)
 from mlmagma import prng
 from mlmagma.field import divisors, order, prime_factors
+from mlmagma.plane import Plane
 from mlmagma.prng import (SIDES, PrngConfig, _x_order, _x_pow_is_one,
                           byte_stream, composite_period, iter_outputs,
                           pass_matrix, prng_cycle_length, seed_search,
@@ -240,16 +241,16 @@ def _order_exponent(p):
 
 
 def _spy_plane_pow(monkeypatch):
-    """Record prng's calls into plane.unit_order, the degree-1 and
-    degree-2 branches."""
+    """Record prng's calls into Plane.unit_order, the degree-1 and
+    degree-2 branches, as (s, t, L, Q, p)."""
     calls = []
-    real = prng.unit_order
+    real = Plane.unit_order
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(R, s, t):
+        calls.append((s, t, R.L, R.Q, R.p))
+        return real(R, s, t)
 
-    monkeypatch.setattr(prng, "unit_order", spy)
+    monkeypatch.setattr(Plane, "unit_order", spy)
     return calls
 
 
@@ -270,7 +271,7 @@ def test_x_pow_is_one_matches_generic(p, monkeypatch):
     """Every monic g of degree 1 to 3 with g(0) ≠ 0 and every k that
     field.order can pass: the per-degree order answers as the generic
     list kernel does; degree 1 is the scalar −g0 and degree 2 the plane
-    unit w of plane.unit_order, and a cubic runs on its own kernel."""
+    unit w of Plane.unit_order, and a cubic runs on its own kernel."""
     calls = _spy_plane_pow(monkeypatch)
     n, primes = _order_exponent(p)
     ks = divisors(n)
