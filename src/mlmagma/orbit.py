@@ -42,7 +42,8 @@ T = 2·s0 + L, and α² = T·α − N (Cayley–Hamilton).
   one counted orbit.
 
 Power orbits of different starts may overlap, so none of the measures
-assumes cycles partition the space.
+assumes cycles partition the space.  A CensusReport gives each measure m
+of MEASURES as count(period, m) and proportion(period, m).
 
 The census works plane by plane, without walking.  A start with a' ≠ 0
 lies in the plane of the direction d of a', normalised to (0, 1) or
@@ -75,8 +76,9 @@ R_d^*: p² − 1, p − 1 or p·n.  With n = p − 1 and φ Euler's function:
     the units launches each order that divides no earlier launch's, and
     ends at the first generator, of order e.  Each nilpotent launches.
   - Split planes: (log u, log v) maps the units onto (Z/n)², whose cyclic
-    subgroups have ids from a per-p table.  Launching α marks the ids of
-    every subgroup of <α>; β launches iff <β>'s id is unmarked.  Every
+    subgroups have ids from a per-p table, built for the first split
+    plane a census meets.  Launching α marks the ids of every subgroup
+    of <α>; β launches iff <β>'s id is unmarked.  Every
     cyclic subgroup lies in one of order n (prime by prime: in
     (Z/q^e)², x = q^f·y with y of order q^e), so the pass ends when all
     of those are marked.  The scalar diagonal is one that no non-scalar
@@ -178,6 +180,7 @@ def orbit_length(a: Vector, ps: Params) -> OrbitRecord:
     return OrbitRecord(a, 0, period, from_plane(a, c * s0 % p, c))
 
 
+# the census measures (module docstring), in the order of the report columns
 MEASURES = ("cycle", "element", "walk")
 # the period lengths each census reports on: p − 1, p² − 1 and their halves
 SPECIAL_NAMES = ("n_minus_1", "n2_minus_1", "half_n_minus_1", "half_n2_minus_1")
@@ -207,45 +210,33 @@ class CensusReport:
         lengths = (p - 1, p * p - 1, (p - 1) // 2, (p * p - 1) // 2)
         return dict(zip(SPECIAL_NAMES, lengths))
 
-    def start_count(self, period: int) -> int:
-        return self.start_periods.get(period, 0)
+    def _measure(self, measure: str) -> tuple[dict[int, int], int]:
+        """The (period histogram, total) that a census measure counts."""
+        if measure == "cycle":
+            return self.cycle_periods, self.total_cycles
+        if measure == "element":
+            return self.start_periods, self.total_starts
+        if measure == "walk":
+            return self.walk_periods, self.total_walks
+        raise ValueError(f"unknown measure {measure!r}")
 
-    def cycle_count(self, period: int) -> int:
-        return self.cycle_periods.get(period, 0)
-
-    def walk_count(self, period: int) -> int:
-        return self.walk_periods.get(period, 0)
-
-    def start_proportion(self, period: int) -> float:
-        return self.start_count(period) / self.total_starts
-
-    def cycle_proportion(self, period: int) -> float:
-        return self.cycle_count(period) / self.total_cycles
-
-    def walk_proportion(self, period: int) -> float:
-        return self.walk_count(period) / self.total_walks
+    def count(self, period: int, measure: str) -> int:
+        return self._measure(measure)[0].get(period, 0)
 
     def proportion(self, period: int, measure: str) -> float:
-        if measure == "cycle":
-            return self.cycle_proportion(period)
-        if measure == "element":
-            return self.start_proportion(period)
-        if measure == "walk":
-            return self.walk_proportion(period)
-        raise ValueError(f"unknown measure {measure!r}")
+        hist, total = self._measure(measure)
+        return hist.get(period, 0) / total
+
+    def walk_count(self, period: int) -> int:
+        return self.count(period, "walk")
 
     def to_dict(self) -> dict:
         special = {}
         for name, length in self.special_lengths.items():
-            special[name] = {
-                "length": length,
-                "cycle_count": self.cycle_count(length),
-                "cycle_proportion": self.cycle_proportion(length),
-                "element_count": self.start_count(length),
-                "element_proportion": self.start_proportion(length),
-                "walk_count": self.walk_count(length),
-                "walk_proportion": self.walk_proportion(length),
-            }
+            row = special[name] = {"length": length}
+            for m in MEASURES:
+                row[f"{m}_count"] = self.count(length, m)
+                row[f"{m}_proportion"] = self.proportion(length, m)
         return {
             "p": self.p,
             "params": list(self.params),
@@ -254,36 +245,25 @@ class CensusReport:
             "total_walks": self.total_walks,
             "zero_tail_starts": self.zero_tail_starts,
             "cycle_period_sum": self.cycle_period_sum,
-            "start_periods": {str(k): v for k, v in sorted(self.start_periods.items())},
-            "cycle_periods": {str(k): v for k, v in sorted(self.cycle_periods.items())},
-            "walk_periods": {str(k): v for k, v in sorted(self.walk_periods.items())},
-            "tail_lengths": {str(k): v for k, v in sorted(self.tail_lengths.items())},
+            **{key: {str(k): v for k, v in sorted(getattr(self, key).items())}
+               for key in ("start_periods", "cycle_periods", "walk_periods",
+                           "tail_lengths")},
             "special_lengths": special,
             "engine": self.engine,
         }
 
     def csv_rows(self) -> list[dict]:
         sp = self.special_lengths
-        rows = []
-        periods = set(self.start_periods) | set(self.cycle_periods) | set(self.walk_periods)
-        for period in sorted(periods):
-            rows.append({
-                "p": self.p,
-                "A": self.params[0], "B": self.params[1], "C": self.params[2],
-                "D": self.params[3], "E": self.params[4],
-                "period": period,
-                "cycle_count": self.cycle_count(period),
-                "element_count": self.start_count(period),
-                "walk_count": self.walk_count(period),
-                **{f"is_{name}": int(period == length)
-                   for name, length in sp.items()},
-            })
-        return rows
+        periods = set().union(*(self._measure(m)[0] for m in MEASURES))
+        return [{"p": self.p, **dict(zip("ABCDE", self.params)), "period": period,
+                 **{f"{m}_count": self.count(period, m) for m in MEASURES},
+                 **{f"is_{name}": int(period == length) for name, length in sp.items()}}
+                for period in sorted(periods)]
 
 
 CSV_FIELDS = [
     "p", "A", "B", "C", "D", "E", "period",
-    "cycle_count", "element_count", "walk_count",
+    *(f"{m}_count" for m in MEASURES),
     *(f"is_{name}" for name in SPECIAL_NAMES),
 ]
 
@@ -311,13 +291,8 @@ def write_census_json(report, path) -> None:
 
 @lru_cache(maxsize=8)
 def _unit_logs(p: int):
-    """Discrete logs of F_p^* and the cyclic subgroups of (Z/n)², n = p − 1.
-
-    Returns (g, log, sub, sub_order): g is the smallest primitive root,
-    log[x] the exponent of x to base g, sub[a·n + b] the id of the
-    subgroup that (a, b) generates, and sub_order[i] the order of
-    subgroup i.  Built once per p in O(p²): each new subgroup labels its
-    generators k·(a, b), gcd(k, order) = 1.
+    """Discrete logs of F_p^*: (g, log), g the smallest primitive root and
+    log[x] the exponent of x to base g.
     """
     n = p - 1
     g = next(g for g in range(2, p) if Plane(0, 0, p).unit_order(g, 0) == n)
@@ -325,6 +300,18 @@ def _unit_logs(p: int):
     for e in range(n):
         log[x] = e
         x = x * g % p
+    return g, tuple(log)
+
+
+@lru_cache(maxsize=8)
+def _subgroups(n: int):
+    """The cyclic subgroups of (Z/n)², which only split planes read.
+
+    Returns (sub, sub_order): sub[a·n + b] the id of the subgroup that
+    (a, b) generates, and sub_order[i] the order of subgroup i.  Built
+    once per n in O(n²): each new subgroup labels its generators k·(a, b),
+    gcd(k, order) = 1.
+    """
     sub, sub_order = [-1] * (n * n), []
     for a in range(n):
         for b in range(n):
@@ -334,7 +321,7 @@ def _unit_logs(p: int):
                     if gcd(k, o) == 1:
                         sub[k * a % n * n + k * b % n] = len(sub_order)
                 sub_order.append(o)
-    return g, tuple(log), tuple(sub), tuple(sub_order)
+    return tuple(sub), tuple(sub_order)
 
 
 @lru_cache(maxsize=8)
@@ -381,8 +368,9 @@ def _split_launches(r1: int, r2: int, L: int, p: int):
     once only the trace-zero subgroups, <(g, −g)> and, if n/2 is odd,
     <(g², −g²)>, are left (module docstring).
     """
-    _, log, sub, sub_order = _unit_logs(p)
+    log = _unit_logs(p)[1]
     n, h = p - 1, (p - 1) // 2
+    sub, sub_order = _subgroups(n)
     dn = divisors(n)
     marked = bytearray(len(sub_order))
     marked[sub[n + 1]] = 1                             # <(g, g)>
@@ -446,7 +434,7 @@ def _plane_walks(L: int, Q: int, p: int):
             r = R.dual_root
             launches += [((-t * r - 1) % p * p + t, 1, 0) for t in range(1, p)]
     else:
-        g, log = _unit_logs(p)[:2]
+        g, log = _unit_logs(p)
         root, half = pow(g, log[(L * L + 4 * Q) % p] // 2, p), pow(2, -1, p)
         r1, r2 = (L + root) * half % p, (L - root) * half % p
         launches = _split_launches(r1, r2, L, p)
@@ -553,9 +541,8 @@ class SweepResult:
         """Per special length: mean/min/max proportion across the sweep."""
         out = {}
         for name in SPECIAL_NAMES:
-            props = []
-            for r in self.reports:
-                props.append(r.proportion(r.special_lengths[name], measure))
+            props = [r.proportion(r.special_lengths[name], measure)
+                     for r in self.reports]
             out[name] = {
                 "mean": sum(props) / len(props),
                 "min": min(props),
@@ -575,9 +562,7 @@ class SweepResult:
             "p": self.p,
             "fixed_cde": list(self.fixed),
             "pairs": len(self.reports),
-            "aggregate_cycle": self.aggregate("cycle"),
-            "aggregate_element": self.aggregate("element"),
-            "aggregate_walk": self.aggregate("walk"),
+            **{f"aggregate_{m}": self.aggregate(m) for m in MEASURES},
         }
 
 

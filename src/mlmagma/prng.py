@@ -70,7 +70,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import cycle, islice
 from typing import Iterator, NamedTuple
 
 from .field import PrimeModulus, order, prime_factors
@@ -179,13 +179,8 @@ def iter_outputs(config: PrngConfig, count: int) -> Iterator[tuple[int, int, int
 
 
 def _outputs(steppers, cur, count: int) -> Iterator[tuple[int, int, int]]:
-    length = len(steppers)
-    pos = 0
-    for _ in range(count):
-        cur = steppers[pos](cur)
-        pos += 1
-        if pos == length:
-            pos = 0
+    for step in islice(cycle(steppers), count):
+        cur = step(cur)
         yield cur
 
 

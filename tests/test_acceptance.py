@@ -159,9 +159,9 @@ def test_c06_monomial_bound():
 
 
 def _census_line(r, length):
-    return (f"cycle {100 * r.cycle_proportion(length):.2f}% / "
-            f"element {100 * r.start_proportion(length):.2f}% / "
-            f"walk {100 * r.walk_proportion(length):.2f}%")
+    return (f"cycle {100 * r.proportion(length, 'cycle'):.2f}% / "
+            f"element {100 * r.proportion(length, 'element'):.2f}% / "
+            f"walk {100 * r.proportion(length, 'walk'):.2f}%")
 
 
 def _passing_measures(r, length, target, tol):
@@ -205,7 +205,7 @@ def test_c09_census_p61():
     elapsed = time.perf_counter() - t0
     report(9, count_ok and bool(passing), 600, elapsed,
            f"p=61 (31,30,1,1,2): {count_31} first-visit walks of length 3720 "
-           f"({100 * r.walk_proportion(max_len):.2f}%), target 31±3; "
+           f"({100 * r.proportion(max_len, 'walk'):.2f}%), target 31±3; "
            f"length-60 at 85%±5 under {passing or 'no measure'}; "
            f"{_census_line(r, 60)}")
 

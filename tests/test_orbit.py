@@ -11,8 +11,8 @@ from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
 from mlmagma.cli import main
 from mlmagma.dip import find_long_period_base
 from mlmagma.magma import ModulusMismatchError, plane, right_mul_stepper
-from mlmagma.orbit import (BudgetExceededError, _plane_walks, heuristic_search,
-                           orbit_length, param_sweep, scan_space,
+from mlmagma.orbit import (MEASURES, BudgetExceededError, _plane_walks,
+                           heuristic_search, orbit_length, param_sweep, scan_space,
                            write_census_csv, write_census_json)
 from mlmagma.power import pow_fast
 from conftest import random_instance, scan_python, walk_census, walk_orbit
@@ -466,6 +466,25 @@ def test_census_proportions_and_dict():
     assert d["p"] == 7
     assert set(d["special_lengths"]) == {
         "n_minus_1", "n2_minus_1", "half_n_minus_1", "half_n2_minus_1"}
+
+
+def test_census_count_reads_each_measures_histogram():
+    """count and proportion read the histogram and total each measure names."""
+    p = 23
+    r = scan_space(Params3(9, 19, 1, 1, 2, make_modulus(p)))
+    hists = {"cycle": (r.cycle_periods, r.total_cycles),
+             "element": (r.start_periods, r.total_starts),
+             "walk": (r.walk_periods, r.total_walks)}
+    assert set(MEASURES) == set(hists)
+    for m in MEASURES:
+        hist, total = hists[m]
+        for k in range(p * p + 1):
+            assert r.count(k, m) == hist.get(k, 0)
+            assert r.proportion(k, m) == hist.get(k, 0) / total
+    assert r.walk_count(528) == r.walk_periods[528] == 23
+    for accessor in (r.count, r.proportion):
+        with pytest.raises(ValueError, match="unknown measure 'orbit'"):
+            accessor(528, "orbit")
 
 
 def test_csv_and_json_output(tmp_path):
