@@ -39,6 +39,18 @@ f = X^μ·g with g(0) ≠ 0.
   composite maximum is (p³ − 1)·pattern_length, and the "max_period" of
   p³·pattern_length that `mlmagma prng search` prints can never be
   reached; it stays so that its stdout does not change.
+* A maximal period certifies balance, the m-sequence property (Golomb
+  1967).  With f = g a primitive cubic, v, Mv, M²v are a basis, M^i·v
+  ↔ X^i in F_p[X]/g = F_{p³}, and the X^i, i < p³ − 1, are its nonzero
+  elements once each: over one period the passes visit every nonzero
+  shifted vector once.  M is then invertible, so is the product of any
+  leading slots, and so every pattern position visits every vector but
+  the zero z = (p − 1, 0, 0) once.  The tail is 0, and the whole-period
+  counts of component c are len·(p² − [x = z_c]) for every x.
+* Jump-ahead: f(M)·v = 0, so M^q·v = a·v + b·Mv + c·M²v for
+  X^q ≡ a + bX + cX² modulo a cubic f, and _x_pow finds (a, b, c) in
+  O(log q) steps.  uniformity_stats jumps so on a maximal period, and
+  steps at most half of one.
 * If the seeds the pattern uses have collinear (x1, x2) parts, their
   shifted plane is closed under the product, so M keeps it and has an
   eigenvalue in F_p: g is never a primitive cubic, nor the period maximal.
@@ -54,13 +66,13 @@ f = X^μ·g with g(0) ≠ 0.
   unshifted, to the zero, or 0 when μ = 0.
 
 _tail_period returns the exact (tail, P·len) that composite_period,
-prng_cycle_length and the uniformity_stats fold read; nothing here walks
-an orbit.  The order of X is _x_order: for deg g ≤ 2, X is a unit of
-F_p or of R = F_p[w]/(w² − L w − Q), and Plane.unit_order gives it; for
-a cubic, field.order runs on _x_pow_is_one, an unrolled kernel, below
-the discriminant's bound.  The generic list kernel is the tests'
-oracle, as is the Brent walk find_cycle, kept here under its name in
-the benchmark's trace plan.
+prng_cycle_length and uniformity_stats read; nothing here walks an
+orbit.  The order of X is _x_order: for deg g ≤ 2, X is a unit of F_p
+or of R = F_p[w]/(w² − L w − Q), and Plane.unit_order gives it; for a
+cubic, field.order runs on _x_pow_is_one, on the unrolled kernel _x_pow
+that the jump uses too, below the discriminant's bound.  The generic
+list kernel is the tests' oracle, as is the Brent walk find_cycle, kept
+here under its name in the benchmark's trace plan.
 field.prime_factors' Pollard rho factors p² + p + 1, keeping this fast
 up to p = 2^31 − 1.
 """
@@ -69,7 +81,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import cycle, islice
 from typing import Iterator, NamedTuple
 
@@ -79,6 +91,8 @@ from .magma import (Params, Vector, _require_shared, left_mul_stepper, params,
 from .plane import Plane
 
 SIDES = ("right", "left")
+# uniformity_stats keeps 3·p counters: 24 MiB at this bound
+UNIFORMITY_MAX_P = 1 << 20
 
 
 def _ints(value, what: str) -> list[int]:
@@ -223,8 +237,12 @@ def _annihilator(M, v, p: int) -> list[int]:
         inv = pow(r[pivot], -1, p)
         rows.append((pivot, [x * inv % p for x in r],
                      [x * inv % p for x in poly]))
-        w = [sum(m * x for m, x in zip(row, w)) % p for row in M]
+        w = _mat_vec(M, w, p)
         k += 1
+
+
+def _mat_vec(M, w, p: int) -> list[int]:
+    return [sum(m * x for m, x in zip(row, w)) % p for row in M]
 
 
 def _x_order(g: list[int], p: int) -> int:
@@ -253,8 +271,13 @@ def _x_order(g: list[int], p: int) -> int:
 
 
 def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
-    """Whether X^k ≡ 1 modulo the monic cubic g (low coefficient first),
-    on a + bX + cX² with X³ = c0 + c1·X + c2·X²."""
+    """Whether X^k ≡ 1 modulo the monic cubic g (low coefficient first)."""
+    return _x_pow(k, g, p) == (1, 0, 0)
+
+
+def _x_pow(k: int, g: list[int], p: int) -> tuple[int, int, int]:
+    """X^k modulo the monic cubic g (low coefficient first) as (a, b, c),
+    a + bX + cX², with X³ = c0 + c1·X + c2·X²."""
     c0, c1, c2 = -g[0] % p, -g[1] % p, -g[2] % p
     a, b, c = 1, 0, 0
     for bit in bin(k)[2:]:
@@ -265,17 +288,25 @@ def _x_pow_is_one(k: int, g: list[int], p: int) -> bool:
                    (b * b + 2 * a * c + e4 * c1 + e3 * c2) % p)
         if bit == "1":                   # times X
             a, b, c = c * c0 % p, (a + c * c1) % p, (b + c * c2) % p
-    return a == 1 and b == 0 and c == 0
+    return a, b, c
 
 
-def _tail_period(config: PrngConfig) -> tuple[int, int]:
-    """Exact (tail, period) of the composite state (vector, position),
-    from the annihilator f = X^μ·g of v under M (module docstring)."""
+def _pass_orbit(config: PrngConfig):
+    """(M, v, f): the pass matrix, the shifted initial vector v and its
+    annihilator f under M."""
     p = config.modulus.p
-    length = len(config.pattern)
     x0, x1, x2 = config.initial.components
     M, v = pass_matrix(config), [(x0 + 1) % p, x1, x2]
-    f = _annihilator(M, v, p)
+    return M, v, _annihilator(M, v, p)
+
+
+def _tail_period(config: PrngConfig, orbit=None) -> tuple[int, int]:
+    """Exact (tail, period) of the composite state (vector, position),
+    from the annihilator f = X^μ·g of v under M (module docstring);
+    orbit is _pass_orbit(config) where the caller has it."""
+    p = config.modulus.p
+    length = len(config.pattern)
+    M, v, f = orbit or _pass_orbit(config)
     mu = next(i for i, c in enumerate(f) if c)
     g = f[mu:]
     period = _x_order(g, p) if len(g) > 1 else 1   # g = 1: ends at the zero
@@ -390,22 +421,62 @@ def uniformity_stats(config: PrngConfig, samples: int) -> UniformityReport:
     the rest reps times, and a tally that runs out of outputs (samples
     below head + n) takes only what is left.
 
-    Over a maximal period, (p³ − 1)·len, each position visits every
-    vector but (p − 1, 0, 0) once: counts len·p², less len at x0 = p − 1,
-    x1 = 0 and x2 = 0, and chi-square len/(p² + p + 1) by construction,
-    so it is no evidence of randomness.
+    A maximal period, n = (p³ − 1)·len, certifies more: the tail is 0,
+    f = g is a primitive cubic, and over one period each position visits
+    every vector but z = (p − 1, 0, 0) once.  So the whole-period counts
+    are len·(p² − [x = z_c]) in closed form, and chi-square is
+    len/(p² + p + 1) by construction, no evidence of randomness.  Of the
+    `extra` = samples mod n outputs left, the first are tallied forward
+    if extra ≤ n/2; otherwise one more whole period is counted and the
+    outputs [extra, n) subtracted, stepped from a jump to pass
+    q = extra // len (_jump).  So at most n/2 + len outputs are stepped.
+
+    p is at most UNIFORMITY_MAX_P, checked before the 3·p counters exist.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     p = config.modulus.p
+    if p > UNIFORMITY_MAX_P:
+        raise ValueError(f"uniformity_stats keeps a counter per residue, so "
+                         f"p must be at most {UNIFORMITY_MAX_P}, got {p}")
+    orbit = _pass_orbit(config)
+    head, n = _tail_period(config, orbit)
+    length = len(config.pattern)
+    if n == (p**3 - 1) * length:         # head is 0
+        reps, extra = divmod(samples, n)
+        if 2 * extra <= n:
+            weight, outputs = 1, iter_outputs(config, extra)
+        else:                            # one more period, less [extra, n)
+            reps, weight = reps + 1, -1
+            q, r = divmod(extra, length)
+            outputs = islice(iter_outputs(_jump(config, orbit, q),
+                                          n - q * length), r, None)
+        counts = [[reps * length * (p * p - (x == z)) for x in range(p)]
+                  for z in (p - 1, 0, 0)]
+        _tally(counts, outputs, weight)
+        return UniformityReport.from_counts(p, samples, counts)
     counts = [[0] * p for _ in range(3)]
-    head, n = _tail_period(config)
     reps, extra = divmod(samples - head, n)
     outputs = iter_outputs(config, min(samples, head + n))
     _tally(counts, islice(outputs, head), 1)
     _tally(counts, islice(outputs, extra), reps + 1)
     _tally(counts, outputs, reps)
     return UniformityReport.from_counts(p, samples, counts)
+
+
+def _jump(config: PrngConfig, orbit, q: int) -> PrngConfig:
+    """The config whose outputs are config's from output q·len on: its
+    initial vector is M^q·v, unshifted.  For a cubic annihilator f,
+    M^q·v = a·v + b·Mv + c·M²v with X^q ≡ a + bX + cX² modulo f, as
+    f(M)·v = 0."""
+    M, v, f = orbit
+    p = config.modulus.p
+    a, b, c = _x_pow(q, f, p)
+    mv = _mat_vec(M, v, p)
+    u = [(a * x + b * y + c * z) % p
+         for x, y, z in zip(v, mv, _mat_vec(M, mv, p))]
+    return replace(config, initial=vector(((u[0] - 1) % p, u[1], u[2]),
+                                          config.modulus))
 
 
 class SearchHit(NamedTuple):
@@ -473,7 +544,10 @@ def byte_stream(config: PrngConfig, nbytes: int) -> bytes:
 
     Per component, values below 2^k (k = bit_length(p) - 1) are accepted
     and contribute k bits; larger values are rejected.  Power-of-two
-    rejection avoids modulo bias for any p.
+    rejection avoids modulo bias for any p.  The bits are the accepted
+    values' concatenated, most significant first: eight values make k
+    whole bytes, packed at once.  Outputs are stepped in chunks no larger
+    than the bytes still wanted can use, at most 64·nbytes + 1024 of them.
     """
     if nbytes < 0:
         raise ValueError(f"byte count must be non-negative, got {nbytes}")
@@ -483,17 +557,25 @@ def byte_stream(config: PrngConfig, nbytes: int) -> bytes:
     k = p.bit_length() - 1
     threshold = 1 << k
     out = bytearray()
-    acc = 0
-    nbits = 0
-    for comps in iter_outputs(config, 64 * nbytes + 1024):
-        for v in comps:
-            if v < threshold:
-                acc = (acc << k) | v
-                nbits += k
-                while nbits >= 8:
-                    nbits -= 8
-                    out.append((acc >> nbits) & 0xFF)
-                    if len(out) == nbytes:
-                        return bytes(out)
-                acc &= (1 << nbits) - 1
+    vals: list[int] = []
+    outputs = iter_outputs(config, 64 * nbytes + 1024)
+    while (need := 8 * (nbytes - len(out)) - k * len(vals)) > 0:
+        # an output gives at most 3k bits: never step past the need
+        chunk = list(islice(outputs, min(1024, -(-need // (3 * k)))))
+        if not chunk:
+            break
+        vals += [v for comps in chunk for v in comps if v < threshold]
+        it = iter(vals)                  # zip stops at the last whole 8
+        for a, b, c, d, e, f, g, h in zip(it, it, it, it, it, it, it, it):
+            out += ((((((((a << k | b) << k | c) << k | d) << k | e) << k | f)
+                     << k | g) << k | h).to_bytes(k, "big"))
+        del vals[:len(vals) - len(vals) % 8]
+    acc = 0                              # under 8 values: whole bytes only
+    for v in vals:
+        acc = acc << k | v
+    bits = k * len(vals)
+    out += (acc >> bits % 8).to_bytes(bits // 8, "big")
+    if len(out) >= nbytes:
+        del out[nbytes:]
+        return bytes(out)
     raise RuntimeError("stream too degenerate to extract the requested bytes")

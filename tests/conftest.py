@@ -233,7 +233,8 @@ def scan_python(ps):
 def count_outputs(config, samples):
     """The uniformity report from counting every one of the first
     `samples` outputs: the oracle for prng.uniformity_stats, which folds
-    whole periods of the stream into a count multiplier."""
+    whole periods of the stream into a count multiplier, or on a maximal
+    period counts them in closed form and steps at most half of one."""
     p = config.modulus.p
     counts = [[0] * p for _ in range(3)]
     for out in iter_outputs(config, samples):
@@ -279,3 +280,30 @@ def power_unfolded(s: int, t: int, n: int, L: int, Q: int, p: int):
         if bit == "1":
             a, b = (a * s + b * tQ) % p, (a * t + b * stL) % p
     return a, b
+
+
+def byte_stream_bitwise(config, nbytes):
+    """prng.byte_stream's bytes, one accepted value's bits at a time: the
+    oracle for its packer, which takes eight values, k bytes, at once."""
+    if nbytes < 0:
+        raise ValueError(f"byte count must be non-negative, got {nbytes}")
+    if nbytes == 0:
+        return b""
+    p = config.modulus.p
+    k = p.bit_length() - 1
+    threshold = 1 << k
+    out = bytearray()
+    acc = 0
+    nbits = 0
+    for comps in iter_outputs(config, 64 * nbytes + 1024):
+        for v in comps:
+            if v < threshold:
+                acc = (acc << k) | v
+                nbits += k
+                while nbits >= 8:
+                    nbits -= 8
+                    out.append((acc >> nbits) & 0xFF)
+                    if len(out) == nbytes:
+                        return bytes(out)
+                acc &= (1 << nbits) - 1
+    raise RuntimeError("stream too degenerate to extract the requested bytes")

@@ -399,6 +399,18 @@ def test_prng_uniformity_stdout_is_pinned(capsys, tmp_path):
                    '0.0015900000000000146, "p": 37, "samples": 1000000}\n')
 
 
+def test_prng_uniformity_refuses_a_large_modulus(capsys, tmp_path):
+    """p = 2^31 − 1 would need ~48 GiB of counters: refused by name."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"p": 2147483647, "params": [19, 18, 1, 1, 2], '
+                    '"seeds": [[0, 1, 5], [0, 2, 7]], "pattern": [0, 1], '
+                    '"initial": [3, 1, 4]}')
+    code, out, err = run(capsys, "prng", "uniformity", "--config", str(path),
+                         "--samples", "1000000")
+    assert code == 2 and out == ""
+    assert "p must be at most 1048576, got 2147483647" in err
+
+
 def test_prng_uniformity_zero_samples(capsys, tmp_path):
     code, out, err = run(capsys, "prng", "uniformity", "--config",
                          prng_config_file(tmp_path), "--samples", "0")

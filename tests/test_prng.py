@@ -9,11 +9,12 @@ from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
 from mlmagma import prng
 from mlmagma.field import divisors, order, prime_factors
 from mlmagma.plane import Plane
-from mlmagma.prng import (SIDES, PrngConfig, _x_order, _x_pow_is_one,
-                          byte_stream, composite_period, iter_outputs,
-                          pass_matrix, prng_cycle_length, seed_search,
-                          uniformity_stats)
-from conftest import count_outputs, walk_prng_cycle, x_pow_is_one_generic
+from mlmagma.prng import (SIDES, UNIFORMITY_MAX_P, PrngConfig, _jump,
+                          _pass_orbit, _x_order, _x_pow_is_one, byte_stream,
+                          composite_period, iter_outputs, pass_matrix,
+                          prng_cycle_length, seed_search, uniformity_stats)
+from conftest import (byte_stream_bitwise, count_outputs, walk_prng_cycle,
+                      x_pow_is_one_generic)
 
 
 def make_config(p=5, coefs=(1, 1, 1, 1, 2), seeds=((0, 1, 0), (0, 0, 1)),
@@ -572,6 +573,78 @@ def test_uniformity_over_a_maximal_period(p, side, length):
         assert rep.chi_square == pytest.approx([length / (p * p + p + 1)] * 3)
 
 
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("length", (2, 3))
+def test_uniformity_stats_matches_stepping_on_a_maximal_period(p, side, length):
+    """The closed-form whole periods, with the remainder tallied forward
+    or subtracted after a jump, count what stepping every output counts,
+    on both sides of n/2 and across whole periods."""
+    rng = random.Random(f"maximal-samples/{p}/{side}/{length}")
+    for cfg in _maximal_configs(p, side, length, 2):
+        n = composite_period(cfg)
+        for samples in (1, n // 2, n // 2 + 1, n - 1, n, n + 1, 2 * n - 1,
+                        *(rng.randrange(1, 4 * n) for _ in range(8))):
+            assert uniformity_stats(cfg, samples) == count_outputs(cfg, samples)
+
+
+@pytest.mark.parametrize("p, length", ((5, 2), (7, 3)))
+@pytest.mark.parametrize("side", SIDES)
+def test_jump_matches_stepping(p, side, length):
+    """The jump to pass q, M^q·v from X^q mod g, starts the outputs that
+    stepping reaches at output q·len, for every q up to two periods."""
+    cfg, = _maximal_configs(p, side, length, 1)
+    n = composite_period(cfg)
+    outs = list(iter_outputs(cfg, 2 * n + length))
+    orbit = _pass_orbit(cfg)
+    for q in range(2 * n // length + 1):
+        assert list(iter_outputs(_jump(cfg, orbit, q), length)) == \
+            outs[q * length:(q + 1) * length], q
+
+
+@pytest.mark.parametrize("p, length", ((5, 2), (7, 3)))
+@pytest.mark.parametrize("side", SIDES)
+def test_uniformity_stats_steps_at_most_half_a_maximal_period(
+        p, side, length, monkeypatch):
+    """On a maximal period, beyond the slot steps of the period analysis
+    that composite_period also takes, at most n//2 + len slots are
+    stepped whatever the sample count; stepping a whole period would
+    take up to n."""
+    calls = [0]
+    real = prng._slot_steppers
+
+    def counting(config):
+        def counted(step):
+            def wrapper(cur):
+                calls[0] += 1
+                return step(cur)
+            return wrapper
+        return [counted(step) for step in real(config)]
+
+    cfg, = _maximal_configs(p, side, length, 1)
+    n = composite_period(cfg)
+    monkeypatch.setattr(prng, "_slot_steppers", counting)
+    composite_period(cfg)
+    analysis, calls[0] = calls[0], 0
+    samples = {1, n // 2, n // 2 + 1, n // 2 + length, n - 1, n, n + 1,
+               3 * n // 2, 3 * n // 2 + 1, 2 * n - 1, *range(1, 4 * n, 37)}
+    worst = 0
+    for s in samples:
+        uniformity_stats(cfg, s)
+        worst, calls[0] = max(worst, calls[0] - analysis), 0
+    assert worst <= n // 2 + length
+
+
+def test_uniformity_stats_refuses_a_large_modulus():
+    """The counters are refused by p, before they are allocated: at
+    p = 2^31 − 1 they would take ~48 GiB."""
+    cfg = make_config(p=2**31 - 1, coefs=(19, 18, 1, 1, 2),
+                      seeds=((0, 1, 5), (0, 2, 7)), initial=(3, 1, 4))
+    with pytest.raises(ValueError, match=f"at most {UNIFORMITY_MAX_P}, "
+                                         f"got {2**31 - 1}"):
+        uniformity_stats(cfg, 1000)
+
+
 def _det3(a, p):
     return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
             - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
@@ -710,6 +783,39 @@ def test_byte_stream_zero_and_negative_counts():
     assert byte_stream(make_config(), 0) == b""
     with pytest.raises(ValueError, match="non-negative"):
         byte_stream(make_config(), -1)
+
+
+def _byte_stream_configs():
+    """Both sides at p = 3, 5, 17, 37 and 2^31 − 1 (k = 1, 2, 4, 5, 30),
+    and the degenerate stream of the test above."""
+    m5 = make_modulus(5)
+    yield pytest.param(PrngConfig(Params3(0, 0, 0, 0, 0, m5),
+                                  (identity(3, m5),), (0,),
+                                  Vector3(4, 4, 4, m5)), id="degenerate")
+    for p in (3, 5, 17, 37, 2**31 - 1):
+        rng = random.Random(f"bytes/{p}")
+        for side in SIDES:
+            yield pytest.param(make_config(
+                p=p, coefs=[rng.randrange(p) for _ in range(5)],
+                seeds=[[rng.randrange(p) for _ in range(3)] for _ in range(2)],
+                initial=[rng.randrange(p) for _ in range(3)], side=side),
+                id=f"{p}-{side}")
+
+
+@pytest.mark.parametrize("cfg", _byte_stream_configs())
+def test_byte_stream_matches_bitwise(cfg):
+    """The packer's bytes are those of taking each accepted value's bits
+    one at a time, for every count up to two groups of eight values and
+    one large count; a stream without the bits fails alike."""
+    k = cfg.modulus.p.bit_length() - 1
+    for nbytes in (*range(1, 2 * k + 2), 4099):
+        try:
+            want = byte_stream_bitwise(cfg, nbytes)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=str(exc)):
+                byte_stream(cfg, nbytes)
+        else:
+            assert byte_stream(cfg, nbytes) == want, nbytes
 
 
 def test_byte_stream_unbiased_shape():
