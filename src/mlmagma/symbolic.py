@@ -1,11 +1,23 @@
 """Exact symbolic expansion of iterated products on K^3.
 
 Polynomials live in Z[a0, a1, a2, A, B, C, D, E]: the three generic
-vector components plus the five operation coefficients.  A polynomial is
-a dict from 8-tuples of exponents to nonzero integer coefficients, kept
-in graded-lexicographic order when listed.  Coefficients are bounded to
-signed 64-bit range and a breach is a hard failure; for the supported
-expansion depth (n <= 8) they stay tiny.
+vector components plus the five operation coefficients.  Coefficients
+are bounded to signed 64-bit range and a breach is a hard failure; for
+the supported expansion depth (n <= 8) they stay tiny.
+
+Packed monomials.  A polynomial maps one int per monomial to its
+nonzero coefficient.  The key of a0^e0·…·E^e7 is nine B-bit fields
+(B = 16), the total degree d = e0 + … + e7 on top:
+
+    key = d << 8B | e0 << 7B | e1 << 6B | … | e7.
+
+Fields add like exponents, so a term product is one int add.  None
+carries while d < 2^B (each e_i ≤ d), so one max(keys) < 2^(9B) per
+product proves the sums exact; a degree past 2^B − 1 raises
+DegreeOverflowError (sym_pow(8) stays below 20).  Int order compares d,
+then e0, e1, … in turn: graded lexicographic order, so listings sort
+plain ints.  Each result checks its coefficients once, by min and max;
+`terms` decodes the keys to 8-tuples on access.
 
 Closed form.  With s0 = a0 + 1, L = D·a1 + E·a2 and
 Q = A·a1² + C·a1·a2 + B·a2², the plane {(s − 1, t·a1, t·a2)} is closed
@@ -15,7 +27,7 @@ the `magma` docstring), so
     a^n = (s_n − 1, t_n·a1, t_n·a2),   s_n + t_n w = (s0 + w)^n.
 
 sym_pow steps s + t w ↦ (s + t w)(s0 + w) = (s·s0 + t·Q) + (s + t·(s0 + L)) w
-on two polynomials.  The repeated product by sym_mul3 is the test oracle.
+on two polynomials.
 
 Monomial law.  An a-monomial is a monomial in a0, a1, a2 alone, its
 coefficient a polynomial in A..E.  Component 0 of a^n has
@@ -44,8 +56,9 @@ or a2 keeps them distinct.  (C(n+3,3) − 1 is a_monomial_bound(n).)
 
 from __future__ import annotations
 
-from operator import add
-from typing import Iterable, NamedTuple
+import struct
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 VARIABLES = ("a0", "a1", "a2", "A", "B", "C", "D", "E")
 _NVARS = len(VARIABLES)
@@ -53,81 +66,113 @@ _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _COEF_LIMIT = 2**63
 MAX_SYM_POWER = 8
 
+_BITS = 16                                    # B, one field of a key
+_FIELDS = struct.Struct(f">{_NVARS + 1}H")    # d, e0 .. e7, big-endian
+_FIELD_MAX = (1 << _BITS) - 1                 # field mask, degree bound
+_KEY_LIMIT = 1 << (_NVARS + 1) * _BITS        # above every key with d < 2^B
+_A_SHIFTS = tuple((_NVARS - 1 - i) * _BITS for i in range(3))
+
 
 class CoefficientOverflowError(OverflowError):
     """A coefficient left the signed 64-bit range."""
 
 
-def _checked(c: int) -> int:
-    if not (-_COEF_LIMIT <= c < _COEF_LIMIT):
-        raise CoefficientOverflowError(f"coefficient {c} exceeds 64-bit range")
-    return c
+class DegreeOverflowError(OverflowError):
+    """A monomial's total degree left its 16-bit key field."""
 
 
-def _grlex_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
+def _pack(exps: tuple[int, ...]) -> int:
+    """The packed key of an exponent 8-tuple."""
+    if len(exps) != _NVARS or min(exps) < 0:
+        raise ValueError(f"expected {_NVARS} non-negative exponents, "
+                         f"got {exps}")
+    d = sum(exps)
+    if d > _FIELD_MAX:
+        raise DegreeOverflowError(f"total degree {d} exceeds {_FIELD_MAX}")
+    return int.from_bytes(_FIELDS.pack(d, *exps), "big")
+
+
+def _unpack(key: int) -> tuple[int, ...]:
+    return _FIELDS.unpack(key.to_bytes(_FIELDS.size, "big"))[1:]
+
+
+def _poly(terms: dict[int, int]) -> "SymPoly":
+    """The SymPoly of packed terms, zeros dropped, coefficients checked."""
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    lo, hi = min(terms.values(), default=0), max(terms.values(), default=0)
+    if lo < -_COEF_LIMIT or hi >= _COEF_LIMIT:
+        bad = lo if lo < -_COEF_LIMIT else hi
+        raise CoefficientOverflowError(
+            f"coefficient {bad} exceeds 64-bit range")
+    poly = SymPoly.__new__(SymPoly)
+    poly._terms = terms
+    return poly
 
 
 class SymPoly:
     """Sparse multivariate polynomial with exact integer coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[tuple[int, ...], int] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+    def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
+        self._terms = {_pack(e): c for e, c in (terms or {}).items() if c != 0}
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """Read-only view of the terms keyed by exponent 8-tuples."""
+        return MappingProxyType(
+            {_unpack(k): c for k, c in self._terms.items()})
 
     @classmethod
     def constant(cls, c: int) -> "SymPoly":
-        if c == 0:
-            return cls()
         return cls({(0,) * _NVARS: c})
 
     @classmethod
     def variable(cls, name: str) -> "SymPoly":
-        exps = [0] * _NVARS
-        exps[_VAR_INDEX[name]] = 1
-        return cls({tuple(exps): 1})
+        return cls.monomial(1, **{name: 1})
 
     @classmethod
     def monomial(cls, coefficient: int, **powers: int) -> "SymPoly":
         exps = [0] * _NVARS
         for name, e in powers.items():
+            if name not in _VAR_INDEX:
+                raise ValueError(f"unknown variable {name!r}, expected one "
+                                 f"of {', '.join(VARIABLES)}")
+            if e < 0:
+                raise ValueError(f"exponent of {name} must be non-negative, "
+                                 f"got {e}")
             exps[_VAR_INDEX[name]] = e
         return cls({tuple(exps): coefficient})
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = SymPoly.constant(other)
         if not isinstance(other, SymPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> "SymPoly":
         if isinstance(other, int):
             other = SymPoly.constant(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = _checked(out.get(e, 0) + c)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SymPoly(out)
+        out = dict(self._terms)
+        get = out.get
+        for k, c in other._terms.items():
+            out[k] = get(k, 0) + c
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymPoly":
-        return SymPoly({e: -c for e, c in self.terms.items()})
+        return _poly({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "SymPoly":
-        if isinstance(other, int):
-            other = SymPoly.constant(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "SymPoly":
@@ -136,19 +181,23 @@ class SymPoly:
     def __mul__(self, other) -> "SymPoly":
         if isinstance(other, int):
             other = SymPoly.constant(other)
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         get = out.get
-        pairs = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in pairs:
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return SymPoly({e: _checked(c) for e, c in out.items() if c})
+        pairs = other._terms.items()
+        for k1, c1 in self._terms.items():
+            for k2, c2 in pairs:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if out and max(out) >= _KEY_LIMIT:
+            raise DegreeOverflowError(
+                f"total degree {max(out) >> _NVARS * _BITS} exceeds "
+                f"{_FIELD_MAX}")
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def monomial_count(self) -> int:
-        return len(self.terms)
+        return len(self._terms)
 
     def a_monomial_count(self) -> int:
         """Distinct monomials in the vector variables a0, a1, a2 only.
@@ -156,28 +205,28 @@ class SymPoly:
         Parameter symbols are treated as part of the coefficient, so
         A*a1^2 and D*a1^2 aggregate into one a-monomial.
         """
-        return len({e[:3] for e in self.terms})
+        shift, mask = _A_SHIFTS[-1], (1 << 3 * _BITS) - 1
+        return len({k >> shift & mask for k in self._terms})
 
     def a_degree(self) -> int:
         """Total degree in the vector variables a0, a1, a2."""
-        if not self.terms:
-            return 0
-        return max(sum(e[:3]) for e in self.terms)
-
-    def divisible_by(self, name: str) -> bool:
-        i = _VAR_INDEX[name]
-        return all(e[i] >= 1 for e in self.terms)
+        return max((sum(k >> s & _FIELD_MAX for s in _A_SHIFTS)
+                    for k in self._terms), default=0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
+        """(exponents, coefficient) pairs in graded lexicographic order."""
+        return [(_unpack(k), self._terms[k]) for k in sorted(self._terms)]
 
     def evaluate(self, values: dict[str, int], p: int) -> int:
         """Evaluate modulo p with an assignment for all eight variables."""
+        for name in VARIABLES:
+            if name not in values:
+                raise ValueError(f"no value for variable {name!r}")
         vals = [values[name] % p for name in VARIABLES]
         acc = 0
-        for exps, coef in self.terms.items():
+        for key, coef in self._terms.items():
             term = coef % p
-            for v, e in zip(vals, exps):
+            for v, e in zip(vals, _unpack(key)):
                 if e:
                     term = term * pow(v, e, p) % p
             acc = (acc + term) % p
@@ -185,28 +234,21 @@ class SymPoly:
 
     def listing(self) -> str:
         """One monomial per line: coefficient then exponent tuple."""
-        lines = []
-        for exps, coef in self.sorted_terms():
-            lines.append(f"{coef}\t" + " ".join(str(e) for e in exps))
-        return "\n".join(lines)
+        return "\n".join(f"{coef}\t" + " ".join(map(str, exps))
+                         for exps, coef in self.sorted_terms())
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for exps, coef in self.sorted_terms():
-            factors = [str(coef)] if abs(coef) != 1 or not any(exps) else (
-                ["-"] if coef == -1 else [])
-            for name, e in zip(VARIABLES, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            txt = "*".join(f for f in factors if f != "-")
-            if coef == -1 and any(exps):
-                txt = "-" + txt
-            parts.append(txt)
-        return " + ".join(parts).replace("+ -", "- ")
+            mono = "*".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in zip(VARIABLES, exps) if e)
+            if not mono:
+                parts.append(str(coef))
+            elif abs(coef) == 1:
+                parts.append(mono if coef == 1 else "-" + mono)
+            else:
+                parts.append(f"{coef}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 class SymVector3(NamedTuple):
@@ -220,31 +262,13 @@ class SymVector3(NamedTuple):
                 self.c2.evaluate(values, p))
 
 
-_A = SymPoly.variable("A")
-_B = SymPoly.variable("B")
-_C = SymPoly.variable("C")
-_D = SymPoly.variable("D")
-_E = SymPoly.variable("E")
+_A, _B, _C, _D, _E = (SymPoly.variable(v) for v in "ABCDE")
 
 
 def generic_vector() -> SymVector3:
     return SymVector3(SymPoly.variable("a0"),
                       SymPoly.variable("a1"),
                       SymPoly.variable("a2"))
-
-
-def zero_vector() -> SymVector3:
-    return SymVector3(SymPoly(), SymPoly(), SymPoly())
-
-
-def sym_mul3(x: SymVector3, y: SymVector3) -> SymVector3:
-    """The componentwise product rule applied over the polynomial ring."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    c0 = x0 + y0 + x0 * y0 + _A * x1 * y1 + _C * x2 * y1 + _B * x2 * y2
-    c1 = x1 + y1 + x1 * y0 + x0 * y1 + _D * x1 * y1 + _E * x1 * y2
-    c2 = x2 + y2 + x2 * y0 + x0 * y2 + _D * x2 * y1 + _E * x2 * y2
-    return SymVector3(c0, c1, c2)
 
 
 def sym_pow(n: int) -> SymVector3:

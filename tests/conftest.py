@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from math import gcd
+from operator import add
 
 import pytest
 
@@ -9,7 +10,8 @@ from mlmagma.field import divisors
 from mlmagma.magma import left_mul_stepper, right_mul_stepper
 from mlmagma.orbit import CensusReport, orbit_length
 from mlmagma.prng import UniformityReport, find_cycle, iter_outputs
-from mlmagma.symbolic import generic_vector, sym_mul3
+from mlmagma.symbolic import (VARIABLES, CoefficientOverflowError, SymPoly,
+                              SymVector3, generic_vector)
 
 TEST_PRIMES = (23, 61, 101)
 
@@ -56,6 +58,84 @@ def paper_mul(a, b, ps):
     c2 = a2 + b2 + a2 * b0 + a0 * b2 + G * a2 * b1 + H * a2 * b2 + I * a2 * b3
     c3 = a3 + b3 + a3 * b0 + a0 * b3 + G * a3 * b1 + H * a3 * b2 + I * a3 * b3
     return Vector4(c0 % p, c1 % p, c2 % p, c3 % p, a.modulus)
+
+
+_COEF_LIMIT = 2**63
+
+
+def _checked(c: int) -> int:
+    if not (-_COEF_LIMIT <= c < _COEF_LIMIT):
+        raise CoefficientOverflowError(f"coefficient {c} exceeds 64-bit range")
+    return c
+
+
+def poly_add(x: dict, y: dict) -> dict:
+    """x + y on {exponent tuple: coefficient} dicts, each sum checked:
+    the oracle for SymPoly's packed-key addition."""
+    out = dict(x)
+    for e, c in y.items():
+        s = _checked(out.get(e, 0) + c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def poly_mul(x: dict, y: dict) -> dict:
+    """x * y on {exponent tuple: coefficient} dicts, exponents added
+    field by field: the oracle for SymPoly's one int add per term product."""
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    pairs = y.items()
+    for e1, c1 in x.items():
+        for e2, c2 in pairs:
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return {e: _checked(c) for e, c in out.items() if c}
+
+
+def grlex_key(exps: tuple[int, ...]) -> tuple:
+    """Graded lexicographic order, a0 first: the oracle for the int order
+    of SymPoly's packed keys."""
+    return (sum(exps), exps)
+
+
+def poly_evaluate(terms: dict, values: dict[str, int], p: int) -> int:
+    """A {exponent tuple: coefficient} dict evaluated modulo p, term by
+    term: the oracle for SymPoly.evaluate on packed keys."""
+    vals = [values[name] % p for name in VARIABLES]
+    acc = 0
+    for exps, coef in terms.items():
+        term = coef % p
+        for v, e in zip(vals, exps):
+            if e:
+                term = term * pow(v, e, p) % p
+        acc = (acc + term) % p
+    return acc
+
+
+def divisible_by(poly: SymPoly, name: str) -> bool:
+    """Whether every monomial of poly carries the variable name."""
+    i = VARIABLES.index(name)
+    return all(e[i] >= 1 for e in poly.terms)
+
+
+_A, _B, _C, _D, _E = (SymPoly.variable(v) for v in "ABCDE")
+
+
+def zero_vector() -> SymVector3:
+    return SymVector3(SymPoly(), SymPoly(), SymPoly())
+
+
+def sym_mul3(x: SymVector3, y: SymVector3) -> SymVector3:
+    """The componentwise product rule applied over the polynomial ring."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    c0 = x0 + y0 + x0 * y0 + _A * x1 * y1 + _C * x2 * y1 + _B * x2 * y2
+    c1 = x1 + y1 + x1 * y0 + x0 * y1 + _D * x1 * y1 + _E * x1 * y2
+    c2 = x2 + y2 + x2 * y0 + x0 * y2 + _D * x2 * y1 + _E * x2 * y2
+    return SymVector3(c0, c1, c2)
 
 
 def sym_pow_oracle(n):
