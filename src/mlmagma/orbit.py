@@ -538,7 +538,14 @@ class SweepResult:
     reports: list[CensusReport]
 
     def aggregate(self, measure: str = "cycle") -> dict:
-        """Per special length: mean/min/max proportion across the sweep."""
+        """Per special length: mean/min/max proportion across the sweep.
+
+        An empty sweep (a subset that kept no pair) has none, and raises
+        ValueError.
+        """
+        if not self.reports:
+            raise ValueError(f"the sweep at p = {self.p} is empty: no "
+                             f"proportion to aggregate")
         out = {}
         for name in SPECIAL_NAMES:
             props = [r.proportion(r.special_lengths[name], measure)

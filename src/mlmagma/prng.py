@@ -12,7 +12,10 @@ bilinear in S (magma docstring), so one full pattern pass is linear,
 S(x) ↦ M·S(x).  The position-0 subsequence of the composite state is
 exactly its iteration, so the composite-state period is pattern_length
 times the period of v = S(initial) under M.  That period is an element
-order, not a walk.  Let f, of degree at most 3, be the monic
+order, not a walk.  M itself is never built: M^k·v is the shifted state
+after k passes, so the Krylov vectors v, Mv, M²v, … are read off the
+stream (_pass_states); the tests probe M column by column as their
+oracle (conftest.pass_matrix).  Let f, of degree at most 3, be the monic
 annihilator of v (the least-degree f with f(M)·v = 0), and write
 f = X^μ·g with g(0) ≠ 0.
 
@@ -49,8 +52,9 @@ f = X^μ·g with g(0) ≠ 0.
   counts of component c are len·(p² − [x = z_c]) for every x.
 * Jump-ahead: f(M)·v = 0, so M^q·v = a·v + b·Mv + c·M²v for
   X^q ≡ a + bX + cX² modulo a cubic f, and _x_pow finds (a, b, c) in
-  O(log q) steps.  uniformity_stats jumps so on a maximal period, and
-  steps at most half of one.
+  O(log q) steps; v, Mv, M²v are the pass states already read.
+  uniformity_stats jumps so on a maximal period, and steps at most half
+  of one.
 * If the seeds the pattern uses have collinear (x1, x2) parts, their
   shifted plane is closed under the product, so M keeps it and has an
   eigenvalue in F_p: g is never a primitive cubic, nor the period maximal.
@@ -63,16 +67,19 @@ f = X^μ·g with g(0) ≠ 0.
   agree after r slots iff their product M_r has M_r·w = 0, whatever u
   and the factor; M·w = f(M)·v = 0 gives r ≤ len.  So the tail is
   (μ − 1)·len + r for the least such r ≥ 1, found by stepping w,
-  unshifted, to the zero, or 0 when μ = 0.
+  unshifted, to the zero, or 0 when μ = 0.  w is a combination of the
+  Krylov vectors v … M^(deg f − 1)·v, as is a jump (_combine).
 
-_tail_period returns the exact (tail, P·len) that composite_period,
-prng_cycle_length and uniformity_stats read; nothing here walks an
-orbit.  The order of X is _x_order: for deg g ≤ 2, X is a unit of F_p
-or of R = F_p[w]/(w² − L w − Q), and Plane.unit_order gives it; for a
-cubic, field.order runs on _x_pow_is_one, on the unrolled kernel _x_pow
-that the jump uses too, below the discriminant's bound.  The generic
-list kernel is the tests' oracle, as is the Brent walk find_cycle, kept
-here under its name in the benchmark's trace plan.
+_pass_orbit reads deg f + 1 pass states, so steps at most 3·len slots
+(a tail takes at most len more), and returns f, that Krylov basis and
+the exact (tail, P·len) that composite_period, prng_cycle_length,
+uniformity_stats and _jump read; nothing here walks an orbit.  The
+order of X is _x_order: for deg g ≤ 2, X is a unit of F_p or of
+R = F_p[w]/(w² − L w − Q), and Plane.unit_order gives it; for a cubic,
+field.order runs on _x_pow_is_one, on the unrolled kernel _x_pow that
+the jump uses too, below the discriminant's bound.  The generic list
+kernel is the tests' oracle, as is the Brent walk find_cycle, kept here
+under its name in the benchmark's trace plan.
 field.prime_factors' Pollard rho factors p² + p + 1, keeping this fast
 up to p = 2^31 − 1.
 """
@@ -198,32 +205,26 @@ def _outputs(steppers, cur, count: int) -> Iterator[tuple[int, int, int]]:
         yield cur
 
 
-def pass_matrix(config: PrngConfig) -> list[list[int]]:
-    """The matrix M of one full pattern pass on the shifted vector
-    (x0 + 1, x1, x2), where the pass is linear (module docstring).
+def _pass_states(steppers, cur, p: int):
+    """The shifted states S(x) after 0, 1, 2, ... passes from x = cur:
+    the Krylov vectors v, Mv, M²v, ... (module docstring), each pass
+    stepped only when the next state is asked for."""
+    while True:
+        yield (cur[0] + 1) % p, cur[1], cur[2]
+        for step in steppers:
+            cur = step(cur)
 
-    Its columns are the passes of the shifted unit vectors, probed
-    through the slot steppers, so it works for either multiplication side.
+
+def _annihilator(states, p: int) -> tuple[list[int], list]:
+    """(f, basis): the monic f of least degree with f(M)·v = 0, low
+    coefficient first, and the Krylov basis v … M^(deg f − 1)·v.
+
+    Eliminates the states v, Mv, M²v, ... mod p, each kept with the
+    polynomial in M that produced it, until one reduces to zero; so it
+    takes deg f + 1 of them.
     """
-    p = config.modulus.p
-    steppers = _slot_steppers(config)
-    cols = []
-    for cur in ((0, 0, 0), (p - 1, 1, 0), (p - 1, 0, 1)):
-        for st in steppers:
-            cur = st(cur)
-        cols.append(((cur[0] + 1) % p, cur[1], cur[2]))
-    return [list(row) for row in zip(*cols)]
-
-
-def _annihilator(M, v, p: int) -> list[int]:
-    """The monic f of least degree with f(M)·v = 0, low coefficient first.
-
-    Eliminates the Krylov vectors v, Mv, M²v, ... mod p, each kept with
-    the polynomial in M that produced it, until one reduces to zero.
-    """
-    rows = []                            # (pivot, row, poly), row[pivot] = 1
-    w, k = v, 0
-    while True:                          # at most len(v) + 1 vectors
+    rows, basis = [], []                 # (pivot, row, poly), row[pivot] = 1
+    for k, w in enumerate(states):       # at most len(v) + 1 states
         r, poly = list(w), [0] * k + [1]
         for pivot, row, prow in rows:
             c = r[pivot]
@@ -233,16 +234,17 @@ def _annihilator(M, v, p: int) -> list[int]:
                     poly[i] = (poly[i] - c * y) % p
         pivot = next((i for i, x in enumerate(r) if x), None)
         if pivot is None:
-            return poly
+            return poly, basis
+        basis.append(w)
         inv = pow(r[pivot], -1, p)
         rows.append((pivot, [x * inv % p for x in r],
                      [x * inv % p for x in poly]))
-        w = _mat_vec(M, w, p)
-        k += 1
 
 
-def _mat_vec(M, w, p: int) -> list[int]:
-    return [sum(m * x for m, x in zip(row, w)) % p for row in M]
+def _combine(coefs, vectors, p: int) -> list[int]:
+    """Σ cᵢ·vectorsᵢ mod p."""
+    return [sum(c * x for c, x in zip(coefs, col)) % p
+            for col in zip(*vectors)]
 
 
 def _x_order(g: list[int], p: int) -> int:
@@ -291,41 +293,38 @@ def _x_pow(k: int, g: list[int], p: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _pass_orbit(config: PrngConfig):
-    """(M, v, f): the pass matrix, the shifted initial vector v and its
-    annihilator f under M."""
-    p = config.modulus.p
-    x0, x1, x2 = config.initial.components
-    M, v = pass_matrix(config), [(x0 + 1) % p, x1, x2]
-    return M, v, _annihilator(M, v, p)
+class _PassOrbit(NamedTuple):
+    f: list[int]                         # annihilator of v, low first
+    basis: list                          # v … M^(deg f − 1)·v
+    tail: int                            # composite
+    period: int                          # composite
 
 
-def _tail_period(config: PrngConfig, orbit=None) -> tuple[int, int]:
-    """Exact (tail, period) of the composite state (vector, position),
-    from the annihilator f = X^μ·g of v under M (module docstring);
-    orbit is _pass_orbit(config) where the caller has it."""
+def _pass_orbit(config: PrngConfig) -> _PassOrbit:
+    """The pass analysis of config: the annihilator f = X^μ·g of v, its
+    Krylov basis read off the pass states, and the exact composite
+    (tail, period) from them (module docstring)."""
     p = config.modulus.p
     length = len(config.pattern)
-    M, v, f = orbit or _pass_orbit(config)
+    steppers = _slot_steppers(config)
+    f, basis = _annihilator(
+        _pass_states(steppers, config.initial.components, p), p)
     mu = next(i for i, c in enumerate(f) if c)
     g = f[mu:]
-    period = _x_order(g, p) if len(g) > 1 else 1   # g = 1: ends at the zero
+    period = (_x_order(g, p) if len(g) > 1 else 1) * length  # g = 1: the zero
     if mu == 0:
-        return 0, period * length
-    w = [0, 0, 0]                        # (f/X)(M)·v by Horner
-    for c in reversed(f[1:]):
-        w = [(sum(m * x for m, x in zip(row, w)) + c * y) % p
-             for row, y in zip(M, v)]
+        return _PassOrbit(f, basis, 0, period)
+    w = _combine(f[1:], basis, p)        # (f/X)(M)·v
     # the tail ends at the first slot that sends w, unshifted, to the zero
-    outs = _outputs(_slot_steppers(config), ((w[0] - 1) % p, w[1], w[2]), length)
+    outs = _outputs(steppers, ((w[0] - 1) % p, w[1], w[2]), length)
     r = next(i for i, x in enumerate(outs, 1) if x == (p - 1, 0, 0))
-    return (mu - 1) * length + r, period * length
+    return _PassOrbit(f, basis, (mu - 1) * length + r, period)
 
 
 def composite_period(config: PrngConfig) -> int:
     """Exact composite-state period: the pattern length times the pass
     period of the initial vector."""
-    return _tail_period(config)[1]
+    return _pass_orbit(config).period
 
 
 def find_cycle(step, start):
@@ -365,7 +364,7 @@ def prng_cycle_length(config: PrngConfig, cap: int | None = None) -> CycleResult
     or exceeded_cap when tail + period exceeds cap (None: no bound)."""
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    tail, period = _tail_period(config)
+    _, _, tail, period = _pass_orbit(config)
     if cap is not None and tail + period > cap:
         return CycleResult(None, None, True)
     return CycleResult(tail, period, False)
@@ -440,7 +439,7 @@ def uniformity_stats(config: PrngConfig, samples: int) -> UniformityReport:
         raise ValueError(f"uniformity_stats keeps a counter per residue, so "
                          f"p must be at most {UNIFORMITY_MAX_P}, got {p}")
     orbit = _pass_orbit(config)
-    head, n = _tail_period(config, orbit)
+    head, n = orbit.tail, orbit.period
     length = len(config.pattern)
     if n == (p**3 - 1) * length:         # head is 0
         reps, extra = divmod(samples, n)
@@ -464,17 +463,13 @@ def uniformity_stats(config: PrngConfig, samples: int) -> UniformityReport:
     return UniformityReport.from_counts(p, samples, counts)
 
 
-def _jump(config: PrngConfig, orbit, q: int) -> PrngConfig:
+def _jump(config: PrngConfig, orbit: _PassOrbit, q: int) -> PrngConfig:
     """The config whose outputs are config's from output q·len on: its
     initial vector is M^q·v, unshifted.  For a cubic annihilator f,
     M^q·v = a·v + b·Mv + c·M²v with X^q ≡ a + bX + cX² modulo f, as
-    f(M)·v = 0."""
-    M, v, f = orbit
+    f(M)·v = 0, and v, Mv, M²v are the orbit's basis, the pass states."""
     p = config.modulus.p
-    a, b, c = _x_pow(q, f, p)
-    mv = _mat_vec(M, v, p)
-    u = [(a * x + b * y + c * z) % p
-         for x, y, z in zip(v, mv, _mat_vec(M, mv, p))]
+    u = _combine(_x_pow(q, orbit.f, p), orbit.basis, p)
     return replace(config, initial=vector(((u[0] - 1) % p, u[1], u[2]),
                                           config.modulus))
 

@@ -2,8 +2,9 @@
 
 Polynomials live in Z[a0, a1, a2, A, B, C, D, E]: the three generic
 vector components plus the five operation coefficients.  Coefficients
-are bounded to signed 64-bit range and a breach is a hard failure; for
-the supported expansion depth (n <= 8) they stay tiny.
+are bounded to signed 64-bit range, on input as on every result, and a
+breach is a hard failure; for the supported expansion depth (n <= 8)
+they stay tiny.
 
 Packed monomials.  A polynomial maps one int per monomial to its
 nonzero coefficient.  The key of a0^e0·…·E^e7 is nine B-bit fields
@@ -96,8 +97,8 @@ def _unpack(key: int) -> tuple[int, ...]:
     return _FIELDS.unpack(key.to_bytes(_FIELDS.size, "big"))[1:]
 
 
-def _poly(terms: dict[int, int]) -> "SymPoly":
-    """The SymPoly of packed terms, zeros dropped, coefficients checked."""
+def _checked(terms: dict[int, int]) -> dict[int, int]:
+    """Packed terms with zeros dropped, each coefficient checked."""
     if 0 in terms.values():
         terms = {k: c for k, c in terms.items() if c}
     lo, hi = min(terms.values(), default=0), max(terms.values(), default=0)
@@ -105,8 +106,12 @@ def _poly(terms: dict[int, int]) -> "SymPoly":
         bad = lo if lo < -_COEF_LIMIT else hi
         raise CoefficientOverflowError(
             f"coefficient {bad} exceeds 64-bit range")
+    return terms
+
+
+def _poly(terms: dict[int, int]) -> "SymPoly":
     poly = SymPoly.__new__(SymPoly)
-    poly._terms = terms
+    poly._terms = _checked(terms)
     return poly
 
 
@@ -116,7 +121,7 @@ class SymPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
-        self._terms = {_pack(e): c for e, c in (terms or {}).items() if c != 0}
+        self._terms = _checked({_pack(e): c for e, c in (terms or {}).items()})
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
@@ -149,8 +154,8 @@ class SymPoly:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = SymPoly.constant(other)
+        if isinstance(other, int):       # key 0 is the constant monomial
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, SymPoly):
             return NotImplemented
         return self._terms == other._terms

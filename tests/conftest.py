@@ -9,7 +9,8 @@ from mlmagma import Params3, Params4, Vector3, Vector4, make_modulus, vector
 from mlmagma.field import divisors
 from mlmagma.magma import left_mul_stepper, right_mul_stepper
 from mlmagma.orbit import CensusReport, orbit_length
-from mlmagma.prng import UniformityReport, find_cycle, iter_outputs
+from mlmagma.prng import (UniformityReport, _slot_steppers, find_cycle,
+                          iter_outputs)
 from mlmagma.symbolic import (VARIABLES, CoefficientOverflowError, SymPoly,
                               SymVector3, generic_vector)
 
@@ -207,6 +208,25 @@ def walk_prng_cycle(config):
         return steppers[pos](vec), (pos + 1) % length
 
     return find_cycle(step, (config.initial.components, 0))
+
+
+def pass_matrix(config) -> list[list[int]]:
+    """The matrix M of one full pattern pass on the shifted vector
+    (x0 + 1, x1, x2), where the pass is linear (prng module docstring):
+    the oracle for the Krylov vectors M^k·v that prng reads off its
+    stream.
+
+    Its columns are the passes of the shifted unit vectors, probed
+    through the slot steppers, so it works for either multiplication side.
+    """
+    p = config.modulus.p
+    steppers = _slot_steppers(config)
+    cols = []
+    for cur in ((0, 0, 0), (p - 1, 1, 0), (p - 1, 0, 1)):
+        for st in steppers:
+            cur = st(cur)
+        cols.append(((cur[0] + 1) % p, cur[1], cur[2]))
+    return [list(row) for row in zip(*cols)]
 
 
 def walk_census(ps):

@@ -19,6 +19,11 @@ CYCLE_CONFIG = ('{"p": 2147483647, "params": [19,18,1,1,2], '
 MAX37_CONFIG = ('{"p": 37, "params": [19,18,1,1,2], '
                 '"seeds": [[0,1,0],[0,2,33]], "pattern": [0,1], '
                 '"initial": [6,13,32]}')
+# a singular pass with pass tail 2: composite tail 4, ending inside a
+# pass of length 3, and period 18
+TAIL7_CONFIG = ('{"p": 7, "params": [2,6,1,0,6], '
+                '"seeds": [[1,3,5],[6,1,3]], "pattern": [0,0,1], '
+                '"initial": [0,6,1]}')
 
 BIG_P = "2147483647"
 SWEEP_23 = "orbit sweep --p 23 --c 1 --d 1 --e 2"
@@ -30,6 +35,17 @@ PINS = {
         {"stdout": '{"exceeded_cap": false, "period": 4294967292, '
                    '"state_space": 19807040600895968300706562046, '
                    '"tail": 0}'}),
+    # a tail from the annihilator's power of X, ended by stepping
+    # (f/X)(M)·v to the zero, and uniformity counts that fold a tail
+    "prng cycle with a tail inside a pass at p = 7": (
+        "prng cycle --config {tmp}/tail7.json", 60,
+        {"stdout": '{"exceeded_cap": false, "period": 18, '
+                   '"state_space": 1029, "tail": 4}'}),
+    "prng uniformity with a tail inside a pass at p = 7": (
+        "prng uniformity --config {tmp}/tail7.json --samples 1000", 60,
+        {"stdout": '{"chi_square": [164.38000000000002, 166.70399999999995, '
+                   '298.3739999999999], "max_relative_deviation": '
+                   '1.3379999999999999, "p": 7, "samples": 1000}'}),
     # the 529-census sweep, each plane class passed once
     "orbit sweep at p = 23": (
         SWEEP_23, 60,
@@ -159,6 +175,7 @@ def test_cli_output_is_pinned(name, capsysbinary, tmp_path):
     command, seconds, expected = PINS[name]
     (tmp_path / "cycle.json").write_text(CYCLE_CONFIG)
     (tmp_path / "max37.json").write_text(MAX37_CONFIG)
+    (tmp_path / "tail7.json").write_text(TAIL7_CONFIG)
     argv = [arg.format(tmp=tmp_path) for arg in command.split()]
     t0 = time.perf_counter()
     code = main(argv)

@@ -526,6 +526,17 @@ def test_param_sweep_rejects_empty_values():
         param_sweep(m, 1, 1, 2, a_values=[1], b_values=[])
 
 
+def test_empty_sweep_refuses_to_aggregate():
+    """A subset that keeps no pair has nothing to average: its aggregate
+    and to_dict name the empty sweep instead of dividing by zero."""
+    sub = param_sweep(make_modulus(5), 1, 1, 2, a_values=[1],
+                      b_values=[1]).subset_distinct_nonzero()
+    assert sub.reports == []
+    for call in (sub.aggregate, sub.to_dict):
+        with pytest.raises(ValueError, match="sweep at p = 5 is empty"):
+            call()
+
+
 @pytest.mark.parametrize("a_values, b_values, message", [
     ([1, 1, 2], [1], "a_values value 1 given twice"),
     ([1, 2], [3, 0, 3], "b_values value 3 given twice"),

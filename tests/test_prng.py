@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -11,10 +12,10 @@ from mlmagma.field import divisors, order, prime_factors
 from mlmagma.plane import Plane
 from mlmagma.prng import (SIDES, UNIFORMITY_MAX_P, PrngConfig, _jump,
                           _pass_orbit, _x_order, _x_pow_is_one, byte_stream,
-                          composite_period, iter_outputs, pass_matrix,
+                          composite_period, iter_outputs,
                           prng_cycle_length, seed_search, uniformity_stats)
-from conftest import (byte_stream_bitwise, count_outputs, walk_prng_cycle,
-                      x_pow_is_one_generic)
+from conftest import (byte_stream_bitwise, count_outputs, pass_matrix,
+                      walk_prng_cycle, x_pow_is_one_generic)
 
 
 def make_config(p=5, coefs=(1, 1, 1, 1, 2), seeds=((0, 1, 0), (0, 0, 1)),
@@ -208,6 +209,64 @@ def test_pass_tail_period_matches_walk(p, side):
         tails += res.tail > 0
         inside += res.tail % len(cfg.pattern) != 0
     assert inside and tails > inside
+
+
+def _rank(vectors, p):
+    """The rank of the vectors over F_p, by Gauss–Jordan elimination."""
+    rows, rank = [list(v) for v in vectors], 0
+    for col in range(3):
+        i = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for j, row in enumerate(rows):
+            if j != rank and row[col]:
+                c = row[col] * inv
+                rows[j] = [(x - c * y) % p for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _check_krylov_basis(cfg):
+    """_pass_orbit's basis, read off the stream, against the probed pass
+    matrix M: basis[k] = M^k·v, f(M)·v = 0, and the basis is deg f
+    independent vectors, so no lower degree annihilates v.  Returns
+    deg f."""
+    p = cfg.modulus.p
+    M = pass_matrix(cfg)
+    f, basis = _pass_orbit(cfg)[:2]
+    x0, x1, x2 = cfg.initial.components
+    krylov = [[(x0 + 1) % p, x1, x2]]
+    for _ in range(len(f) - 1):
+        krylov.append([sum(m * x for m, x in zip(row, krylov[-1])) % p
+                       for row in M])
+    assert [list(b) for b in basis] == krylov[:-1], cfg
+    assert all(sum(c * x[i] for c, x in zip(f, krylov)) % p == 0
+               for i in range(3)), cfg
+    assert f[-1] == 1 and len(basis) == len(f) - 1, cfg
+    assert _rank(basis, p) == len(basis), cfg
+    return len(basis)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+@pytest.mark.parametrize("side", SIDES)
+def test_krylov_basis_read_off_the_stream(p, side):
+    """The Krylov vectors read as pass states are those of the matrix
+    oracle, 304 configs over the eight cases: 36 drawn per case, and a
+    drawn config with the zero (p − 1, 0, 0) as its initial (f = 1) or as
+    the seed of its first slot (f = X, or 1 as well)."""
+    rng = random.Random(f"krylov/{p}/{side}")
+    zero = Vector3(p - 1, 0, 0, make_modulus(p))
+    degrees = []
+    for _ in range(36):
+        cfg = _random_config(rng, p, side, max_pattern=4)
+        degrees.append(_check_krylov_basis(cfg))
+    seeds = list(cfg.seeds)
+    seeds[cfg.pattern[0]] = zero
+    assert _check_krylov_basis(replace(cfg, initial=zero)) == 0
+    assert _check_krylov_basis(replace(cfg, seeds=tuple(seeds))) <= 1
+    assert min(degrees) < 3 and max(degrees) == 3, degrees
 
 
 @pytest.mark.parametrize("p", (3, 101, 2**31 - 1))

@@ -48,6 +48,24 @@ def test_coefficient_overflow_is_hard_failure():
     assert -big - big == SymPoly.constant(-2**63)
 
 
+def test_coefficient_overflow_refused_on_input():
+    """The constructors check the bound that results are held to: the
+    two in-range edges construct, one past either edge is refused."""
+    for c in (2**63 - 1, -2**63):
+        assert SymPoly.constant(c).terms == {(0,) * 8: c}
+        assert SymPoly.monomial(c, a1=2).terms == {(0, 2, *(0,) * 6): c}
+    for c in (2**63, -2**63 - 1):
+        with pytest.raises(CoefficientOverflowError):
+            SymPoly.constant(c)
+        with pytest.raises(CoefficientOverflowError):
+            SymPoly.monomial(c, a1=2)
+        with pytest.raises(CoefficientOverflowError):
+            SymPoly({(1, 0, 0, 0, 0, 0, 0, 0): 1, (0,) * 8: c})
+        # no polynomial equals an out-of-range constant, and asking so
+        # does not raise
+        assert SymPoly.constant(1) != c
+
+
 def test_identity_vector():
     a = generic_vector()
     assert sym_mul3(a, zero_vector()) == a
