@@ -11,14 +11,23 @@ zero vector, a two-sided identity; its zero S = 0 is (p − 1, 0, ...),
 which absorbs every product it is in.  The dimensions differ only in
 where the paper's coefficients sit in K and λ (_form).  Each Params
 builds its (K, λ) once, as its `form`; mul unrolls the product over it
-per dimension.  It is non-commutative and non-associative in general.
-Mixing moduli or dimensions is rejected.
+per dimension, and plane unrolls a's (L, Q) below the same way.  The
+product is non-commutative and non-associative in general.  Mixing
+moduli or dimensions is rejected.
 
 Two value types carry both dimensions: a Vector's dimension is the
 length of its components, and a Params' dimension is read from
 COEFFICIENT_COUNTS, the one place that pairs Z_p^3 with the five
 coefficients A..E and Z_p^4 with the nine A..I.  Vector3, Vector4,
 Params3 and Params4 are positional constructors for them.
+
+Constructors check the data that enters the program: Vector(...) (so
+vector, Vector3, Vector4 and identity) and Params refuse a residue
+outside [0, p) or an unsupported length.  The Vectors the package
+computes are canonical by construction: mul, from_plane (so pow_fast,
+square_gh and orbit_length's records), pow_iter and powers_upto reduce
+every component mod p in their operand's dimension, and _reduced builds
+them without the check.
 
 Powers are associative.  Let L = λ·a', Q = a'ᵀK a' and
 R = F_p[w]/(w² − L w − Q).  For S(x) = (s, t·a') and S(y) = (s', t'·a'),
@@ -63,6 +72,21 @@ class Vector:
     @property
     def dim(self) -> int:
         return len(self.components)
+
+
+# The slots' own setters, which the frozen dataclass's __setattr__ refuses.
+_set_components = Vector.components.__set__
+_set_modulus = Vector.modulus.__set__
+
+
+def _reduced(components: tuple, modulus: PrimeModulus) -> Vector:
+    """The Vector of components that its caller has just reduced mod p,
+    in its operand's dimension: canonical by construction, so built
+    without re-running _check."""
+    v = object.__new__(Vector)
+    _set_components(v, components)
+    _set_modulus(v, modulus)
+    return v
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,21 +168,38 @@ def _form(coefficients) -> tuple:
     return ((A, D, 0), (0, B, 0), (E, F, C)), (G, H, I)
 
 
+def _plane_of(x, ps) -> tuple[int, int]:
+    """(L, Q) = (λ·x', x'ᵀK x') mod p of a direction x', the raw
+    non-first components, unrolled per dimension as mul is."""
+    p = ps.modulus.p
+    K, lam = ps.form
+    if len(lam) == 2:
+        (k11, k12), (k21, k22) = K
+        l1, l2 = lam
+        x1, x2 = x
+        return ((l1 * x1 + l2 * x2) % p,
+                (x1 * (k11 * x1 + k12 * x2) + x2 * (k21 * x1 + k22 * x2)) % p)
+    (k11, k12, k13), (k21, k22, k23), (k31, k32, k33) = K
+    l1, l2, l3 = lam
+    x1, x2, x3 = x
+    return ((l1 * x1 + l2 * x2 + l3 * x3) % p,
+            (x1 * (k11 * x1 + k12 * x2 + k13 * x3)
+             + x2 * (k21 * x1 + k22 * x2 + k23 * x3)
+             + x3 * (k31 * x1 + k32 * x2 + k33 * x3)) % p)
+
+
 def plane(a, ps) -> tuple[int, int]:
     """(L, Q) = (λ·a', a'ᵀK a') mod p: a's plane is F_p[w]/(w² − L w − Q),
     the algebra plane.Plane(L, Q, p)."""
-    p = _require_shared(a, a, ps).p
-    K, lam = ps.form
-    x = a.components[1:]
-    L = sum(l * xi for l, xi in zip(lam, x))
-    Q = sum(xi * k * xj for xi, row in zip(x, K) for k, xj in zip(row, x))
-    return L % p, Q % p
+    _require_shared(a, a, ps)
+    return _plane_of(a.components[1:], ps)
 
 
 def from_plane(a, s: int, t: int):
-    """The vector (s − 1, t·a') of a's plane, for s, t in [0, p)."""
+    """The vector (s − 1, t·a') of a's plane, each component reduced mod p."""
     p = a.modulus.p
-    return Vector(((s - 1) % p, *(t * x % p for x in a.components[1:])), a.modulus)
+    return _reduced(((s - 1) % p, *[t * x % p for x in a.components[1:]]),
+                    a.modulus)
 
 
 def mul(a, b, ps):
@@ -178,22 +219,22 @@ def mul(a, b, ps):
         y0, y1, y2 = b.components
         f = 1 + y0 + l1 * y1 + l2 * y2
         g = 1 + x0
-        return Vector(((x0 + y0 + x0 * y0 + x1 * (k11 * y1 + k12 * y2)
-                        + x2 * (k21 * y1 + k22 * y2)) % p,
-                       (f * x1 + g * y1) % p,
-                       (f * x2 + g * y2) % p), m)
+        return _reduced(((x0 + y0 + x0 * y0 + x1 * (k11 * y1 + k12 * y2)
+                          + x2 * (k21 * y1 + k22 * y2)) % p,
+                         (f * x1 + g * y1) % p,
+                         (f * x2 + g * y2) % p), m)
     (k11, k12, k13), (k21, k22, k23), (k31, k32, k33) = K
     l1, l2, l3 = lam
     x0, x1, x2, x3 = a.components
     y0, y1, y2, y3 = b.components
     f = 1 + y0 + l1 * y1 + l2 * y2 + l3 * y3
     g = 1 + x0
-    return Vector(((x0 + y0 + x0 * y0 + x1 * (k11 * y1 + k12 * y2 + k13 * y3)
-                    + x2 * (k21 * y1 + k22 * y2 + k23 * y3)
-                    + x3 * (k31 * y1 + k32 * y2 + k33 * y3)) % p,
-                   (f * x1 + g * y1) % p,
-                   (f * x2 + g * y2) % p,
-                   (f * x3 + g * y3) % p), m)
+    return _reduced(((x0 + y0 + x0 * y0 + x1 * (k11 * y1 + k12 * y2 + k13 * y3)
+                      + x2 * (k21 * y1 + k22 * y2 + k23 * y3)
+                      + x3 * (k31 * y1 + k32 * y2 + k33 * y3)) % p,
+                     (f * x1 + g * y1) % p,
+                     (f * x2 + g * y2) % p,
+                     (f * x3 + g * y3) % p), m)
 
 
 def square_gh(a, ps):

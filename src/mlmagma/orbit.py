@@ -123,7 +123,8 @@ from functools import cache, lru_cache
 from math import gcd
 
 from .field import divisors, totient
-from .magma import Params, Vector, from_plane, identity, plane, require_dim3
+from .magma import (Params, Vector, _plane_of, from_plane, identity, plane,
+                    require_dim3)
 from .plane import Plane, exponent
 
 DEFAULT_FULL_SCAN_CAP = 127
@@ -161,9 +162,9 @@ def orbit_length(a: Vector, ps: Params) -> OrbitRecord:
     square-and-multiply powers per prime of the exponent of α's group
     (p² − 1, p − 1 or p(p − 1); p − 1 for ord_p(T)), plus a coset search
     of about √p steps at most when N = 0 ≠ T.  The start's Plane works
-    out its kind at most once.  At p = 2³¹ − 1 that is ~0.23 ms per
-    random start, and about as much for an N = 0 ≠ T start with its
-    search, on one core of a 2-vCPU x86-64 VM (Python 3.11).
+    out its kind at most once.  At p = 2³¹ − 1 that is ~0.15 ms per
+    random start, and ~0.25 ms for an N = 0 ≠ T start with its search,
+    on one core of a 2-vCPU x86-64 VM (Python 3.11).
     """
     R = Plane(*plane(a, ps), a.modulus.p)   # rejects mixed dimensions and moduli
     p = R.p
@@ -478,8 +479,7 @@ def scan_space(ps: Params, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
     # strictly between the scalars' x0·p² and (x0 + 1)·p².
     scalar_first = {}       # scalar order -> key of the first launch holding it
     for d0, d1 in [(0, 1)] + [(1, y) for y in range(p)]:
-        kind, periods, first = _plane_walks(
-            *plane(Vector((0, d0, d1), ps.modulus), ps), p)
+        kind, periods, first = _plane_walks(*_plane_of((d0, d1), ps), p)
         types[kind] += 1
         walk_hist.update(dict(periods))
         for j, x0 in first:

@@ -6,7 +6,8 @@ multiplies in that algebra R with Plane.power, and pow_iter stays as
 its oracle.
 """
 
-from .magma import Vector, from_plane, identity, mul, plane, right_mul_stepper
+from .magma import (_reduced, _require_shared, from_plane, identity, mul, plane,
+                    right_mul_stepper)
 from .plane import Plane
 
 MAX_EXPONENT = 2**64
@@ -25,11 +26,12 @@ def pow_iter(a, n: int, ps):
     _check_exponent(n)
     if n == 0:
         return identity(a.dim, a.modulus)
+    m = _require_shared(a, a, ps)    # the stepper's p must be a's
     step = right_mul_stepper(a, ps)
     cur = a.components
     for _ in range(n - 1):
         cur = step(cur)
-    return Vector(cur, a.modulus)
+    return _reduced(cur, m)
 
 
 def pow_fast(a, n: int, ps):
@@ -52,11 +54,12 @@ def powers_upto(a, n: int, ps) -> list:
     if n == 0:
         return []
     out = [a]
+    m = _require_shared(a, a, ps)    # the stepper's p must be a's
     step = right_mul_stepper(a, ps)
     cur = a.components
     for _ in range(n - 1):
         cur = step(cur)
-        out.append(Vector(cur, a.modulus))
+        out.append(_reduced(cur, m))
     return out
 
 

@@ -161,7 +161,10 @@ class SymPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if len(terms) < 2 and terms.keys() <= {0}:   # hash a constant as its int
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     def __add__(self, other) -> "SymPoly":
         if isinstance(other, int):

@@ -7,7 +7,7 @@ import pytest
 
 from mlmagma import Params3, Params4, Vector3, Vector4, make_modulus, vector
 from mlmagma.field import divisors
-from mlmagma.magma import left_mul_stepper, right_mul_stepper
+from mlmagma.magma import _require_shared, left_mul_stepper, right_mul_stepper
 from mlmagma.orbit import CensusReport, orbit_length
 from mlmagma.prng import (UniformityReport, _slot_steppers, find_cycle,
                           iter_outputs)
@@ -59,6 +59,17 @@ def paper_mul(a, b, ps):
     c2 = a2 + b2 + a2 * b0 + a0 * b2 + G * a2 * b1 + H * a2 * b2 + I * a2 * b3
     c3 = a3 + b3 + a3 * b0 + a0 * b3 + G * a3 * b1 + H * a3 * b2 + I * a3 * b3
     return Vector4(c0 % p, c1 % p, c2 % p, c3 % p, a.modulus)
+
+
+def plane_generic(a, ps) -> tuple[int, int]:
+    """(L, Q) = (λ·a', a'ᵀK a') mod p as sums over the form, in any
+    dimension: the oracle for magma's plane, unrolled per dimension."""
+    p = _require_shared(a, a, ps).p
+    K, lam = ps.form
+    x = a.components[1:]
+    L = sum(l * xi for l, xi in zip(lam, x))
+    Q = sum(xi * k * xj for xi, row in zip(x, K) for k, xj in zip(row, x))
+    return L % p, Q % p
 
 
 _COEF_LIMIT = 2**63

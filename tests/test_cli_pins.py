@@ -161,6 +161,19 @@ PINS = {
         "sym count --max-n 8", 60,
         {"stdout": "sha256:d3c17150c183b8460eef3439f93759e8"
                    "d19513f5d7a47a206fdf793a0fb2afb8"}),
+    # the boxed product, the workflow's two smoke tests
+    "mul in dimension 3": (
+        "mul --p 23 --params 9,19,1,1,2 --a 0,1,0 --b 0,0,1", 60,
+        {"stdout": "(0,3,1)"}),
+    "mul in dimension 4": (
+        "mul --p 23 --params 1,2,3,4,5,6,7,8,9 --a 0,1,0,2 --b 0,0,1,3", 60,
+        {"stdout": "(11,13,1,6)"}),
+    # the boxed path in dimension 4: pow_fast's plane, checked against
+    # pow_iter's stepped powers
+    "pow in dimension 4 checked by iteration": (
+        "pow --p 1009 --params 1,2,3,4,5,6,7,8,9 --a 5,1,0,2 --n 1000 "
+        "--check-iter", 60,
+        {"stdout": "(924,921,0,833)"}),
 }
 
 

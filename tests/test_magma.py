@@ -1,12 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from mlmagma import (Params, Params3, Params4, Vector, Vector3, Vector4,
                      identity, make_modulus, mul, params, square_gh, vector)
-from mlmagma.magma import (ModulusMismatchError, _form, left_mul_stepper,
-                           right_mul_stepper)
-from conftest import paper_mul, random_instance
+from mlmagma.magma import (ModulusMismatchError, _form, _plane_of, from_plane,
+                           left_mul_stepper, plane, right_mul_stepper)
+from mlmagma.power import pow_fast, pow_iter, powers_upto
+from conftest import paper_mul, plane_generic, random_instance
+
+PLANE_PRIMES = (3, 23, 1009, 2**31 - 1)
 
 
 def test_mul3_examples():
@@ -260,3 +264,50 @@ def test_square_gh_rejects_mismatch():
         square_gh(Vector3(1, 2, 3, m61), Params3(1, 1, 1, 1, 1, m23))
     with pytest.raises(ModulusMismatchError):
         square_gh(Vector4(1, 2, 3, 4, m23), Params3(1, 1, 1, 1, 1, m23))
+
+
+@pytest.mark.parametrize("p", PLANE_PRIMES)
+@pytest.mark.parametrize("dim", (3, 4))
+def test_plane_matches_generic_sums(dim, p):
+    """The unrolled plane agrees with the sums over the form, scalar
+    starts (a' = 0) included."""
+    rng = random.Random(dim * p)
+    for i in range(300):
+        a, ps = random_instance(rng, dim, (p,))
+        if i % 10 == 0:
+            a = vector((a.components[0],) + (0,) * (dim - 1), a.modulus)
+        assert plane(a, ps) == plane_generic(a, ps), (a, ps)
+
+
+@pytest.mark.parametrize("p", (5, 23))
+def test_direction_kernel_matches_plane(p):
+    """The kernel that scan_space runs on a bare direction (d0, d1) is
+    plane of the vector (0, d0, d1), on every direction."""
+    rng, m = random.Random(p), make_modulus(p)
+    for _ in range(10):
+        ps = params([rng.randrange(p) for _ in range(5)], m)
+        for d in itertools.product(range(p), repeat=2):
+            assert _plane_of(d, ps) == plane(Vector((0, *d), m), ps), (d, ps)
+
+
+@pytest.mark.parametrize("dim", (3, 4))
+def test_computed_vectors_are_canonical(dim):
+    """The Vectors the package computes, built without re-running the
+    constructor's check, are the ones that check accepts: canonical
+    residues, the operand's modulus object and its dimension."""
+    rng = random.Random(0xCA40 + dim)
+    for _ in range(200):
+        a, ps = random_instance(rng, dim, PLANE_PRIMES)
+        m = a.modulus
+        p = m.p
+        b = vector([rng.randrange(p) for _ in range(dim)], m)
+        s, t = rng.randrange(-3 * p, 3 * p), rng.randrange(-3 * p, 3 * p)
+        n = rng.randrange(1, 30)
+        results = [mul(a, b, ps), mul(b, a, ps), from_plane(a, s, t),
+                   pow_fast(a, n, ps), pow_fast(a, rng.randrange(2**64), ps),
+                   pow_iter(a, n, ps), square_gh(a, ps),
+                   *powers_upto(a, n, ps)]
+        for v in results:
+            assert type(v.components) is tuple
+            assert Vector(v.components, v.modulus) == v, (a, ps, v)
+            assert v.modulus is m and v.dim == dim, (a, ps, v)

@@ -130,6 +130,19 @@ def test_fast_rejects_mismatch():
         pow_fast(Vector3(1, 2, 3, m23), 5, Params4(*[1] * 9, m23))
 
 
+def test_stepped_powers_reject_mismatch():
+    """pow_iter and powers_upto refuse a modulus or dimension that their
+    stepper would not share with the start."""
+    m23, m61 = make_modulus(23), make_modulus(61)
+    for powers in (pow_iter, powers_upto):
+        with pytest.raises(ModulusMismatchError):
+            powers(Vector3(1, 2, 3, m61), 5, Params3(1, 1, 1, 1, 1, m23))
+        with pytest.raises(ModulusMismatchError):
+            powers(Vector4(1, 2, 3, 4, m23), 5, Params3(1, 1, 1, 1, 1, m23))
+        with pytest.raises(ModulusMismatchError):
+            powers(Vector3(1, 2, 3, m23), 5, Params4(*[1] * 9, m23))
+
+
 def test_powers_upto(rng):
     a, ps = random_instance(rng)
     seq = powers_upto(a, 10, ps)

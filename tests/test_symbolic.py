@@ -37,6 +37,18 @@ def test_polynomial_arithmetic_basics():
     assert SymPoly.constant(0) == SymPoly()
 
 
+def test_constants_hash_as_the_ints_they_equal():
+    """A constant polynomial equals its int, so a set or dict finds either
+    by the other."""
+    for c in (0, 3, -1, 2**40):
+        poly = SymPoly.constant(c)
+        assert poly == c and hash(poly) == hash(c)
+        assert poly in {c} and c in {poly}
+        assert {c: "int"}[poly] == "int" and {poly: "poly"}[c] == "poly"
+    assert SymPoly() in {0} and 0 in {SymPoly()}
+    assert SymPoly.variable("a0") not in {0, 1}
+
+
 def test_coefficient_overflow_is_hard_failure():
     big = SymPoly.constant(2**62)
     with pytest.raises(CoefficientOverflowError):
