@@ -21,10 +21,9 @@ from .magma import (
     identity,
     mul,
     params,
-    square_gh,
     vector,
 )
-from .power import pow_fast, pow_iter
+from .power import pow_fast, pow_iter, square_gh
 
 __all__ = [
     "PrimeModulus", "make_modulus",

@@ -4,7 +4,9 @@ Given a base vector a and a target v = a^n, the only implemented attack
 is evaluating successive powers a, a^2, ... until the target appears.
 The solver doubles as the correctness oracle for key-exchange tests;
 the timing harness records how the step count scales with the planted
-exponent, the empirical face of the hardness conjecture.
+exponent, the empirical face of the hardness conjecture.  Its default
+base, from find_long_period_base, is the first long orbit that
+orbit.structured_orbits meets among the starts (0, s, x).
 
 No sub-exhaustive attack is implemented.  Note the power identity
 a^(u+v) = a^u * a^v invites a meet-in-the-middle tabulation; that lead
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .magma import Params, Vector, _require_shared, right_mul_stepper
-from .orbit import orbit_length, structured_start
+# bench/workloads.py traces orbit_length where dip looks it up
+from .orbit import orbit_length, structured_orbits  # noqa: F401
 from .power import pow_fast
 
 
@@ -64,20 +67,14 @@ class TimingRow(NamedTuple):
 
 
 def find_long_period_base(ps, min_period: int):
-    """A start (0, s, x), zero-padded to ps's dimension, whose orbit
-    period exceeds min_period, or None.
+    """The first start of orbit.structured_orbits over s = 1, 2, 3 whose
+    tail plus period exceeds min_period, or None.
 
     Long-period bases keep planted exponents below the orbit period so
     brute-force cost reflects the exponent, not a wrapped residue.
     """
-    p = ps.modulus.p
-    for s in (1, 2, 3):
-        for x in range(p):
-            cand = structured_start(s, x, ps)
-            rec = orbit_length(cand, ps)
-            if rec.tail + rec.period > min_period:
-                return cand
-    return None
+    return next((rec.start for rec in structured_orbits(ps, (1, 2, 3))
+                 if rec.tail + rec.period > min_period), None)
 
 
 def dip_timing(ps, exponents, samples: int = 3, base=None) -> list[TimingRow]:

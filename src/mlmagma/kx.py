@@ -38,9 +38,8 @@ import time
 from dataclasses import dataclass
 
 from .field import PrimeModulus
-from .magma import (COEFFICIENT_COUNTS, Params, Vector, _require_shared,
-                    identity, mul)
-from .power import pow_fast
+from .magma import COEFFICIENT_COUNTS, Params, Vector, identity, mul
+from .power import pow_fast, powers_upto
 
 MAGIC = b"MLKX"
 VERSION = 1
@@ -86,9 +85,8 @@ class KxPublicParams:
     base: Vector
 
     def __post_init__(self):
-        _require_shared(self.base, self.base, self.params)
-        square = mul(self.base, self.base, self.params)
-        if mul(square, self.base, self.params) == square:
+        _, square, cube = powers_upto(self.base, 3, self.params)
+        if cube == square:
             # the identity, the zero (p − 1, 0, ...), a nilpotent or an
             # idempotent: every public value and shared key would be a²
             raise ValueError("base powers are constant from a² on (a² = a³)")

@@ -12,8 +12,7 @@ which absorbs every product it is in.  The dimensions differ only in
 where the paper's coefficients sit in K and λ (_form).  Each Params
 builds its (K, λ) once, as its `form`; mul unrolls the product over it
 per dimension, and plane unrolls a's (L, Q) below the same way.  The
-product is non-commutative and non-associative in general.  Mixing
-moduli or dimensions is rejected.
+product is non-commutative and non-associative in general.
 
 Two value types carry both dimensions: a Vector's dimension is the
 length of its components, and a Params' dimension is read from
@@ -23,11 +22,15 @@ Params3 and Params4 are positional constructors for them.
 
 Constructors check the data that enters the program: Vector(...) (so
 vector, Vector3, Vector4 and identity) and Params refuse a residue
-outside [0, p) or an unsupported length.  The Vectors the package
-computes are canonical by construction: mul, from_plane (so pow_fast,
-square_gh and orbit_length's records), pow_iter and powers_upto reduce
-every component mod p in their operand's dimension, and _reduced builds
-them without the check.
+outside [0, p) or an unsupported length.  Every entry point that takes
+operands with params checks that they share one modulus and dimension
+(_require_shared): mul, plane and both steppers, so whatever is built on
+them (pow_iter, powers_upto, pow_fast, square_gh, orbit_length) raises
+ModulusMismatchError on a mix.  The Vectors the package computes are
+canonical by construction: mul, from_plane (so pow_fast, square_gh and
+orbit_length's records), pow_iter and powers_upto reduce every component
+mod p in their operand's dimension, and _reduced builds them without the
+check.
 
 Powers are associative.  Let L = λ·a', Q = a'ᵀK a' and
 R = F_p[w]/(w² − L w − Q).  For S(x) = (s, t·a') and S(y) = (s', t'·a'),
@@ -40,7 +43,6 @@ s_n + t_n w = (a0 + 1 + w)^n under every parenthesization.
 from dataclasses import dataclass, field
 
 from .field import PrimeModulus
-from .plane import Plane
 
 # Product coefficients per dimension; its keys are the supported dimensions.
 COEFFICIENT_COUNTS = {3: 5, 4: 9}
@@ -237,16 +239,6 @@ def mul(a, b, ps):
                      (f * x3 + g * y3) % p), m)
 
 
-def square_gh(a, ps):
-    """Closed-form squaring a*a = (g, h·a').
-
-    With s = a0 + 1, (s + w)² = (s² + Q) + (2s + L) w in a's plane, so
-    g = s² + Q − 1 and h = 2s + L, the trace of s + w.
-    """
-    R = Plane(*plane(a, ps), a.modulus.p)
-    return from_plane(a, *R.power(a.components[0] + 1, 1, 2))
-
-
 def right_mul_stepper(b, ps):
     """Fast closure computing x -> x * b on raw component tuples.
 
@@ -255,7 +247,7 @@ def right_mul_stepper(b, ps):
     PRNG streams) use this instead of the boxed mul(), which is its own
     closed-form kernel: a stepper pays off when one b serves many steps.
     """
-    p = ps.modulus.p
+    p = _require_shared(b, b, ps).p
     K, lam = ps.form
     if b.dim == 3:
         b0, b1, b2 = b.components
@@ -294,7 +286,7 @@ def left_mul_stepper(a, ps):
     a * y = (a0 + u·y0 + r·y', a'·(1 + y0 + λ·y') + u·y') with u = 1 + a0
     and r = Kᵀa'.
     """
-    p = ps.modulus.p
+    p = _require_shared(a, a, ps).p
     K, lam = ps.form
     if a.dim == 3:
         a0, a1, a2 = a.components

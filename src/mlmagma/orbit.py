@@ -3,7 +3,9 @@
 For a start vector a the trajectory is a, a*a, (a*a)*a, ... i.e. the
 successor map y -> y * a.  `orbit_length` classifies one start of Z_p^3
 or Z_p^4 into (tail, period, lexicographically minimal cycle state); a
-census aggregates every start of Z_p^3.
+census aggregates every start of Z_p^3.  structured_orbits classifies
+the structured starts (0, s, x) of either dimension one by one; it is
+the one scan under heuristic_search and dip.find_long_period_base.
 
 The classification is an element order, not a walk.  a^n = (s_n − 1,
 t_n·a') with s_n + t_n w = α^n in R = F_p[w]/(w² − L w − Q) (magma,
@@ -120,6 +122,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import islice
 from math import gcd
 
 from .field import divisors, totient
@@ -597,9 +600,16 @@ def param_sweep(modulus, c: int, d: int, e: int, a_values=None,
     return SweepResult(p, (c, d, e), reports)
 
 
-def structured_start(s: int, x: int, ps: Params) -> Vector:
-    """The start (0, s, x), padded with zeros to the dimension of ps."""
-    return Vector((0, s % ps.modulus.p, x) + (0,) * (ps.dim - 3), ps.modulus)
+def structured_orbits(ps: Params, second_components):
+    """orbit_length of each nonzero start (0, s, x), zero-padded to the
+    dimension of ps, for s in second_components (taken mod p) in order
+    and x over Z_p."""
+    p = ps.modulus.p
+    pad = (0,) * (ps.dim - 3)
+    for s in second_components:
+        for x in range(p):
+            if s % p or x:
+                yield orbit_length(Vector((0, s % p, x) + pad, ps.modulus), ps)
 
 
 def heuristic_search(ps: Params, budget: int | None = None,
@@ -607,9 +617,10 @@ def heuristic_search(ps: Params, budget: int | None = None,
     """Look for maximal (p^2 - 1) orbits among structured starts (0, s, x).
 
     Scans x over Z_p for each small second component, stopping after
-    `budget` classified starts.  A second component outside [0, p) is
-    rejected, as it would repeat or rename another, and so is a repeated
-    one or an empty tuple.  An empty result is a valid outcome.
+    `budget` classified starts; the zero start is skipped, not counted.
+    A second component outside [0, p) is rejected, as it would repeat or
+    rename another, and so is a repeated one or an empty tuple.  An empty
+    result is a valid outcome.
     """
     p = ps.modulus.p
     if budget is None:
@@ -623,18 +634,5 @@ def heuristic_search(ps: Params, budget: int | None = None,
             raise ValueError(f"residue {s} not canonical for modulus {p}")
         if second_components.count(s) > 1:
             raise ValueError(f"second component {s} given twice")
-    target = p * p - 1
-    found = []
-    trials = 0
-    for s in second_components:
-        for x in range(p):
-            if trials >= budget:
-                return found
-            start = structured_start(s, x, ps)
-            if not any(start.components):
-                continue
-            trials += 1
-            rec = orbit_length(start, ps)
-            if rec.period == target:
-                found.append(rec)
-    return found
+    return [rec for rec in islice(structured_orbits(ps, second_components), budget)
+            if rec.period == p * p - 1]

@@ -3,11 +3,10 @@
 Powers are left-associative: a^(n+1) = a^n * a.  They are also power
 associative (proof in magma's docstring); pow_fast squares and
 multiplies in that algebra R with Plane.power, and pow_iter stays as
-its oracle.
+its oracle.  square_gh is pow_fast at n = 2.
 """
 
-from .magma import (_reduced, _require_shared, from_plane, identity, mul, plane,
-                    right_mul_stepper)
+from .magma import _reduced, from_plane, identity, mul, plane, right_mul_stepper
 from .plane import Plane
 
 MAX_EXPONENT = 2**64
@@ -26,12 +25,11 @@ def pow_iter(a, n: int, ps):
     _check_exponent(n)
     if n == 0:
         return identity(a.dim, a.modulus)
-    m = _require_shared(a, a, ps)    # the stepper's p must be a's
     step = right_mul_stepper(a, ps)
     cur = a.components
     for _ in range(n - 1):
         cur = step(cur)
-    return _reduced(cur, m)
+    return _reduced(cur, a.modulus)
 
 
 def pow_fast(a, n: int, ps):
@@ -48,18 +46,26 @@ def pow_fast(a, n: int, ps):
     return from_plane(a, *R.power(a.components[0] + 1, 1, n))
 
 
+def square_gh(a, ps):
+    """Closed-form squaring a*a = (g, h·a'), pow_fast(a, 2, ps).
+
+    With s = a0 + 1, (s + w)² = (s² + Q) + (2s + L) w in a's plane, so
+    g = s² + Q − 1 and h = 2s + L, the trace of s + w.
+    """
+    return pow_fast(a, 2, ps)
+
+
 def powers_upto(a, n: int, ps) -> list:
     """[a^1, a^2, ..., a^n] in one left-associative sweep; [] for n = 0."""
     _check_exponent(n)
     if n == 0:
         return []
     out = [a]
-    m = _require_shared(a, a, ps)    # the stepper's p must be a's
     step = right_mul_stepper(a, ps)
     cur = a.components
     for _ in range(n - 1):
         cur = step(cur)
-        out.append(_reduced(cur, m))
+        out.append(_reduced(cur, a.modulus))
     return out
 
 
@@ -89,28 +95,28 @@ def check_power_associativity(a, ps, max_n: int):
     return True, None
 
 
-def check_internal_commutativity(a, ps, max_m: int, max_n: int):
-    """a^m * a^n == a^n * a^m over the full grid; (ok, counterexample)."""
+def _check_grid(a, ps, max_m: int, max_n: int, count: int, other):
+    """a^m * a^n == other(pows, m, n) over the full grid, with
+    pows = [a^1, ..., a^count]; (ok, (m, n, lhs, rhs) or None)."""
     if max_m < 1 or max_n < 1:
         raise ValueError("exponent bounds must be >= 1")
-    pows = powers_upto(a, max(max_m, max_n), ps)
+    pows = powers_upto(a, count, ps)
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
             lhs = mul(pows[m - 1], pows[n - 1], ps)
-            rhs = mul(pows[n - 1], pows[m - 1], ps)
+            rhs = other(pows, m, n)
             if lhs != rhs:
                 return False, (m, n, lhs, rhs)
     return True, None
 
 
+def check_internal_commutativity(a, ps, max_m: int, max_n: int):
+    """a^m * a^n == a^n * a^m over the full grid; (ok, counterexample)."""
+    return _check_grid(a, ps, max_m, max_n, max(max_m, max_n),
+                       lambda pows, m, n: mul(pows[n - 1], pows[m - 1], ps))
+
+
 def check_power_identity(a, ps, max_m: int, max_n: int):
     """a^m * a^n == a^(m+n) over the full grid; (ok, counterexample)."""
-    if max_m < 1 or max_n < 1:
-        raise ValueError("exponent bounds must be >= 1")
-    pows = powers_upto(a, max_m + max_n, ps)
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            lhs = mul(pows[m - 1], pows[n - 1], ps)
-            if lhs != pows[m + n - 1]:
-                return False, (m, n, lhs, pows[m + n - 1])
-    return True, None
+    return _check_grid(a, ps, max_m, max_n, max_m + max_n,
+                       lambda pows, m, n: pows[m + n - 1])

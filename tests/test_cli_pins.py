@@ -3,13 +3,20 @@
 Every pin names its argv, a wall-clock bound in seconds and the expected
 outputs: stdout and any file the command writes under the test's
 tmp_path, each either one exact line or "sha256:<hex>" of the bytes.
+The two mul pins also run through `python -m mlmagma` in a fresh
+interpreter, the one test of the package's __main__.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import mlmagma
 from mlmagma.cli import main
 
 CYCLE_CONFIG = ('{"p": 2147483647, "params": [19,18,1,1,2], '
@@ -161,7 +168,7 @@ PINS = {
         "sym count --max-n 8", 60,
         {"stdout": "sha256:d3c17150c183b8460eef3439f93759e8"
                    "d19513f5d7a47a206fdf793a0fb2afb8"}),
-    # the boxed product, the workflow's two smoke tests
+    # the boxed product, also run through `python -m mlmagma` below
     "mul in dimension 3": (
         "mul --p 23 --params 9,19,1,1,2 --a 0,1,0 --b 0,0,1", 60,
         {"stdout": "(0,3,1)"}),
@@ -199,3 +206,26 @@ def test_cli_output_is_pinned(name, capsysbinary, tmp_path):
     for target, want in expected.items():
         data = out if target == "stdout" else (tmp_path / target).read_bytes()
         assert matches(data, want), (target, data[:200])
+
+
+def test_module_entry_point():
+    """`python -m mlmagma` prints both mul pins and exits with code 2 on a
+    refused modulus, with the error on stderr."""
+    src = str(Path(mlmagma.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+
+    def run(command):
+        return subprocess.run([sys.executable, "-m", "mlmagma", *command.split()],
+                              capture_output=True, env=env, timeout=60)
+
+    for name in ("mul in dimension 3", "mul in dimension 4"):
+        command, _, expected = PINS[name]
+        done = run(command)
+        assert done.returncode == 0, done.stderr
+        assert matches(done.stdout, expected["stdout"]), (name, done.stdout)
+    done = run("mul --p 22 --params 9,19,1,1,2 --a 0,1,0 --b 0,0,1")
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr == b"mlmagma: error: modulus 22 is not prime\n"

@@ -99,3 +99,13 @@ def test_timing_rejects_bad_exponents():
     for exponents in ([], [0], [256, 0], [-3, 256]):
         with pytest.raises(ValueError, match="exponents must be a non-empty"):
             dip_timing(ps, exponents)
+
+
+def test_timing_refuses_when_no_base_is_long_enough():
+    """At p = 3 no orbit is longer than p² − 1 = 8, so no base can carry
+    a planted exponent of 9."""
+    ps = Params3(1, 2, 1, 1, 2, make_modulus(3))
+    assert find_long_period_base(ps, min_period=9) is None
+    with pytest.raises(RuntimeError, match="no base with period above the "
+                                           "largest exponent was found"):
+        dip_timing(ps, [9])

@@ -454,3 +454,24 @@ def test_serve_runs_sessions_in_threads_and_reports_aborts():
     listener.shutdown(socket.SHUT_RDWR)
     server.join(timeout=5)
     assert not server.is_alive()
+
+
+def test_derive_shared_refuses_an_unknown_mode():
+    pub = demo_pub()
+    own = keygen(pub, rng=random.Random(1))
+    peer = keygen(pub, rng=random.Random(2))
+    with pytest.raises(ValueError, match="mode must be one of"):
+        derive_shared(own, peer.public, pub, mode="x")
+
+
+def test_run_session_refuses_an_unknown_role():
+    a, b = socket.socketpair()
+    with a, b:
+        with pytest.raises(ValueError,
+                           match="role must be 'initiator' or 'responder'"):
+            run_session("x", a, demo_pub())
+
+
+def test_encode_message_refuses_an_unknown_message():
+    with pytest.raises(TypeError, match="unknown message object"):
+        encode_message(object())

@@ -266,6 +266,23 @@ def test_square_gh_rejects_mismatch():
         square_gh(Vector4(1, 2, 3, 4, m23), Params3(1, 1, 1, 1, 1, m23))
 
 
+def test_steppers_reject_mismatch():
+    """Both steppers refuse an operand that does not share the params'
+    modulus or dimension, as mul does, instead of stepping it mod the
+    params' p or failing to unpack it."""
+    m23, m61 = make_modulus(23), make_modulus(61)
+    for stepper in (right_mul_stepper, left_mul_stepper):
+        with pytest.raises(ModulusMismatchError,
+                           match="moduli differ: 61, 61, params 23"):
+            stepper(Vector3(40, 50, 60, m61), Params3(1, 1, 1, 1, 1, m23))
+        with pytest.raises(ModulusMismatchError,
+                           match="dimension mismatch: 4, 4, params 3"):
+            stepper(Vector4(1, 2, 3, 4, m23), Params3(1, 1, 1, 1, 1, m23))
+        with pytest.raises(ModulusMismatchError,
+                           match="dimension mismatch: 3, 3, params 4"):
+            stepper(Vector3(1, 2, 3, m23), Params4(*[1] * 9, m23))
+
+
 @pytest.mark.parametrize("p", PLANE_PRIMES)
 @pytest.mark.parametrize("dim", (3, 4))
 def test_plane_matches_generic_sums(dim, p):

@@ -8,6 +8,7 @@ import pytest
 
 from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
                      params, vector)
+from mlmagma import orbit
 from mlmagma.cli import main
 from mlmagma.dip import find_long_period_base
 from mlmagma.magma import ModulusMismatchError, plane, right_mul_stepper
@@ -585,6 +586,50 @@ def test_heuristic_search_four_components():
     for rec in found:
         assert rec.period == 23 * 23 - 1
         assert rec.start.components[0] == rec.start.components[3] == 0
+
+
+def structured_records(ps, seconds):
+    """orbit_length of every nonzero (0, s mod p, x), zero-padded to the
+    dimension of ps, in a plain double loop."""
+    p = ps.modulus.p
+    pad = (0,) * (ps.dim - 3)
+    starts = [vector((0, s % p, x) + pad, ps.modulus)
+              for s in seconds for x in range(p)]
+    return [orbit_length(a, ps) for a in starts if any(a.components)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 23])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_structured_scan_matches_plain_loop(dim, p, monkeypatch):
+    """heuristic_search classifies the first `budget` nonzero starts of
+    the plain loop, the zero start skipped and not counted, and
+    find_long_period_base returns the first start of s = 1, 2, 3 longer
+    than min_period."""
+    rng = random.Random(100 * dim + p)
+    classified = []
+
+    def spy(a, ps):
+        classified.append(a)
+        return orbit_length(a, ps)
+
+    monkeypatch.setattr(orbit, "orbit_length", spy)
+    for _ in range(3):
+        _, ps = random_instance(rng, dim, primes=(p,))
+        for seconds in ((1, 2), (0, 1), (2, 0, 1)):
+            records = structured_records(ps, seconds)
+            for budget in sorted({0, 1, p - 1, p, 2 * p, len(records) + 3}):
+                classified.clear()
+                found = heuristic_search(ps, budget, seconds)
+                assert classified == [r.start for r in records[:budget]]
+                assert found == [r for r in records[:budget]
+                                 if r.period == p * p - 1]
+        records = structured_records(ps, (1, 2, 3))
+        lengths = {r.tail + r.period for r in records}
+        for min_period in sorted({0} | lengths | {n - 1 for n in lengths}):
+            want = next((r.start for r in records
+                         if r.tail + r.period > min_period), None)
+            assert find_long_period_base(ps, min_period) == want
+        assert find_long_period_base(ps, max(lengths)) is None
 
 
 def test_heuristic_search_budget_respected():

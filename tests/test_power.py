@@ -1,5 +1,6 @@
 import pytest
 
+from mlmagma import power
 from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
                      mul, params, vector)
 from mlmagma.magma import ModulusMismatchError, plane
@@ -219,3 +220,27 @@ def test_nested_powers_multiply(rng):
         prod = pow_fast(a, m_exp * n_exp, ps)
         assert pow_fast(am, n_exp, ps) == prod
         assert pow_fast(an, m_exp, ps) == prod
+
+
+def test_grid_checkers_refuse_bounds_below_one(rng):
+    a, ps = random_instance(rng)
+    for check in (check_internal_commutativity, check_power_identity):
+        for bounds in ((0, 3), (3, 0), (-2, -2)):
+            with pytest.raises(ValueError,
+                               match="exponent bounds must be >= 1"):
+                check(a, ps, *bounds)
+
+
+def test_grid_checkers_report_their_counterexamples(monkeypatch):
+    """With a product that returns its left factor, each checker reports
+    its own first failing cell as (m, n, lhs, rhs)."""
+    m = make_modulus(23)
+    ps = Params3(9, 19, 1, 1, 2, m)
+    a = Vector3(1, 1, 1, m)
+    a2 = powers_upto(a, 2, ps)[1]
+    assert a2 != a
+    monkeypatch.setattr(power, "mul", lambda x, y, ps: x)
+    assert check_internal_commutativity(a, ps, 3, 3) == (False, (1, 2, a, a2))
+    assert check_power_identity(a, ps, 3, 3) == (False, (1, 1, a, a2))
+    # a 1 × 1 grid has no pair of distinct powers to commute
+    assert check_internal_commutativity(a, ps, 1, 1) == (True, None)

@@ -887,3 +887,15 @@ def test_byte_stream_unbiased_shape():
         counts[b] += 1
     # crude sanity: no byte value wildly over-represented
     assert max(counts) < 16 * (4096 / 256)
+
+
+def test_config_from_json_refuses_a_non_object():
+    with pytest.raises(ValueError, match="a PRNG config must be a JSON object"):
+        PrngConfig.from_json("[]")
+
+
+def test_seed_search_refuses_an_empty_pattern():
+    ps = Params3(19, 18, 1, 1, 2, make_modulus(37))
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="pattern must be non-empty"):
+            seed_search(ps, (), trials)

@@ -328,3 +328,10 @@ def test_degree_bound():
     with pytest.raises(DegreeOverflowError):
         SymPoly.monomial(1, a2=2**15, B=2**15)
     assert issubclass(DegreeOverflowError, OverflowError)
+
+
+def test_sym_pow_refuses_exponents_out_of_range():
+    for n in (0, MAX_SYM_POWER + 1):
+        with pytest.raises(ValueError,
+                           match=f"supported range is 1 <= n <= {MAX_SYM_POWER}"):
+            sym_pow(n)
