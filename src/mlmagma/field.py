@@ -63,7 +63,7 @@ class PrimeModulus:
     p: int
 
     def __post_init__(self):
-        if not (3 <= self.p < MAX_MODULUS):
+        if type(self.p) is not int or not 3 <= self.p < MAX_MODULUS:
             raise NotPrimeError(
                 f"modulus must satisfy 3 <= p < 2**31, got {self.p}"
             )

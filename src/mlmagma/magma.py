@@ -22,8 +22,9 @@ Params3 and Params4 are positional constructors for them.
 
 Constructors check the data that enters the program: Vector(...) (so
 vector, Vector3, Vector4 and identity) and Params refuse a residue
-outside [0, p) or an unsupported length.  Every entry point that takes
-operands with params checks that they share one modulus and dimension
+that is not an int in [0, p) (a bool or a float included) or an
+unsupported length.  Every entry point that takes operands with params
+checks that they share one modulus and dimension
 (_require_shared): mul, plane and both steppers, so whatever is built on
 them (pow_iter, powers_upto, pow_fast, square_gh, orbit_length) raises
 ModulusMismatchError on a mix.  The Vectors the package computes are
@@ -58,7 +59,7 @@ def _check(values: tuple, sizes, what: str, p: int) -> None:
         raise ValueError(f"expected {' or '.join(map(str, sizes))} {what}, "
                          f"got {len(values)}")
     for v in values:
-        if not (0 <= v < p):
+        if type(v) is not int or not 0 <= v < p:
             raise ValueError(f"residue {v} not canonical for modulus {p}")
 
 

@@ -91,11 +91,18 @@ R_d^*: p² − 1, p − 1 or p·n.  With n = p − 1 and φ Euler's function:
     the pass jumps to that row.
   - An axis is cyclic (the orbit of α is <T>·α), passed like a field
     plane.  A nilpotent's orbit {β, 0} holds no other start.
-  - Scalars: c ≠ 0 of order j lies in the orbit of α iff j divides the
-    order of its scalars <α> ∩ F_p^*: gcd(ord α, n) in field and dual
-    planes, ord α / ord(u/v) in split ones, ord α for a scalar.  So c
-    launches iff its lex index precedes the first such launch.  The zero
-    scalar lies only in its own and the nilpotents' orbits.
+  - Scalars: F_p^* is cyclic, so the nonzero scalars c = x0 + 1 pass
+    like a field plane's units, in order of x0, ending at the least
+    primitive root.  A non-scalar orbit holds c of order j iff j divides
+    the order of its scalars <α> ∩ F_p^*: gcd(ord α, n) in field and
+    dual planes, ord α / ord(u/v) in split ones.  Such a launch in row r
+    precedes the scalar of row x0 iff r < x0, so a scalar launch of
+    order j counts iff x0 ≤ r for the first row r of every non-scalar
+    launch whose scalars' order j divides.  A scalar launch that does
+    not count drops later scalars only of orders dividing j, which the
+    launch holding it holds too, so the filter is exact.  The zero
+    scalar lies only in its own and the nilpotents' orbits: it launches
+    iff no nilpotent launches in a row before its own, p − 1.
   - One pass per class (L, Q).  For d = (0, 1) or (1, y) the start
     (x0, t·d) has lex index x0·p² + offset[t], where offset[t] =
     (t·d0 mod p)·p + t·d1 mod p is t or t·p + (t·y mod p), strictly
@@ -121,9 +128,10 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import islice
 from math import gcd
+from operator import add
 
 from .field import divisors, totient
 from .magma import (Params, Vector, _plane_of, from_plane, identity, plane,
@@ -351,6 +359,9 @@ def _cyclic_launches(elements, top: int) -> list[tuple[int, int]]:
     elements yields (index, order) in lex order.  In a cyclic group
     <β> ⊆ <α> iff ord β | ord α, so an element launches iff its order
     divides no earlier launch's; an element of order top ends the pass.
+    Four groups pass through it: the units of field planes and of dual
+    planes and the axes of split planes (_plane_walks), and the nonzero
+    scalars F_p^* (scan_space).
     """
     launched = []
     for idx, o in elements:
@@ -476,31 +487,25 @@ def scan_space(ps: Params, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
 
     t_start = time.perf_counter()
     n = p - 1
-    types, walk_hist = Counter(), Counter()
-    # Starts sort as keys: the scalar of row x0 as 2·x0, and a non-scalar
-    # start of row x0 as 2·x0 + 1, as its lex index x0·p² + offset lies
-    # strictly between the scalars' x0·p² and (x0 + 1)·p².
-    scalar_first = {}       # scalar order -> key of the first launch holding it
+    # row: scalar order -> first row x0 of a non-scalar launch holding it
+    types, walk_hist, row = Counter(), Counter(), {}
     for d0, d1 in [(0, 1)] + [(1, y) for y in range(p)]:
         kind, periods, first = _plane_walks(*_plane_of((d0, d1), ps), p)
         types[kind] += 1
         walk_hist.update(dict(periods))
         for j, x0 in first:
-            scalar_first[j] = min(scalar_first.get(j, 2 * p), 2 * x0 + 1)
+            row[j] = min(row.get(j, p), x0)
 
-    # The scalars c = x0 + 1.  c ≠ 0 of order j lies in the orbit of every
-    # start whose scalars have an order divisible by j, a scalar start
-    # included; 0 only in its own and a nilpotent's orbit.
+    # The scalars c = x0 + 1.  F_p^* is cyclic, so they pass as one more
+    # cyclic group; a launch of order j counts unless a non-scalar launch
+    # of an earlier row, whose scalars' order j divides, holds it.  The
+    # zero scalar lies only in its own and a nilpotent's orbit.
     log = _unit_logs(p)[1]
-    first = {j: min((x for k, x in scalar_first.items() if k and k % j == 0),
-                    default=2 * p) for j in divisors(n)}
-    for x0 in range(n):
-        j = n // gcd(n, log[x0 + 1])
-        if 2 * x0 < first[j]:
+    scalars = ((x0, n // gcd(n, log[x0 + 1])) for x0 in range(n))
+    for x0, j in _cyclic_launches(scalars, n):
+        if all(x0 <= r for k, r in row.items() if k and k % j == 0):
             walk_hist[j] += 1
-        for k in divisors(j):
-            first[k] = min(first[k], 2 * x0)
-    if 2 * n < scalar_first.get(0, 2 * p):
+    if row.get(0, p) >= n:
         walk_hist[1] += 1
 
     start_hist = Counter({j: totient(j) for j in divisors(n)})
@@ -553,8 +558,10 @@ class SweepResult:
         for name in SPECIAL_NAMES:
             props = [r.proportion(r.special_lengths[name], measure)
                      for r in self.reports]
+            # left to right: sum() compensates floats since Python 3.12,
+            # which moves the last digit of the pinned means
             out[name] = {
-                "mean": sum(props) / len(props),
+                "mean": reduce(add, props, 0) / len(props),
                 "min": min(props),
                 "max": max(props),
             }

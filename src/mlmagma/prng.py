@@ -89,7 +89,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import cycle, islice
+from operator import add
 from typing import Iterator, NamedTuple
 
 from .field import PrimeModulus, order, prime_factors
@@ -124,7 +126,7 @@ class PrngConfig:
         if not self.pattern:
             raise ValueError("pattern must be non-empty")
         for i in self.pattern:
-            if not (0 <= i < len(self.seeds)):
+            if type(i) is not int or not 0 <= i < len(self.seeds):
                 raise ValueError(f"pattern index {i} out of range for "
                                  f"{len(self.seeds)} seeds")
         for v in (*self.seeds, self.initial):
@@ -386,7 +388,9 @@ class UniformityReport:
                     counts: list[list[int]]) -> "UniformityReport":
         expected = samples / p
         max_rel = max(abs(c - expected) for comp in counts for c in comp) / expected
-        chi = [sum((c - expected) ** 2 for c in comp) / expected
+        # left to right: sum() compensates floats since Python 3.12,
+        # which moves the last digit of the pinned statistics
+        chi = [reduce(add, ((c - expected) ** 2 for c in comp), 0) / expected
                for comp in counts]
         return cls(p, samples, counts, max_rel, chi)
 

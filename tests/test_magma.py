@@ -5,6 +5,7 @@ import pytest
 
 from mlmagma import (Params, Params3, Params4, Vector, Vector3, Vector4,
                      identity, make_modulus, mul, params, square_gh, vector)
+from mlmagma.field import NotPrimeError, PrimeModulus
 from mlmagma.magma import (ModulusMismatchError, _form, _plane_of, from_plane,
                            left_mul_stepper, plane, right_mul_stepper)
 from mlmagma.power import pow_fast, pow_iter, powers_upto
@@ -126,6 +127,20 @@ def test_non_canonical_rejected():
         Vector3(-1, 0, 0, m)
     with pytest.raises(ValueError):
         Params3(0, 0, 0, 0, 23, m)
+
+
+def test_non_integer_residues_and_moduli_rejected():
+    """A float or bool residue, or a float modulus, is refused by the
+    constructor, not carried into float components by the product."""
+    m = make_modulus(23)
+    for bad in (0.5, 1.0, True):
+        with pytest.raises(ValueError, match="not canonical for modulus 23"):
+            Vector3(bad, 1, 0, m)
+        with pytest.raises(ValueError, match="not canonical for modulus 23"):
+            Params3(1, 1, bad, 1, 2, m)
+    for bad in (23.0, True):
+        with pytest.raises(NotPrimeError, match="must satisfy 3 <= p < 2"):
+            PrimeModulus(bad)
 
 
 def test_vector_params_builders():

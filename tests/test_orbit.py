@@ -128,10 +128,18 @@ SPECIAL_CASES = {
     # one shape whose census passes many dual classes.
     (7, (5, 6, 6, 1, 2)): "zero form",
     (23, (17, 22, 22, 1, 2)): "zero form",
+    # 1 dual and 41 split planes: the scalars 1, 2 and 6 (orders 1, 20
+    # and 40; 6 is the least primitive root) and 0 launch.
+    (41, (1, 1, 2, 0, 0)): "no field",
 }
+# At p = 41 the least primitive root is 6, larger than at every prime
+# above, so the scalars' cyclic pass runs longest there.  The p = 41
+# cases come last, so the cases above keep their parametrize ids.
+ORACLE_41 = (41, tuple(_oracle_rng.randrange(41) for _ in range(5)))
 
 
-@pytest.mark.parametrize("p,coefs", ORACLE_CASES + list(SPECIAL_CASES))
+@pytest.mark.parametrize("p,coefs",
+                         ORACLE_CASES + list(SPECIAL_CASES) + [ORACLE_41])
 def test_plane_census_matches_walk_oracle(p, coefs):
     ps = Params3(*coefs, make_modulus(p))
     kinds = _plane_kinds(ps)

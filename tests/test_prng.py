@@ -51,6 +51,17 @@ def test_validation():
         PrngConfig(ps, (other,), (0,), v)
 
 
+def test_config_rejects_non_integer_pattern_indices():
+    """A float, bool or str pattern index is refused at construction, not
+    read as an index (True as 1) or failed on at the first step."""
+    m = make_modulus(5)
+    ps = Params3(1, 1, 1, 1, 2, m)
+    v = Vector3(1, 0, 0, m)
+    for bad in (0.0, True, False, "0"):
+        with pytest.raises(ValueError, match="pattern index"):
+            PrngConfig(ps, (v, v), (0, bad), v)
+
+
 def test_rejects_four_components():
     """The PRNG is defined on Z_p^3; 4-component operands fail by name
     at construction, not deep inside the period computation."""
