@@ -1,9 +1,11 @@
 """Exact arithmetic over a prime field Z_p.
 
-Residues are plain ints kept canonical in [0, p).  The modulus is capped
-below 2**31.  Primality is Miller-Rabin to the first twelve prime bases,
-deterministic below 3.3e24, so it certifies every modulus and every
-Pollard rho cofactor.
+Residues are plain ints kept canonical in [0, p).  Primality is
+Miller-Rabin to the first twelve prime bases, deterministic below 3.3e24.
+The modulus is capped below 2**31, which bounds three things: p ± 1 <
+2**32, so both factor by trial division alone; p² + p + 1 < 2**62, so
+every prime that the PRNG's period needs is certified; and the coset
+search of orbit_length stays under √p < 2**15.5 steps.
 
 Element orders (orbit periods, PRNG periods) share one primitive: the
 order of x divides a known n, so divide n by each prime q of n while
@@ -153,6 +155,15 @@ def totient(n: int) -> int:
     for q in prime_factors(n):
         n = n // q * (q - 1)
     return n
+
+
+def jordan2(n: int) -> int:
+    """Jordan's J₂(n) = n²·Π(1 − 1/q²) for n >= 1: the elements of order
+    n in (Z/n)²."""
+    m = n * n
+    for q in prime_factors(n):
+        m = m // (q * q) * (q * q - 1)
+    return m
 
 
 @lru_cache(maxsize=64)

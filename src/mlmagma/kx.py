@@ -109,7 +109,7 @@ class KxKeypair:
 def _check_bits(exponent_bits: int) -> None:
     """Refuse, before any draw, a secret size that pow_fast's 64-bit
     exponents cannot take."""
-    if not 2 <= exponent_bits <= 64:
+    if type(exponent_bits) is not int or not 2 <= exponent_bits <= 64:
         raise ValueError(f"exponent_bits must be in [2, 64], got {exponent_bits}")
 
 
@@ -315,12 +315,15 @@ def _recv_exact(sock, n: int, deadline: float | None) -> bytes:
     return bytes(buf)
 
 
-def _recv_message(sock, expected_p: int,
-                  deadline: float | None) -> ParamsAnnounce | PublicValue:
+def _recv_message(sock, p: int, deadline: float | None, kind: type, what: str):
+    """The next message from sock, which must be a kind, named by what."""
     try:
-        return _decode(lambda n: _recv_exact(sock, n, deadline), expected_p)
+        msg = _decode(lambda n: _recv_exact(sock, n, deadline), p)
     except KxDecodeError as exc:
         raise KxSessionError(f"aborted: {exc}") from exc
+    if not isinstance(msg, kind):
+        raise KxSessionError(f"aborted: expected {what}")
+    return msg
 
 
 @dataclass
@@ -361,20 +364,17 @@ def run_session(role: str, sock, pub: KxPublicParams, exponent_bits: int = 64,
     p = pub.modulus.p
     try:
         if role == ROLE_INITIATOR:
-            sock.sendall(encode_message(announce_for(pub)))
-            sock.sendall(encode_message(public_message(own.public)))
-            reply = _recv_message(sock, p, deadline)
-            if not isinstance(reply, PublicValue):
-                raise KxSessionError("aborted: expected a public value reply")
+            sock.sendall(encode_message(announce_for(pub))
+                         + encode_message(public_message(own.public)))
+            reply = _recv_message(sock, p, deadline, PublicValue,
+                                  "a public value reply")
         else:
-            announce = _recv_message(sock, p, deadline)
-            if not isinstance(announce, ParamsAnnounce):
-                raise KxSessionError("aborted: expected a parameter announce")
+            announce = _recv_message(sock, p, deadline, ParamsAnnounce,
+                                     "a parameter announce")
             if announce != announce_for(pub):
                 raise KxSessionError("aborted: parameter mismatch with peer")
-            reply = _recv_message(sock, p, deadline)
-            if not isinstance(reply, PublicValue):
-                raise KxSessionError("aborted: expected the initiator public value")
+            reply = _recv_message(sock, p, deadline, PublicValue,
+                                  "the initiator public value")
             sock.sendall(encode_message(public_message(own.public)))
     except OSError as exc:  # a reset or closed peer
         raise KxSessionError(f"aborted: {exc}") from exc

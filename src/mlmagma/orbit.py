@@ -60,10 +60,12 @@ R_d^*: p² − 1, p − 1 or p·n.  With n = p − 1 and φ Euler's function:
   Field and dual: R_d^* is cyclic, so φ(k) units have period k for each
   k | e, k ∤ n (its one subgroup of order n is F_p^*, the scalars); the
   dual's other n elements, its nilpotents t·ε, have tail 1 and period 1.
-  Split: a unit (u, v), u ≠ v, has period lcm(ord u, ord v), so
-  Σ_{lcm(i,j)=k} φ(i)φ(j) − φ(k) have period k; each axis u = 0, v = 0
-  holds φ(j) elements of period j (N = 0 ≠ T).  The scalars add φ(j) of
-  period j | n and the zero scalar one of 1.
+  Split: (log u, log v) maps the units onto (Z/n)², so a unit (u, v),
+  u ≠ v, of period k | n is one of the J₂(k) = k²·Π_{q | k}(1 − 1/q²)
+  elements of order k (Jordan's totient), less the φ(k) on the scalar
+  diagonal u = v; each axis u = 0, v = 0 holds φ(k) elements of period
+  k (N = 0 ≠ T), so J₂(k) + φ(k) have period k.  The scalars add φ(j)
+  of period j | n and the zero scalar one of 1.
 * Cycles.  Every unit cycle holds the identity, so each distinct unit
   period is one key: one per divisor of each present type's e.  The
   zero scalar and the nilpotents share the key ((p − 1, 0, 0), 1).
@@ -77,18 +79,23 @@ R_d^*: p² − 1, p − 1 or p·n.  With n = p − 1 and φ Euler's function:
     ord β | ord α, each order from Plane.unit_order.  The lex pass over
     the units launches each order that divides no earlier launch's, and
     ends at the first generator, of order e.  Each nilpotent launches.
-  - Split planes: (log u, log v) maps the units onto (Z/n)², whose cyclic
-    subgroups have ids from a per-p table, built for the first split
-    plane a census meets.  Launching α marks the ids of every subgroup
-    of <α>; β launches iff <β>'s id is unmarked.  Every
-    cyclic subgroup lies in one of order n (prime by prime: in
-    (Z/q^e)², x = q^f·y with y of order q^e), so the pass ends when all
-    of those are marked.  The scalar diagonal is one that no non-scalar
-    start generates; it starts marked, or the pass would never end
-    early.  When L = 0, the subgroups of order n whose generators have
-    v = −u keep all their non-scalar elements on the line 2s + t·L = 0,
-    the last row s = 0: once every other subgroup of order n is marked,
-    the pass jumps to that row.
+  - Split planes: the units are (Z/n)², whose cyclic subgroups have
+    ids from a per-p table, built for the first split plane a census
+    meets.  Launching α marks the ids of every subgroup of <α>; β
+    launches iff <β>'s id is unmarked.  Every cyclic subgroup lies in
+    one of order n (prime by prime: in (Z/q^e)², x = q^f·y with y of
+    order q^e), so the pass ends when all of those are marked: there
+    are ψ(n) = n·Π_{q | n}(1 + 1/q) of them (Dedekind's ψ; the J₂(n)
+    elements of order n, φ(n) to a subgroup).  A cyclic group has one
+    subgroup of each order, so the only one of order n inside <α> is
+    <α> itself, unmarked when α launches: the count of marked ones
+    grows by one exactly at a launch of order n.  The scalar diagonal
+    is one that no non-scalar start generates; it starts marked, or the
+    pass would never end early.  When L = 0, the subgroups of order n
+    whose generators have v = −u, <(1, 1 + n/2)> and, if n/2 is odd,
+    <(2, 2 + n/2)>, keep all their non-scalar elements on the line
+    2s + t·L = 0, the last row s = 0: once every other subgroup of
+    order n is marked, the pass jumps to that row.
   - An axis is cyclic (the orbit of α is <T>·α), passed like a field
     plane.  A nilpotent's orbit {β, 0} holds no other start.
   - Scalars: F_p^* is cyclic, so the nonzero scalars c = x0 + 1 pass
@@ -133,7 +140,7 @@ from itertools import islice
 from math import gcd
 from operator import add
 
-from .field import divisors, totient
+from .field import divisors, jordan2, totient
 from .magma import (Params, Vector, _plane_of, from_plane, identity, plane,
                     require_dim3)
 from .plane import Plane, exponent
@@ -319,37 +326,48 @@ def _unit_logs(p: int):
 def _subgroups(n: int):
     """The cyclic subgroups of (Z/n)², which only split planes read.
 
-    Returns (sub, sub_order): sub[a·n + b] the id of the subgroup that
-    (a, b) generates, and sub_order[i] the order of subgroup i.  Built
-    once per n in O(n²): each new subgroup labels its generators k·(a, b),
-    gcd(k, order) = 1.
+    Returns (sub, count): sub[a·n + b] the id, in [0, count), of the
+    subgroup that (a, b) generates.  Built once per n in O(n²): each new
+    subgroup labels its generators k·(a, b), gcd(k, order) = 1.  Of the
+    count subgroups, ψ(n) = J₂(n)/φ(n) have order n (Dedekind's ψ): the
+    J₂(n) elements of order n, φ(n) to a subgroup.
     """
-    sub, sub_order = [-1] * (n * n), []
+    sub, count = [-1] * (n * n), 0
     for a in range(n):
         for b in range(n):
             if sub[a * n + b] < 0:
                 o = n // gcd(n, a, b)
                 for k in range(1, o + 1):
                     if gcd(k, o) == 1:
-                        sub[k * a % n * n + k * b % n] = len(sub_order)
-                sub_order.append(o)
-    return tuple(sub), tuple(sub_order)
+                        sub[k * a % n * n + k * b % n] = count
+                count += 1
+    return tuple(sub), count
+
+
+def _trace_zero(n: int) -> list[int]:
+    """The ids of the order-n subgroups <(a, a + h)> of (Z/n)², h = n/2:
+    those of the units (u, −u), as −1 = g^h.  (a, a + h) has order n iff
+    gcd(a, h) = 1, so a is a unit of Z/n or, if h is odd, twice one; and
+    k·(a, a + h) = (ka, ka + h) for odd k.  So they are <(1, 1 + h)> and,
+    if h is odd, <(2, 2 + h)>.
+    """
+    sub, h = _subgroups(n)[0], n // 2
+    return [sub[k % n * n + (k + h) % n] for k in (1, 2)[:1 + h % 2]]
 
 
 @lru_cache(maxsize=8)
 def _type_periods(p: int) -> dict[str, dict[int, int]]:
-    """Period histogram of the non-scalar elements of one plane, per type."""
+    """Period histogram of the non-scalar elements of one plane, per type.
+
+    A split plane's units are (Z/n)², J₂(k) of them of order k | n; off
+    the diagonal, and with the φ(k) of each axis, J₂(k) + φ(k) have
+    period k.
+    """
     n = p - 1
-    dn = divisors(n)
     periods = {kind: {k: totient(k) for k in divisors(exponent(kind, p)) if n % k}
                for kind in ("field", "dual")}
     periods["dual"][1] = n                  # the nilpotents
-    periods["split"] = split = Counter()
-    for i in dn:
-        for j in dn:
-            split[i * j // gcd(i, j)] += totient(i) * totient(j)
-    for k in dn:
-        split[k] += totient(k)              # two axes, less the diagonal
+    periods["split"] = {k: jordan2(k) + totient(k) for k in divisors(n)}
     return periods
 
 
@@ -378,20 +396,20 @@ def _split_launches(r1: int, r2: int, L: int, p: int):
 
     A unit s + t·w is (u, v) = (s + t·r1, s + t·r2), keyed by the id of
     <(log u, log v)> in (Z/n)².  Launching α marks every subgroup of <α>,
-    and the pass ends once every subgroup of order n is marked, the
-    scalar diagonal from the start.  When L = 0 it jumps to the last row
-    once only the trace-zero subgroups, <(g, −g)> and, if n/2 is odd,
-    <(g², −g²)>, are left (module docstring).
+    and the pass ends once all ψ(n) subgroups of order n are marked, the
+    scalar diagonal from the start; found, their count, grows only at a
+    launch of order n, as <α> is the one such subgroup of <α>.  When
+    L = 0 it jumps to the last row once only the trace-zero subgroups,
+    <(g, −g)> and, if n/2 is odd, <(g², −g²)>, are left (_trace_zero,
+    module docstring).
     """
     log = _unit_logs(p)[1]
-    n, h = p - 1, (p - 1) // 2
-    sub, sub_order = _subgroups(n)
-    dn = divisors(n)
-    marked = bytearray(len(sub_order))
+    n = p - 1
+    sub, count = _subgroups(n)
+    marked = bytearray(count)
     marked[sub[n + 1]] = 1                             # <(g, g)>
-    found, total = 1, sub_order.count(n)
-    trace_zero = {i for i in (sub[n + (1 + h) % n], sub[2 % n * n + (2 + h) % n])
-                  if sub_order[i] == n} if L == 0 else set()
+    found, total = 1, jordan2(n) // totient(n)         # ψ(n)
+    trace_zero = _trace_zero(n) if L == 0 else []
     launched = []
     x0 = 0
     while x0 < p:
@@ -405,17 +423,13 @@ def _split_launches(r1: int, r2: int, L: int, p: int):
                 continue
             o = n // gcd(n, a, b)
             launched.append((x0 * p + t, o, o * gcd(n, a - b) // n))
-            for m in dn:
-                i = sub[m * a % n * n + m * b % n]
-                if not marked[i]:
-                    marked[i] = 1
-                    found += sub_order[i] == n
+            found += o == n                            # <α> itself
+            for m in divisors(n):
+                marked[sub[m * a % n * n + m * b % n]] = 1
             if found == total:
                 return launched
-        if found + sum(not marked[i] for i in trace_zero) == total:
-            x0 = max(x0 + 1, p - 1)
-        else:
-            x0 += 1
+        jump = found + sum(not marked[i] for i in trace_zero) == total
+        x0 = max(x0 + 1, p - 1) if jump else x0 + 1
     return launched
 
 
@@ -566,13 +580,6 @@ class SweepResult:
                 "max": max(props),
             }
         return out
-
-    def subset_distinct_nonzero(self) -> "SweepResult":
-        """The 462-pair hypothesis subset: A, B nonzero and distinct."""
-        kept = [r for r in self.reports
-                if r.params[0] != 0 and r.params[1] != 0
-                and r.params[0] != r.params[1]]
-        return SweepResult(self.p, self.fixed, kept)
 
     def to_dict(self) -> dict:
         return {

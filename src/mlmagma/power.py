@@ -16,7 +16,7 @@ MAX_PAREN_FACTORS = 8
 
 
 def _check_exponent(n: int) -> None:
-    if not (0 <= n < MAX_EXPONENT):
+    if type(n) is not int or not 0 <= n < MAX_EXPONENT:
         raise ValueError(f"exponent out of 64-bit range: {n}")
 
 

@@ -95,8 +95,8 @@ from operator import add
 from typing import Iterator, NamedTuple
 
 from .field import PrimeModulus, order, prime_factors
-from .magma import (Params, Vector, _require_shared, left_mul_stepper, params,
-                    require_dim3, right_mul_stepper, vector)
+from .magma import (Params, Vector, _require_shared, identity, left_mul_stepper,
+                    params, require_dim3, right_mul_stepper, vector)
 from .plane import Plane
 
 SIDES = ("right", "left")
@@ -501,18 +501,16 @@ def seed_search(ps: Params, pattern, trials: int, *, rng_seed: int = 0,
     p = ps.modulus.p
     m = ps.modulus
     pattern = tuple(pattern)
-    if not pattern:
-        raise ValueError("pattern must be non-empty")
-    if min(pattern) < 0:
-        raise ValueError(f"pattern index {min(pattern)} must be non-negative")
-    nseeds = max(pattern) + 1
-    require_dim3(ps, "the PRNG needs")
+    for i in pattern:
+        if type(i) is not int or i < 0:
+            raise ValueError(f"pattern index {i!r} must be non-negative and an int")
+    nseeds = max(pattern, default=0) + 1
+    e = identity(3, m)
+    PrngConfig(ps, (e,) * nseeds, pattern, e, side)    # its checks, before a draw
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if keep < 0:
         raise ValueError(f"keep must be non-negative, got {keep}")
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
     rng = random.Random(rng_seed)
 
     def random_vec():

@@ -8,7 +8,7 @@ import pytest
 from mlmagma import Params3, Params4, Vector3, Vector4, make_modulus, vector
 from mlmagma.field import divisors
 from mlmagma.magma import _require_shared, left_mul_stepper, right_mul_stepper
-from mlmagma.orbit import CensusReport, orbit_length
+from mlmagma.orbit import CensusReport, SweepResult, orbit_length
 from mlmagma.prng import (UniformityReport, _slot_steppers, find_cycle,
                           iter_outputs)
 from mlmagma.symbolic import (VARIABLES, CoefficientOverflowError, SymPoly,
@@ -339,6 +339,15 @@ def scan_python(ps):
         cycle_period_sum=sum(period for _, period in cycles),
         engine="python",
     )
+
+
+def subset_distinct_nonzero(sweep):
+    """The sweep's hypothesis subset: A, B nonzero and distinct (462
+    pairs at p = 23)."""
+    kept = [r for r in sweep.reports
+            if r.params[0] != 0 and r.params[1] != 0
+            and r.params[0] != r.params[1]]
+    return SweepResult(sweep.p, sweep.fixed, kept)
 
 
 def count_outputs(config, samples):

@@ -26,6 +26,8 @@ from mlmagma.prng import seed_search, uniformity_stats
 from mlmagma.symbolic import (a_monomial_bound, reference_cube, sym_pow,
                               sym_square_gh, VARIABLES)
 
+from conftest import subset_distinct_nonzero
+
 
 def report(num, ok, budget, elapsed, detail):
     tag = "PASS" if ok else "FAIL"
@@ -224,7 +226,7 @@ def test_c10_sweep_aggregates():
     ok_mean_n1 = abs(full["mean_n1"] - 80.0) <= 5.0
     ok_range = full["min_n2"] == 0.0 and full["max_n2"] >= 30.0
     ok = ok_mean_n2 and ok_mean_n1 and ok_range
-    sub = sweep.subset_distinct_nonzero()
+    sub = subset_distinct_nonzero(sweep)
     sub_agg = sub.aggregate("walk")
     sub_mean = 100 * sub_agg["n2_minus_1"]["mean"]
     detail = (f"529-pair sweep (walk measure): mean length-528 "

@@ -2,8 +2,8 @@ import pytest
 
 from math import gcd
 
-from mlmagma.field import (NotPrimeError, divisors, is_prime, make_modulus,
-                           prime_factors, totient)
+from mlmagma.field import (NotPrimeError, divisors, is_prime, jordan2,
+                           make_modulus, prime_factors, totient)
 
 
 def test_known_primes_accepted():
@@ -58,6 +58,18 @@ def test_divisors_and_totient_small():
         assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
         assert totient(n) == sum(gcd(k, n) == 1 for k in range(1, n + 1))
         assert prime_factors(n) == _trial_primes(n)
+
+
+def test_jordan2_counts_the_elements_of_order_n():
+    """J₂(n) is the number of (a, b) in (Z/n)² of order n, and J₂(n)/φ(n)
+    is Dedekind's ψ(n) = n·Π(1 + 1/q)."""
+    for n in range(1, 80):
+        assert jordan2(n) == sum(gcd(n, a, b) == 1
+                                 for a in range(n) for b in range(n))
+        psi = n
+        for q in prime_factors(n):
+            psi = psi // q * (q + 1)
+        assert jordan2(n) == psi * totient(n)
 
 
 @pytest.mark.parametrize("factors", [

@@ -150,6 +150,10 @@ def test_exponent_bits_outside_pow_fast_range_rejected_before_drawing():
             keygen(pub, bits, rng)
         assert str(info.value) == f"exponent_bits must be in [2, 64], got {bits}"
         assert rng.getstate() == random.Random(7).getstate()
+    for bits in (64.0, True):
+        with pytest.raises(ValueError) as info:
+            keygen(pub, bits, random.Random(7))
+        assert str(info.value) == f"exponent_bits must be in [2, 64], got {bits}"
     listener = make_listener("127.0.0.1", 0)
     listener.settimeout(2)          # accept() would time out, not hang
     with pytest.raises(ValueError, match="exponent_bits must be in"):
@@ -328,6 +332,60 @@ def test_session_wrong_message_order_aborts():
     # public value before the parameter announce
     raw = encode_message(public_message(Vector3(7, 0, 0, pub.modulus)))
     assert "parameter announce" in str(responder_error(raw, pub))
+
+
+def test_session_two_announces_abort():
+    """The responder wants the initiator's public value after the
+    announce; a second announce in its place aborts the session."""
+    raw = encode_message(announce_for(demo_pub()))
+    err = responder_error(raw + raw, demo_pub())
+    assert str(err) == "aborted: expected the initiator public value"
+
+
+def test_session_deadline_already_passed():
+    """timeout=0 leaves no time for the peer's first byte."""
+    s1, s2 = socket.socketpair()
+    try:
+        with pytest.raises(KxSessionError) as info:
+            run_session("responder", s2, demo_pub(), 8, timeout=0)
+        assert str(info.value) == "timed out waiting for peer data"
+    finally:
+        s1.close()
+        s2.close()
+
+
+def test_session_initiator_refuses_an_announce_reply():
+    """The initiator writes its announce, then its public value, and wants
+    a public value back; an announce in its place aborts the session."""
+    pub = demo_pub()
+    s1, s2 = socket.socketpair()
+    announce = encode_message(announce_for(pub))
+    sent = []
+
+    def peer():
+        want = len(announce) + len(_PUBLIC)
+        got = b""
+        while len(got) < want:
+            chunk = s2.recv(want - len(got))
+            if not chunk:
+                break
+            got += chunk
+        sent.append(got)
+        s2.sendall(announce)
+
+    t = threading.Thread(target=peer)
+    t.start()
+    try:
+        with pytest.raises(KxSessionError) as info:
+            run_session("initiator", s1, pub, 8, random.Random(12), timeout=5.0)
+        assert str(info.value) == "aborted: expected a public value reply"
+    finally:
+        t.join(timeout=10)
+        s1.close()
+        s2.close()
+    assert not t.is_alive()
+    own = keygen(pub, 8, random.Random(12)).public
+    assert sent == [announce + encode_message(public_message(own))]
 
 
 def test_session_bad_magic_aborts():

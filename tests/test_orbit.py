@@ -3,6 +3,8 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -11,12 +13,15 @@ from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
 from mlmagma import orbit
 from mlmagma.cli import main
 from mlmagma.dip import find_long_period_base
+from mlmagma.field import divisors, jordan2, totient
 from mlmagma.magma import ModulusMismatchError, plane, right_mul_stepper
 from mlmagma.orbit import (MEASURES, BudgetExceededError, _plane_walks,
+                           _subgroups, _trace_zero, _type_periods,
                            heuristic_search, orbit_length, param_sweep, scan_space,
                            write_census_csv, write_census_json)
 from mlmagma.power import pow_fast
-from conftest import random_instance, scan_python, walk_census, walk_orbit
+from conftest import (random_instance, scan_python, subset_distinct_nonzero,
+                      walk_census, walk_orbit)
 
 
 def test_orbit_of_identity():
@@ -168,6 +173,42 @@ def test_lex_offset_increases_along_each_direction(p):
         offset = [t * d0 % p * p + t * d1 % p for t in range(p)]
         assert all(a < b for a, b in zip(offset, offset[1:]))
         assert offset[-1] < p * p
+
+
+@pytest.mark.parametrize("n", range(2, 131, 2))
+def test_trace_zero_subgroups_in_closed_form(n):
+    """_trace_zero(n) is the set of order-n ids among <(1, 1 + h)> and
+    <(2, 2 + h)>, each order n // gcd(n, a, b), and so every order-n
+    subgroup that an (a, a + h) generates; and of all the subgroups of
+    (Z/n)², ψ(n) = J₂(n)/φ(n) have order n."""
+    sub, count = _subgroups(n)
+    h = n // 2
+    gens = [(k % n, (k + h) % n) for k in (1, 2)]
+    expected = {sub[a * n + b] for a, b in gens if gcd(n, a, b) == 1}
+    assert sorted(_trace_zero(n)) == sorted(expected)
+    line = [(a, (a + h) % n) for a in range(n)]
+    assert expected == {sub[a * n + b] for a, b in line if gcd(n, a, b) == 1}
+    orders = {}
+    for a in range(n):
+        for b in range(n):
+            orders[sub[a * n + b]] = n // gcd(n, a, b)
+    assert len(orders) == count
+    assert sum(o == n for o in orders.values()) == jordan2(n) // totient(n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 23, 31, 61, 127])
+def test_split_periods_by_jordan(p):
+    """A split plane's units (u, v), u ≠ v, have period lcm(ord u, ord v),
+    and each axis holds φ(j) elements of period j: the divisor-pair sum
+    that J₂(k) + φ(k) closes."""
+    n = p - 1
+    expected = Counter()
+    for i in divisors(n):
+        for j in divisors(n):
+            expected[i * j // gcd(i, j)] += totient(i) * totient(j)
+    for k in divisors(n):
+        expected[k] += totient(k)
+    assert _type_periods(p)["split"] == dict(expected)
 
 
 CACHE_CASES = [
@@ -520,7 +561,7 @@ def test_param_sweep_small():
     agg = sweep.aggregate("walk")
     assert set(agg) == {"n_minus_1", "n2_minus_1", "half_n_minus_1",
                         "half_n2_minus_1"}
-    sub = sweep.subset_distinct_nonzero()
+    sub = subset_distinct_nonzero(sweep)
     assert len(sub.reports) == 4 * 3  # nonzero distinct pairs in Z_5
     d = sweep.to_dict()
     assert d["pairs"] == 25
@@ -538,8 +579,8 @@ def test_param_sweep_rejects_empty_values():
 def test_empty_sweep_refuses_to_aggregate():
     """A subset that keeps no pair has nothing to average: its aggregate
     and to_dict name the empty sweep instead of dividing by zero."""
-    sub = param_sweep(make_modulus(5), 1, 1, 2, a_values=[1],
-                      b_values=[1]).subset_distinct_nonzero()
+    sub = subset_distinct_nonzero(param_sweep(make_modulus(5), 1, 1, 2,
+                                              a_values=[1], b_values=[1]))
     assert sub.reports == []
     for call in (sub.aggregate, sub.to_dict):
         with pytest.raises(ValueError, match="sweep at p = 5 is empty"):

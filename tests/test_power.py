@@ -52,6 +52,16 @@ def test_exponent_range_checked(rng):
         pow_iter(a, -1, ps)
 
 
+def test_exponents_must_be_ints(rng):
+    """A bool or float exponent is refused as out of range, with the
+    range's message, not read as 1 or failing inside bin()."""
+    a, ps = random_instance(rng)
+    for n in (True, 2.5, 3.0):
+        for fn in (pow_fast, pow_iter, powers_upto):
+            with pytest.raises(ValueError, match="exponent out of 64-bit range"):
+                fn(a, n, ps)
+
+
 def test_fast_matches_iter(rng):
     for _ in range(100):
         a, ps = random_instance(rng)

@@ -905,6 +905,18 @@ def test_config_from_json_refuses_a_non_object():
         PrngConfig.from_json("[]")
 
 
+def test_seed_search_refuses_a_pattern_index_that_is_not_an_int():
+    """A float or bool index is refused before the seed tuple is sized,
+    with or without trials, not read as a seed number."""
+    ps = Params3(19, 18, 1, 1, 2, make_modulus(37))
+    for pattern, bad in (((0.0, 1), "0.0"), ((True, 0), "True"), ((0.5,), "0.5")):
+        for trials in (0, 1):
+            with pytest.raises(ValueError) as info:
+                seed_search(ps, pattern, trials)
+            assert str(info.value) == (f"pattern index {bad} must be "
+                                       f"non-negative and an int")
+
+
 def test_seed_search_refuses_an_empty_pattern():
     ps = Params3(19, 18, 1, 1, 2, make_modulus(37))
     for trials in (0, 1):
