@@ -10,8 +10,8 @@ search of orbit_length stays under √p < 2**15.5 steps.
 Element orders (orbit periods, PRNG periods) share one primitive: the
 order of x divides a known n, so divide n by each prime q of n while
 x^(n/q) = 1.  The primes come from trial division below 2**16 and
-Pollard rho (Brent's variant) on what is left, cached per n; those of
-p(p − 1)(p + 1) are also cached per p.
+Pollard rho (Floyd's cycle finding) on what is left, cached per n;
+those of p(p − 1)(p + 1) are also cached per p.
 """
 
 from dataclasses import dataclass
@@ -111,28 +111,16 @@ def _rho_primes(n: int) -> set[int]:
 
 
 def _rho_divisor(n: int) -> int:
-    """A proper divisor of the odd composite n: Pollard rho with Brent's
-    cycle finding and batched gcds, on x ↦ x² + c for c = 1, 2, ..."""
+    """A proper divisor of the odd composite n: Pollard rho with Floyd's
+    cycle finding on x ↦ x² + c, x stepping once and y twice, one gcd a
+    step; a gcd of n (the cycle closed mod n) tries the next c."""
     for c in count(1):
-        y, r, acc, g = 2, 1, 1, 1
+        x, y, g = 2, 2, 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    acc = acc * abs(x - y) % n
-                g = gcd(acc, n)
-                k += 128
-            r *= 2
-        if g == n:                  # the batch overshot: replay it singly
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
         if g != n:
             return g
 

@@ -95,7 +95,7 @@ R_d^*: p² − 1, p − 1 or p·n.  With n = p − 1 and φ Euler's function:
     whose generators have v = −u, <(1, 1 + n/2)> and, if n/2 is odd,
     <(2, 2 + n/2)>, keep all their non-scalar elements on the line
     2s + t·L = 0, the last row s = 0: once every other subgroup of
-    order n is marked, the pass jumps to that row.
+    order n is marked, the pass skips each row before that one.
   - An axis is cyclic (the orbit of α is <T>·α), passed like a field
     plane.  A nilpotent's orbit {β, 0} holds no other start.
   - Scalars: F_p^* is cyclic, so the nonzero scalars c = x0 + 1 pass
@@ -399,9 +399,9 @@ def _split_launches(r1: int, r2: int, L: int, p: int):
     and the pass ends once all ψ(n) subgroups of order n are marked, the
     scalar diagonal from the start; found, their count, grows only at a
     launch of order n, as <α> is the one such subgroup of <α>.  When
-    L = 0 it jumps to the last row once only the trace-zero subgroups,
-    <(g, −g)> and, if n/2 is odd, <(g², −g²)>, are left (_trace_zero,
-    module docstring).
+    L = 0 it skips each row before the last once only the trace-zero
+    subgroups, <(g, −g)> and, if n/2 is odd, <(g², −g²)>, are left
+    (_trace_zero, module docstring).
     """
     log = _unit_logs(p)[1]
     n = p - 1
@@ -411,8 +411,9 @@ def _split_launches(r1: int, r2: int, L: int, p: int):
     found, total = 1, jordan2(n) // totient(n)         # ψ(n)
     trace_zero = _trace_zero(n) if L == 0 else []
     launched = []
-    x0 = 0
-    while x0 < p:
+    for x0 in range(p):
+        if x0 < n and found + sum(not marked[i] for i in trace_zero) == total:
+            continue                                   # only trace zero left
         s = (x0 + 1) % p
         for t in range(1, p):
             u, v = (s + t * r1) % p, (s + t * r2) % p
@@ -428,8 +429,6 @@ def _split_launches(r1: int, r2: int, L: int, p: int):
                 marked[sub[m * a % n * n + m * b % n]] = 1
             if found == total:
                 return launched
-        jump = found + sum(not marked[i] for i in trace_zero) == total
-        x0 = max(x0 + 1, p - 1) if jump else x0 + 1
     return launched
 
 

@@ -109,3 +109,13 @@ def test_timing_refuses_when_no_base_is_long_enough():
     with pytest.raises(RuntimeError, match="no base with period above the "
                                            "largest exponent was found"):
         dip_timing(ps, [9])
+
+
+def test_timing_refuses_an_explicit_base_of_too_short_a_period():
+    """(21, 0, 0) is the scalar −1, of period 2: a^5 = a, so the planted
+    exponent 5 comes back as 1."""
+    m = make_modulus(23)
+    ps = Params3(9, 19, 1, 1, 2, m)
+    with pytest.raises(RuntimeError, match="planted exponent 5 recovered as "
+                                           "1; base period too short"):
+        dip_timing(ps, [5], samples=1, base=Vector3(21, 0, 0, m))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from math import gcd
@@ -72,12 +74,35 @@ def test_jordan2_counts_the_elements_of_order_n():
         assert jordan2(n) == psi * totient(n)
 
 
+def _seeded_products(count, seed=1975):
+    """count products of 2-3 primes in (2^16, 2^32) of 17 to 32 bits,
+    every fourth with its first prime repeated."""
+    rng = random.Random(seed)
+
+    def prime():
+        bits = rng.randint(17, 32)
+        q = rng.randrange(2**(bits - 1), 2**bits) | 1
+        while not is_prime(q):
+            q += 2
+        return q
+
+    products = []
+    for i in range(count):
+        factors = [prime() for _ in range(rng.choice((2, 3)))]
+        if i % 4 == 0:
+            factors[-1] = factors[0]
+        products.append(tuple(factors))
+    return products
+
+
 @pytest.mark.parametrize("factors", [
     (2**31 - 1, 2**31 - 1),             # a square of a prime above 2^16
     (65537, 65537, 3),                  # the smallest prime above 2^16, squared
     (65537, 2**31 - 1, 2**61 - 1),      # a Mersenne prime above 2^32
     (4294967311, 4294967291),           # primes just above and below 2^32
     (3, 529510939, 2903110321),         # p² + p + 1 at p = 2^31 − 1
+    (792049, 797207),                   # rho needs c = 2
+    *_seeded_products(50),
 ])
 def test_prime_factors_by_rho(factors):
     n = 1

@@ -9,7 +9,7 @@ import pytest
 from mlmagma import Params3, Params4, Vector3, Vector4, identity, make_modulus, mul
 from mlmagma.dip import DipInstance, dip_bruteforce
 from mlmagma.kx import (MAGIC, MODE_ADDITIVE, VERSION, BadMagicError,
-                        BadVersionError, KxDecodeError, KxKeypair,
+                        BadVersionError, KxDecodeError, KxError, KxKeypair,
                         KxPublicParams, KxSessionError, NonCanonicalValueError,
                         TruncatedMessageError, announce_for, connect,
                         decode_message, derive_shared, encode_message, keygen,
@@ -533,3 +533,16 @@ def test_run_session_refuses_an_unknown_role():
 def test_encode_message_refuses_an_unknown_message():
     with pytest.raises(TypeError, match="unknown message object"):
         encode_message(object())
+
+
+def test_keygen_gives_up_after_256_identity_publics():
+    """With 2-bit secrets drawn at their lower bound 2, a base of period
+    2 makes every public value a² the identity."""
+    class LowestDraw:
+        def randrange(self, lo, hi):
+            return lo
+
+    pub = demo_pub(23, (9, 19, 1, 1, 2), (21, 0, 0))
+    with pytest.raises(KxError, match="could not draw a secret with a "
+                                      "non-identity public value"):
+        keygen(pub, 2, LowestDraw())

@@ -335,3 +335,12 @@ def test_sym_pow_refuses_exponents_out_of_range():
         with pytest.raises(ValueError,
                            match=f"supported range is 1 <= n <= {MAX_SYM_POWER}"):
             sym_pow(n)
+
+
+def test_sympoly_int_on_the_left_zero_and_foreign_equality():
+    x = SymPoly.variable("a0")
+    assert repr(1 - x) == "1 - a0"
+    assert 1 - x == SymPoly.constant(1) - x
+    assert not bool(x - x)
+    assert x - x == 0
+    assert (x == "a0") is False
