@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -356,6 +357,9 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except BrokenPipeError:
+        # the reader left (`| head`): point stdout at /dev/null, so that
+        # the flush at exit finds no pipe to fail on for bytes still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ValueError, RuntimeError, OSError, kx_mod.KxError) as exc:
         print(f"mlmagma: error: {exc}", file=sys.stderr)

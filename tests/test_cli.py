@@ -1,17 +1,12 @@
 import argparse
 import hashlib
 import json
-import os
 import socket
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-import mlmagma
 from mlmagma.cli import _build_parser, main
 from mlmagma.prng import PrngConfig
 from mlmagma import Params3, Vector3, make_modulus
@@ -582,28 +577,3 @@ def test_kx_listen_connect(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert '"shared"' in out
-
-
-def test_prng_run_into_a_closed_pipe_exits_quietly(tmp_path):
-    """A reader that stops after two lines (`| head -n 2`) closes the
-    pipe: `python -m mlmagma` exits 0 on the BrokenPipeError, with
-    nothing on stderr."""
-    config = tmp_path / "max37.json"
-    config.write_text('{"p": 37, "params": [19,18,1,1,2], '
-                      '"seeds": [[0,1,0],[0,2,33]], "pattern": [0,1], '
-                      '"initial": [6,13,32]}')
-    src = str(Path(mlmagma.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else src + os.pathsep + path)
-    with subprocess.Popen(
-            [sys.executable, "-m", "mlmagma", "prng", "run", "--config",
-             str(config), "--count", "200000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        lines = [proc.stdout.readline() for _ in range(2)]
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    assert lines == [b"step,x0,x1,x2\n", b"0,26,33,27\n"]
-    assert code == 0
-    assert err == b""

@@ -4,7 +4,7 @@ Every pin names its argv, a wall-clock bound in seconds and the expected
 outputs: stdout and any file the command writes under the test's
 tmp_path, each either one exact line or "sha256:<hex>" of the bytes.
 The two mul pins also run through `python -m mlmagma` in a fresh
-interpreter, the one test of the package's __main__.
+interpreter, as do the tests of a reader that closes stdout early.
 """
 
 import hashlib
@@ -208,13 +208,23 @@ def test_cli_output_is_pinned(name, capsysbinary, tmp_path):
         assert matches(data, want), (target, data[:200])
 
 
-def test_module_entry_point():
-    """`python -m mlmagma` prints both mul pins and exits with code 2 on a
-    refused modulus, with the error on stderr."""
+def _module_env():
+    """The environment of a `python -m mlmagma` child: this checkout's
+    package first on PYTHONPATH, and stdout block-buffered on a pipe, as
+    a user's shell gives it, whatever PYTHONUNBUFFERED the tests run
+    under."""
     src = str(Path(mlmagma.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_module_entry_point():
+    """`python -m mlmagma` prints both mul pins and exits with code 2 on a
+    refused modulus, with the error on stderr."""
+    env = _module_env()
 
     def run(command):
         return subprocess.run([sys.executable, "-m", "mlmagma", *command.split()],
@@ -229,3 +239,46 @@ def test_module_entry_point():
     assert done.returncode == 2
     assert done.stdout == b""
     assert done.stderr == b"mlmagma: error: modulus 22 is not prime\n"
+
+
+def test_prng_run_into_a_closed_pipe_exits_quietly(tmp_path):
+    """A reader that stops after two lines (`| head -n 2`) closes the
+    pipe: `python -m mlmagma` exits 0 on the BrokenPipeError, with
+    nothing on stderr."""
+    config = tmp_path / "max37.json"
+    config.write_text(MAX37_CONFIG)
+    with subprocess.Popen(
+            [sys.executable, "-m", "mlmagma", "prng", "run", "--config",
+             str(config), "--count", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_module_env()) as proc:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert lines == [b"step,x0,x1,x2\n", b"0,26,33,27\n"]
+    assert code == 0
+    assert err == b""
+
+
+def test_closed_pipe_with_bytes_left_in_the_buffer_exits_quietly(tmp_path):
+    """A write cut short when the reader leaves mid-write leaves bytes in
+    stdout's buffer, which the flush at exit would fail on ("Exception
+    ignored ... BrokenPipeError", code 120). No test can time that cut,
+    so the child buffers one byte itself, waits until stdout's reader has
+    closed, and only then runs `prng run`: it still exits 0 in silence."""
+    config = tmp_path / "max37.json"
+    config.write_text(MAX37_CONFIG)
+    child = ("import sys; sys.stdin.read(); sys.stdout.buffer.write(b's'); "
+             "from mlmagma.cli import main; sys.exit(main(sys.argv[1:]))")
+    with subprocess.Popen(
+            [sys.executable, "-c", child, "prng", "run", "--config",
+             str(config), "--count", "2000"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=_module_env()) as proc:
+        proc.stdout.close()
+        proc.stdin.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 0
+    assert err == b""
