@@ -37,7 +37,7 @@ class DipInstance:
 
     def __post_init__(self):
         _require_shared(self.base, self.target, self.params)
-        if self.cap < 1:
+        if type(self.cap) is not int or self.cap < 1:
             raise ValueError("cap must be at least 1")
 
 
@@ -84,7 +84,7 @@ def dip_timing(ps, exponents, samples: int = 3, base=None) -> list[TimingRow]:
     largest exponent (found heuristically when not supplied) so the
     planted exponent is also the smallest solution.
     """
-    if samples < 1:
+    if type(samples) is not int or samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     exponents = sorted(exponents)
     if not exponents or exponents[0] < 1:

@@ -85,16 +85,16 @@ def prime_factors(n: int) -> frozenset[int]:
     """The primes of n >= 1 (cached: callers pass p − 1, p + 1 and
     friends, so one p factors once).
 
-    Trial division by q < 2**16, which alone factors every n < 2**32;
-    a cofactor left above 2**32 has only primes above 2**16 and is split
-    by Pollard rho, its parts certified by Miller-Rabin.
+    Trial division by 2 and the odd q < 2**16, which alone factors every
+    n < 2**32; a cofactor left above 2**32 has only primes above 2**16
+    and is split by Pollard rho, its parts certified by Miller-Rabin.
     """
     primes, q = set(), 2
     while q * q <= n and q < _TRIAL_BOUND:
         while n % q == 0:
             primes.add(q)
             n //= q
-        q += 1
+        q += 1 if q == 2 else 2
     return frozenset(primes | _rho_primes(n) if n > 1 else primes)
 
 

@@ -638,7 +638,7 @@ def heuristic_search(ps: Params, budget: int | None = None,
     p = ps.modulus.p
     if budget is None:
         budget = 2 * p
-    if budget < 0:
+    if type(budget) is not int or budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     if not second_components:
         raise ValueError("second_components must not be empty")

@@ -75,7 +75,7 @@ def check_power_associativity(a, ps, max_n: int):
     Returns (True, None) if all agree for every n, else
     (False, (n, value1, value2)) with two differing results.
     """
-    if max_n < 3:
+    if type(max_n) is not int or max_n < 3:
         raise ValueError("max_n must be at least 3")
     if max_n > MAX_PAREN_FACTORS:
         raise ValueError(f"max_n capped at {MAX_PAREN_FACTORS}")
@@ -98,7 +98,7 @@ def check_power_associativity(a, ps, max_n: int):
 def _check_grid(a, ps, max_m: int, max_n: int, count: int, other):
     """a^m * a^n == other(pows, m, n) over the full grid, with
     pows = [a^1, ..., a^count]; (ok, (m, n, lhs, rhs) or None)."""
-    if max_m < 1 or max_n < 1:
+    if any(type(k) is not int or k < 1 for k in (max_m, max_n)):
         raise ValueError("exponent bounds must be >= 1")
     pows = powers_upto(a, count, ps)
     for m in range(1, max_m + 1):

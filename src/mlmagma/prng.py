@@ -78,8 +78,9 @@ order of X is _x_order: for deg g ≤ 2, X is a unit of F_p or of
 R = F_p[w]/(w² − L w − Q), and Plane.unit_order gives it; for a cubic,
 field.order runs on _x_pow_is_one, on the unrolled kernel _x_pow that
 the jump uses too, below the discriminant's bound.  The generic list
-kernel is the tests' oracle, as is the Brent walk find_cycle, kept here
-under its name in the benchmark's trace plan.
+kernel is the tests' oracle, as is find_cycle, the walk that numbers
+each state until one repeats, kept here under its name in the
+benchmark's trace plan.
 field.prime_factors' Pollard rho factors p² + p + 1, keeping this fast
 up to p = 2^31 − 1.
 """
@@ -196,7 +197,7 @@ def _slot_steppers(config: PrngConfig):
 
 def iter_outputs(config: PrngConfig, count: int) -> Iterator[tuple[int, int, int]]:
     """Raw component tuples of the first `count` outputs."""
-    if count < 0:
+    if type(count) is not int or count < 0:
         raise ValueError(f"output count must be non-negative, got {count}")
     return _outputs(_slot_steppers(config), config.initial.components, count)
 
@@ -332,39 +333,25 @@ def composite_period(config: PrngConfig) -> int:
 def find_cycle(step, start):
     """Return (tail, period) of start, step(start), step(step(start)), ...
 
-    Brent's algorithm: O(tail + period) steps, O(1) states kept.  States
-    must be plain values compared with ==; the step function is pure.
-    Only the tests call it, as their walk oracle; it stays here because
-    the benchmark's trace plan wraps prng.find_cycle.
+    Numbers each state by its first visit until one repeats: the repeated
+    state's number is the tail, and the count of states numbered from it
+    on is the period (Knuth, TAOCP vol. 2, §3.1).  O(tail + period)
+    steps, and as many states kept; states must be hashable, and the
+    step function is pure.  Only the tests call it, as their walk oracle;
+    it stays here because the benchmark's trace plan wraps
+    prng.find_cycle.
     """
-    power = lam = 1
-    tortoise = start
-    hare = step(start)
-    while tortoise != hare:
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        hare = step(hare)
-        lam += 1
-
-    # period known; locate the tail by walking two cursors lam apart
-    hare = start
-    for _ in range(lam):
-        hare = step(hare)
-    mu = 0
-    tortoise = start
-    while tortoise != hare:
-        tortoise = step(tortoise)
-        hare = step(hare)
-        mu += 1
-    return mu, lam
+    seen = {}
+    while start not in seen:
+        seen[start] = len(seen)
+        start = step(start)
+    return seen[start], len(seen) - seen[start]
 
 
 def prng_cycle_length(config: PrngConfig, cap: int | None = None) -> CycleResult:
     """Exact tail and period of the composite state (vector, position),
     or exceeded_cap when tail + period exceeds cap (None: no bound)."""
-    if cap is not None and cap < 1:
+    if cap is not None and (type(cap) is not int or cap < 1):
         raise ValueError(f"cap must be at least 1, got {cap}")
     _, _, tail, period = _pass_orbit(config)
     if cap is not None and tail + period > cap:
@@ -436,7 +423,7 @@ def uniformity_stats(config: PrngConfig, samples: int) -> UniformityReport:
 
     p is at most UNIFORMITY_MAX_P, checked before the 3·p counters exist.
     """
-    if samples < 1:
+    if type(samples) is not int or samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     p = config.modulus.p
     if p > UNIFORMITY_MAX_P:
@@ -507,9 +494,9 @@ def seed_search(ps: Params, pattern, trials: int, *, rng_seed: int = 0,
     nseeds = max(pattern, default=0) + 1
     e = identity(3, m)
     PrngConfig(ps, (e,) * nseeds, pattern, e, side)    # its checks, before a draw
-    if trials < 0:
+    if type(trials) is not int or trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    if keep < 0:
+    if type(keep) is not int or keep < 0:
         raise ValueError(f"keep must be non-negative, got {keep}")
     rng = random.Random(rng_seed)
 
@@ -546,7 +533,7 @@ def byte_stream(config: PrngConfig, nbytes: int) -> bytes:
     whole bytes, packed at once.  Outputs are stepped in chunks no larger
     than the bytes still wanted can use, at most 64·nbytes + 1024 of them.
     """
-    if nbytes < 0:
+    if type(nbytes) is not int or nbytes < 0:
         raise ValueError(f"byte count must be non-negative, got {nbytes}")
     if nbytes == 0:
         return b""

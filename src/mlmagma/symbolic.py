@@ -281,7 +281,7 @@ def generic_vector() -> SymVector3:
 
 def sym_pow(n: int) -> SymVector3:
     """The symbolic n-th power of the generic vector, computed in R."""
-    if not (1 <= n <= MAX_SYM_POWER):
+    if type(n) is not int or not 1 <= n <= MAX_SYM_POWER:
         raise ValueError(f"supported range is 1 <= n <= {MAX_SYM_POWER}")
     a0, a1, a2 = generic_vector()
     s0 = a0 + 1

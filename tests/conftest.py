@@ -195,8 +195,8 @@ def cycle_minimum(step, on_cycle_state, period):
 def walk_orbit(a, ps):
     """(tail, period, cycle_rep) of a's power sequence by walking it.
 
-    Brent's cycle detection, then the smallest state over one full turn
-    of the cycle: the oracle for orbit.orbit_length.
+    find_cycle's numbering walk, then the smallest state over one full
+    turn of the cycle: the oracle for orbit.orbit_length.
     """
     step = right_mul_stepper(a, ps)
     tail, period = find_cycle(step, a.components)
@@ -208,7 +208,7 @@ def walk_orbit(a, ps):
 
 def walk_prng_cycle(config):
     """(tail, period) of the PRNG's composite state (vector, position)
-    by Brent's walk over it: the oracle for prng.prng_cycle_length,
+    by find_cycle's walk over it: the oracle for prng.prng_cycle_length,
     which reads both from the pass algebra."""
     make = right_mul_stepper if config.side == "right" else left_mul_stepper
     steppers = [make(config.seeds[i], config.params) for i in config.pattern]
@@ -240,9 +240,11 @@ def pass_matrix(config) -> list[list[int]]:
     return [list(row) for row in zip(*cols)]
 
 
-def walk_census(ps):
+def walk_census(ps, order=None):
     """The census by one pass of first-visit walks over all p³ starts:
-    the oracle for orbit.scan_space's plane-wise census.
+    the oracle for orbit.scan_space's plane-wise census.  `order` lists
+    the lex indices to launch from, each only if still unvisited; None
+    is lex order, the order of the paper's walk counts.
 
     It is exact because powers are associative: (a^i)^n = a^(i·n).  If
     the walk of a visits a^1 .. a^(μ+λ) before a^(μ+λ+1) = a^(μ+1), the
@@ -257,8 +259,9 @@ def walk_census(ps):
     start_hist, tail_hist, walk_hist = Counter(), Counter(), Counter()
     cycles = set()                       # (lex index of cycle minimum, period)
     visited = bytearray(total)           # by lex index (x0*p + x1)*p + x2
-    i = visited.find(0)
-    while i != -1:
+    for i in range(total) if order is None else order:
+        if visited[i]:
+            continue
         a = Vector3(i // (p * p), i // p % p, i % p, ps.modulus)
         step = right_mul_stepper(a, ps)
         seen = {}                        # lex index of a^e -> e - 1
@@ -280,7 +283,6 @@ def walk_census(ps):
         for g in divisors(period):
             # the cycle of a^g: the states a^e of a's cycle with g | e
             cycles.add((min(cycle[-(tail + 1) % g::g]), period // g))
-        i = visited.find(0, i + 1)
     return CensusReport(
         p=p, params=tuple(ps.coefficients), total_starts=total,
         start_periods=dict(start_hist),

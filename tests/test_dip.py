@@ -94,6 +94,21 @@ def test_timing_rejects_no_samples():
             dip_timing(ps, [256], samples=samples)
 
 
+def test_counts_must_be_ints():
+    """A bool or float cap or sample count is refused with the range's
+    message, not read as a cap of 1 or failed on while solving."""
+    m = make_modulus(101)
+    ps = Params3(1, 1, 1, 1, 1, m)
+    base = Vector3(1, 0, 0, m)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError) as info:
+            DipInstance(base, base, ps, cap=bad)
+        assert str(info.value) == "cap must be at least 1"
+        with pytest.raises(ValueError) as info:
+            dip_timing(ps, [5], samples=bad, base=base)
+        assert str(info.value) == f"samples must be at least 1, got {bad}"
+
+
 def test_timing_rejects_bad_exponents():
     ps = Params3(129, 128, 1, 1, 2, make_modulus(257))
     for exponents in ([], [0], [256, 0], [-3, 256]):

@@ -103,6 +103,10 @@ def _seeded_products(count, seed=1975):
     (3, 529510939, 2903110321),         # p² + p + 1 at p = 2^31 − 1
     (792049, 797207),                   # rho needs c = 2
     *_seeded_products(50),
+    # trial division alone: the last prime below 2^16, and a power of 2
+    (65521, 65521),
+    (3, 65521, 65521),
+    (2,) * 40,
 ])
 def test_prime_factors_by_rho(factors):
     n = 1

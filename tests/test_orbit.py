@@ -689,6 +689,16 @@ def test_heuristic_search_budget_respected():
         heuristic_search(ps, budget=-3)
 
 
+def test_heuristic_search_budget_must_be_an_int():
+    """A bool or float budget is refused with the range's message, not
+    read as 1 or failed on inside islice."""
+    ps = Params3(9, 19, 1, 1, 2, make_modulus(23))
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError) as info:
+            heuristic_search(ps, budget=bad)
+        assert str(info.value) == f"budget must be non-negative, got {bad}"
+
+
 @pytest.mark.parametrize("s", [23, 24, 99, -1])
 def test_heuristic_search_rejects_uncanonical_second_component(s, capsys):
     """s = 24 would repeat s = 1's starts and s = 99 search s = 7."""

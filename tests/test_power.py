@@ -241,6 +241,21 @@ def test_grid_checkers_refuse_bounds_below_one(rng):
                 check(a, ps, *bounds)
 
 
+def test_checker_bounds_must_be_ints(rng):
+    """A bool or float bound is refused with the range's message, not read
+    as 1 or failed on inside range() or as an exponent."""
+    a, ps = random_instance(rng)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError) as info:
+            check_power_associativity(a, ps, bad)
+        assert str(info.value) == "max_n must be at least 3"
+        for check in (check_internal_commutativity, check_power_identity):
+            for bounds in ((bad, 2), (2, bad)):
+                with pytest.raises(ValueError) as info:
+                    check(a, ps, *bounds)
+                assert str(info.value) == "exponent bounds must be >= 1"
+
+
 def test_grid_checkers_report_their_counterexamples(monkeypatch):
     """With a product that returns its left factor, each checker reports
     its own first failing cell as (m, n, lhs, rhs)."""

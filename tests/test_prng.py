@@ -1,6 +1,8 @@
 import json
 import random
+from collections import Counter
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import pytest
@@ -821,6 +823,49 @@ def test_seed_search_keep():
     for trials in (0, 5):
         with pytest.raises(ValueError, match="keep must be non-negative"):
             seed_search(ps, (0, 1), trials=trials, keep=-1)
+
+
+def test_counts_must_be_ints():
+    """A bool or float count, cap, sample size, trial count or keep is
+    refused with the range's message, not read as 1 or failed on later."""
+    cfg = make_config(p=37, coefs=(19, 18, 1, 1, 2))
+    for bad in (True, 2.5):
+        for call, message in (
+                (partial(iter_outputs, cfg, bad), "output count must be non-negative"),
+                (partial(prng_cycle_length, cfg, cap=bad), "cap must be at least 1"),
+                (partial(uniformity_stats, cfg, bad), "samples must be at least 1"),
+                (partial(seed_search, cfg.params, (0, 1), bad),
+                 "trials must be non-negative"),
+                (partial(seed_search, cfg.params, (0, 1), 1, keep=bad),
+                 "keep must be non-negative"),
+                (partial(byte_stream, cfg, bad), "byte count must be non-negative")):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{message}, got {bad}"
+
+
+def test_find_cycle_against_the_listed_sequence():
+    """find_cycle's (tail, period) on seeded random maps of range(k),
+    read off the listed sequence x_0 .. x_2k instead: x_k is on the cycle,
+    the period is the least λ with x_(k+λ) = x_k and the tail the least μ
+    with x_μ = x_(μ+λ).  A cycle and the constant map give tail-0 and
+    period-1 starts for certain; random maps give many of both."""
+    rng = random.Random(33)
+    maps = [[(x + 1) % 7 for x in range(7)], [0] * 5]
+    maps += [[rng.randrange(k) for _ in range(k)]
+             for k in (rng.randint(1, 50) for _ in range(300))]
+    seen = Counter()
+    for f in maps:
+        k = len(f)
+        for start in range(k):
+            xs = [start]
+            for _ in range(2 * k):
+                xs.append(f[xs[-1]])
+            lam = next(n for n in range(1, k + 1) if xs[k + n] == xs[k])
+            mu = next(n for n in range(k + 1) if xs[n] == xs[n + lam])
+            assert prng.find_cycle(f.__getitem__, start) == (mu, lam), (f, start)
+            seen[mu == 0, lam == 1] += 1
+    assert all(seen[case] > 100 for case in product((False, True), repeat=2))
 
 
 def test_seed_search_side():

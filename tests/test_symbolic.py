@@ -337,6 +337,15 @@ def test_sym_pow_refuses_exponents_out_of_range():
             sym_pow(n)
 
 
+def test_sym_pow_exponent_must_be_an_int():
+    """A bool or float exponent is refused with the range's message, not
+    read as 1."""
+    for n in (True, 2.5):
+        with pytest.raises(ValueError) as info:
+            sym_pow(n)
+        assert str(info.value) == f"supported range is 1 <= n <= {MAX_SYM_POWER}"
+
+
 def test_sympoly_int_on_the_left_zero_and_foreign_equality():
     x = SymPoly.variable("a0")
     assert repr(1 - x) == "1 - a0"
