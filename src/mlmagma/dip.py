@@ -6,7 +6,7 @@ The solver doubles as the correctness oracle for key-exchange tests;
 the timing harness records how the step count scales with the planted
 exponent, the empirical face of the hardness conjecture.  Its default
 base, from find_long_period_base, is the first long orbit that
-orbit.structured_orbits meets among the starts (0, s, x).
+orbit_length meets among orbit.structured_starts, the starts (0, s, x).
 
 No sub-exhaustive attack is implemented.  Note the power identity
 a^(u+v) = a^u * a^v invites a meet-in-the-middle tabulation; that lead
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .magma import Params, Vector, _require_shared, right_mul_stepper
-# bench/workloads.py traces orbit_length where dip looks it up
-from .orbit import orbit_length, structured_orbits  # noqa: F401
+from .orbit import orbit_length, structured_starts
 from .power import pow_fast
 
 
@@ -67,13 +66,15 @@ class TimingRow(NamedTuple):
 
 
 def find_long_period_base(ps, min_period: int):
-    """The first start of orbit.structured_orbits over s = 1, 2, 3 whose
-    tail plus period exceeds min_period, or None.
+    """The first start of orbit.structured_starts over s = 1, 2, 3 whose
+    tail plus period, from orbit_length, exceeds min_period, or None.
 
     Long-period bases keep planted exponents below the orbit period so
     brute-force cost reflects the exponent, not a wrapped residue.
     """
-    return next((rec.start for rec in structured_orbits(ps, (1, 2, 3))
+    records = (orbit_length(Vector(c, ps.modulus), ps)
+               for c in structured_starts(ps, (1, 2, 3)))
+    return next((rec.start for rec in records
                  if rec.tail + rec.period > min_period), None)
 
 

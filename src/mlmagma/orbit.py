@@ -3,9 +3,12 @@
 For a start vector a the trajectory is a, a*a, (a*a)*a, ... i.e. the
 successor map y -> y * a.  `orbit_length` classifies one start of Z_p^3
 or Z_p^4 into (tail, period, lexicographically minimal cycle state); a
-census aggregates every start of Z_p^3.  structured_orbits classifies
-the structured starts (0, s, x) of either dimension one by one; it is
-the one scan under heuristic_search and dip.find_long_period_base.
+census aggregates every start of Z_p^3.  structured_starts lists the
+structured starts (0, s, x) of either dimension, the one enumeration
+under heuristic_search and dip.find_long_period_base.  The search keeps
+a start of period p² − 1, where α = 1 + w generates R^* = F_{p²}^*, by
+Plane.is_maximal on its plane alone, without an order; the base search
+classifies each start by orbit_length.
 
 The classification is an element order, not a walk.  a^n = (s_n − 1,
 t_n·a') with s_n + t_n w = α^n in R = F_p[w]/(w² − L w − Q) (magma,
@@ -490,6 +493,8 @@ def scan_space(ps: Params, *, full_scan_cap: int = DEFAULT_FULL_SCAN_CAP
     decides containment by element orders.
     """
     require_dim3(ps, "full-space censuses need")
+    if type(full_scan_cap) is not int:
+        raise ValueError(f"full_scan_cap must be an int, got {full_scan_cap!r}")
     p = ps.modulus.p
     total = p**3
     if p > full_scan_cap:
@@ -613,8 +618,8 @@ def param_sweep(modulus, c: int, d: int, e: int, a_values=None,
     return SweepResult(p, (c, d, e), reports)
 
 
-def structured_orbits(ps: Params, second_components):
-    """orbit_length of each nonzero start (0, s, x), zero-padded to the
+def structured_starts(ps: Params, second_components):
+    """The components of each nonzero start (0, s, x), zero-padded to the
     dimension of ps, for s in second_components (taken mod p) in order
     and x over Z_p."""
     p = ps.modulus.p
@@ -622,20 +627,24 @@ def structured_orbits(ps: Params, second_components):
     for s in second_components:
         for x in range(p):
             if s % p or x:
-                yield orbit_length(Vector((0, s % p, x) + pad, ps.modulus), ps)
+                yield (0, s % p, x) + pad
 
 
 def heuristic_search(ps: Params, budget: int | None = None,
                      second_components=(1, 2)) -> list[OrbitRecord]:
     """Look for maximal (p^2 - 1) orbits among structured starts (0, s, x).
 
-    Scans x over Z_p for each small second component, stopping after
-    `budget` classified starts; the zero start is skipped, not counted.
-    A second component outside [0, p) is rejected, as it would repeat or
+    Tests the first `budget` nonzero starts of structured_starts, the zero
+    start skipped and not counted.  A start a has period p² − 1 iff
+    α = 1 + w generates R^* of its plane, Plane.is_maximal (module
+    docstring), and its record is then orbit_length's: tail 0, period
+    p² − 1, the identity as cycle state.  A second component that is not
+    an int, or lies outside [0, p), is rejected, as it would repeat or
     rename another, and so is a repeated one or an empty tuple.  An empty
     result is a valid outcome.
     """
-    p = ps.modulus.p
+    m = ps.modulus
+    p = m.p
     if budget is None:
         budget = 2 * p
     if type(budget) is not int or budget < 0:
@@ -643,9 +652,13 @@ def heuristic_search(ps: Params, budget: int | None = None,
     if not second_components:
         raise ValueError("second_components must not be empty")
     for s in second_components:
+        if type(s) is not int:
+            raise ValueError(f"second_components must hold ints, got {s!r}")
         if not 0 <= s < p:
             raise ValueError(f"residue {s} not canonical for modulus {p}")
         if second_components.count(s) > 1:
             raise ValueError(f"second component {s} given twice")
-    return [rec for rec in islice(structured_orbits(ps, second_components), budget)
-            if rec.period == p * p - 1]
+    one = identity(ps.dim, m)
+    return [OrbitRecord(Vector(c, m), 0, p * p - 1, one)
+            for c in islice(structured_starts(ps, second_components), budget)
+            if Plane(*_plane_of(c[1:], ps), p).is_maximal(1, 1)]

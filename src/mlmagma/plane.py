@@ -26,9 +26,21 @@ folds an n > p to an exponent of at most p + 1: modulo p + 1 with a
 factor N^e in the field, to (n − 1) mod (p − 1) + 1 when split (exact
 for non-units, as x^p = x on F_p), and modulo p with a factor
 (s + t·r)^e when dual; e is the quotient, and the factor one builtin pow.
+
+A generator of R^*, of order p² − 1, needs R = F_{p²} and t ≠ 0, as a
+scalar's order divides p − 1; Plane.is_maximal tests for one without its
+order.  α generates iff α^((p² − 1)/q) ≠ 1 for each prime q of
+p² − 1 = (p − 1)(p + 1).  For q | p − 1 that power is N(α)^((p − 1)/q),
+so N must generate F_p^*.  Every other q is odd, as gcd(p − 1, p + 1) = 2,
+and there the power is β^(p − 1) with β = α^((p + 1)/q): 1 iff β lies in
+F_p^*, its t-part 0, that is iff the image of α in the cyclic quotient
+R^*/F_p^*, of order p + 1, has order dividing (p + 1)/q.  q = 2 divides
+both p − 1 and p + 1, and the norm's test covers it; so the quotient
+needs one power per odd prime of p + 1, and none at p = 2³¹ − 1, where
+p + 1 = 2³¹.
 """
 
-from .field import order, order_primes
+from .field import order, order_primes, prime_factors
 
 
 def kind(L: int, Q: int, p: int) -> str:
@@ -50,7 +62,7 @@ class Plane:
 
     A value: L, Q and p are not changed after construction.  Slots and a
     lazy kind keep a Plane cheap to build, as orbit_length and pow_fast
-    build one per call.
+    build one per call and heuristic_search one per start.
     """
     __slots__ = ("L", "Q", "p", "_kind")
 
@@ -101,3 +113,15 @@ class Plane:
         group: p − 1 for t = 0 (F_p^*), else that of R^*."""
         return order(exponent(self.kind, self.p) if t else self.p - 1,
                      order_primes(self.p), lambda k: self.power(s, t, k) == (1, 0))
+
+    def is_maximal(self, s: int, t: int) -> bool:
+        """Whether s + t·w has order p² − 1, a generator of R^* = F_{p²}^*,
+        from its norm and one power per odd prime of p + 1 (module
+        docstring); False for a scalar and when R is not a field."""
+        p = self.p
+        if not t or self.kind != "field":
+            return False
+        N = self.norm(s, t)
+        return (all(pow(N, (p - 1) // q, p) != 1 for q in prime_factors(p - 1))
+                and all(self.power(s, t, (p + 1) // q)[1]
+                        for q in prime_factors(p + 1) if q != 2))

@@ -155,6 +155,20 @@ PINS = {
         "orbit search --p 61 --params 31,30,1,1,2 --budget 122", 60,
         {"stdout": "sha256:c538ea576f7b55b892bed124ef4c64a4"
                    "3a8300cbeedcef3e2852cd1926cdea44"}),
+    # the search's primitivity test where p + 1 = 2^31 has no odd prime,
+    # where p + 1 has the odd primes 5, 6553 and 32771, and in dimension 4
+    "orbit search at p = 2^31 - 1": (
+        f"orbit search --p {BIG_P} --params 19,18,1,1,2 --budget 400", 60,
+        {"stdout": "sha256:f8d268aa57188205aacab40414bda7ff"
+                   "7961141acd4c5bff9f1dfaca94a21594"}),
+    "orbit search at p = 2147483629": (
+        "orbit search --p 2147483629 --params 19,18,1,1,2 --budget 400", 60,
+        {"stdout": "sha256:4be9638e49c1dd4afbc8ef186abea6ff"
+                   "58f91e9d226a0c0720e57af846e2e321"}),
+    "orbit search in dimension 4 at p = 1009": (
+        "orbit search --p 1009 --params 1,2,3,4,5,6,7,8,9 --budget 2018", 60,
+        {"stdout": "sha256:846624936adcffac34a15e8a8274c565"
+                   "eac613b14a037223f5e0e6d0604fbc3b"}),
     # an N = 0 ≠ T start: its period is ord_p(T), a scalar unit order
     "orbit length of an N = 0 start at p = 2^31 - 1": (
         f"orbit length --p {BIG_P} --params 19,18,1,1,2 --a 2147483634,2,1",

@@ -10,7 +10,6 @@ import pytest
 
 from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
                      params, vector)
-from mlmagma import orbit
 from mlmagma.cli import main
 from mlmagma.dip import find_long_period_base
 from mlmagma.field import divisors, jordan2, totient
@@ -325,6 +324,16 @@ def test_budget_rejection():
         param_sweep(make_modulus(131), 1, 1, 2)
 
 
+@pytest.mark.parametrize("cap", [23.5, True, "127"])
+def test_full_scan_cap_must_be_an_int(cap):
+    """A float or bool cap is refused, not compared with p: 23.5 would run
+    the p = 23 census and True refuse it as a budget."""
+    ps = Params3(9, 19, 1, 1, 2, make_modulus(23))
+    with pytest.raises(ValueError) as info:
+        scan_space(ps, full_scan_cap=cap)
+    assert str(info.value) == f"full_scan_cap must be an int, got {cap!r}"
+
+
 def test_census_rejects_four_components():
     m = make_modulus(5)
     with pytest.raises(ValueError, match="3-component"):
@@ -637,39 +646,32 @@ def test_heuristic_search_four_components():
         assert rec.start.components[0] == rec.start.components[3] == 0
 
 
-def structured_records(ps, seconds):
-    """orbit_length of every nonzero (0, s mod p, x), zero-padded to the
-    dimension of ps, in a plain double loop."""
+def structured_records(ps, seconds, limit=None):
+    """orbit_length of the first `limit` (default all) nonzero
+    (0, s mod p, x), zero-padded to the dimension of ps, in a plain
+    double loop."""
     p = ps.modulus.p
     pad = (0,) * (ps.dim - 3)
-    starts = [vector((0, s % p, x) + pad, ps.modulus)
-              for s in seconds for x in range(p)]
-    return [orbit_length(a, ps) for a in starts if any(a.components)]
+    starts = (vector((0, s % p, x) + pad, ps.modulus)
+              for s in seconds for x in range(p))
+    return [orbit_length(a, ps) for a in itertools.islice(
+        (a for a in starts if any(a.components)), limit)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 23])
 @pytest.mark.parametrize("dim", [3, 4])
-def test_structured_scan_matches_plain_loop(dim, p, monkeypatch):
-    """heuristic_search classifies the first `budget` nonzero starts of
-    the plain loop, the zero start skipped and not counted, and
-    find_long_period_base returns the first start of s = 1, 2, 3 longer
-    than min_period."""
+def test_structured_scan_matches_plain_loop(dim, p):
+    """heuristic_search keeps the records of period p² − 1 among the
+    first `budget` nonzero starts of the plain loop, the zero start
+    skipped and not counted, and find_long_period_base returns the first
+    start of s = 1, 2, 3 longer than min_period."""
     rng = random.Random(100 * dim + p)
-    classified = []
-
-    def spy(a, ps):
-        classified.append(a)
-        return orbit_length(a, ps)
-
-    monkeypatch.setattr(orbit, "orbit_length", spy)
     for _ in range(3):
         _, ps = random_instance(rng, dim, primes=(p,))
         for seconds in ((1, 2), (0, 1), (2, 0, 1)):
             records = structured_records(ps, seconds)
             for budget in sorted({0, 1, p - 1, p, 2 * p, len(records) + 3}):
-                classified.clear()
                 found = heuristic_search(ps, budget, seconds)
-                assert classified == [r.start for r in records[:budget]]
                 assert found == [r for r in records[:budget]
                                  if r.period == p * p - 1]
         records = structured_records(ps, (1, 2, 3))
@@ -679,6 +681,31 @@ def test_structured_scan_matches_plain_loop(dim, p, monkeypatch):
                          if r.tail + r.period > min_period), None)
             assert find_long_period_base(ps, min_period) == want
         assert find_long_period_base(ps, max(lengths)) is None
+
+
+@pytest.mark.parametrize("p", [61, 127, 257, 1009, 2147483629, 2147483647])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_heuristic_search_matches_records_at_large_p(dim, p):
+    """The search's primitivity test keeps exactly the records of period
+    p² − 1, as orbit_length finds them.  Up to p = 1009 the budgets stop
+    on either side of the last start of the first s (p − 1 starts when
+    s = 0, else p) and of the second, the end.  At p = 2147483629, where
+    p + 1 has the odd primes 5, 6553 and 32771, and at p = 2³¹ − 1,
+    where it has none, they stop within the first 300 starts."""
+    rng = random.Random(dim * p)
+    for _ in range(2):
+        _, ps = random_instance(rng, dim, primes=(p,))
+        for seconds in ((1, 2), (0, 1)):
+            if p > 1009:
+                budgets = [0, 1, 150, 300]
+            else:
+                first = p - 1 if seconds[0] == 0 else p
+                budgets = sorted({first - 1, first, first + 1,
+                                  first + p - 1, first + p, first + p + 1})
+            records = structured_records(ps, seconds, budgets[-1])
+            for budget in budgets:
+                assert heuristic_search(ps, budget, seconds) == [
+                    r for r in records[:budget] if r.period == p * p - 1]
 
 
 def test_heuristic_search_budget_respected():
@@ -697,6 +724,17 @@ def test_heuristic_search_budget_must_be_an_int():
         with pytest.raises(ValueError) as info:
             heuristic_search(ps, budget=bad)
         assert str(info.value) == f"budget must be non-negative, got {bad}"
+
+
+@pytest.mark.parametrize("s", [True, 1.0])
+def test_heuristic_search_second_components_must_be_ints(s):
+    """A bool or float second component is refused by name, not read as
+    s = 1."""
+    ps = Params3(9, 19, 1, 1, 2, make_modulus(23))
+    for seconds in ((s,), (2, s)):
+        with pytest.raises(ValueError) as info:
+            heuristic_search(ps, budget=46, second_components=seconds)
+        assert str(info.value) == f"second_components must hold ints, got {s!r}"
 
 
 @pytest.mark.parametrize("s", [23, 24, 99, -1])

@@ -53,6 +53,18 @@ def test_unit_order_is_least_power_to_one(p):
             assert Plane(L, Q, p).unit_order(s, t) == k, (L, Q, s, t)
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_is_maximal_is_order_p2_minus_1(p):
+    """is_maximal(s, t) iff s + t·w is a unit of order p² − 1, for every
+    (L, Q, s, t): p + 1 has no odd prime at p = 3 and 7, and has 3 at
+    p = 2, 5 and 11."""
+    for L, Q in product(range(p), repeat=2):
+        R = Plane(L, Q, p)
+        for s, t in product(range(p), repeat=2):
+            maximal = R.norm(s, t) != 0 and R.unit_order(s, t) == p * p - 1
+            assert R.is_maximal(s, t) == maximal, (L, Q, s, t)
+
+
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_unit_order_tries_divisors_of_the_group_exponent(p, monkeypatch):
     """Every exponent Plane.unit_order powers to divides the exponent of
