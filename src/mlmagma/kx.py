@@ -113,6 +113,19 @@ def _check_bits(exponent_bits: int) -> None:
         raise ValueError(f"exponent_bits must be in [2, 64], got {exponent_bits}")
 
 
+def _check_session(exponent_bits: int, timeout: float, mode: str) -> None:
+    """Refuse bad session arguments before an accept, a dial, a draw or
+    a byte: a secret size as keygen does, a mode outside MODES, and a
+    timeout that is not a non-negative int or float (bools and None
+    included: every session is bounded)."""
+    _check_bits(exponent_bits)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if type(timeout) not in (int, float) or not timeout >= 0:
+        raise ValueError(f"timeout must be a non-negative number of seconds, "
+                         f"got {timeout!r}")
+
+
 def keygen(pub: KxPublicParams, exponent_bits: int = 64,
            rng: random.Random | None = None) -> KxKeypair:
     """Secret m uniform in [2^(bits-1), 2^bits); public a^m.
@@ -295,16 +308,15 @@ ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
 
 
-def _recv_exact(sock, n: int, deadline: float | None) -> bytes:
+def _recv_exact(sock, n: int, deadline: float) -> bytes:
     """n bytes from sock, each recv bounded by the time left before
-    deadline (a time.monotonic() value; None waits as the socket does)."""
+    deadline, a time.monotonic() value."""
     buf = bytearray()
     while len(buf) < n:
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise KxSessionError("timed out waiting for peer data")
-            sock.settimeout(left)
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise KxSessionError("timed out waiting for peer data")
+        sock.settimeout(left)
         try:
             chunk = sock.recv(n - len(buf))
         except TimeoutError as exc:
@@ -315,7 +327,7 @@ def _recv_exact(sock, n: int, deadline: float | None) -> bytes:
     return bytes(buf)
 
 
-def _recv_message(sock, p: int, deadline: float | None, kind: type, what: str):
+def _recv_message(sock, p: int, deadline: float, kind: type, what: str):
     """The next message from sock, which must be a kind, named by what."""
     try:
         msg = _decode(lambda n: _recv_exact(sock, n, deadline), p)
@@ -356,10 +368,9 @@ def run_session(role: str, sock, pub: KxPublicParams, exponent_bits: int = 64,
     """
     if role not in (ROLE_INITIATOR, ROLE_RESPONDER):
         raise ValueError(f"role must be {ROLE_INITIATOR!r} or {ROLE_RESPONDER!r}")
-    deadline = None
-    if timeout is not None:
-        deadline = time.monotonic() + timeout
-        sock.settimeout(timeout)
+    _check_session(exponent_bits, timeout, mode)
+    deadline = time.monotonic() + timeout
+    sock.settimeout(timeout)
     own = keygen(pub, exponent_bits, rng)
     p = pub.modulus.p
     try:
@@ -416,7 +427,7 @@ def serve(listener: socket.socket, pub: KxPublicParams, exponent_bits: int = 64,
                     on_result(exc)
 
     with listener:
-        _check_bits(exponent_bits)
+        _check_session(exponent_bits, timeout, mode)
         while True:
             conn, _ = listener.accept()
             if once:
@@ -429,6 +440,7 @@ def connect(host: str, port: int, pub: KxPublicParams, exponent_bits: int = 64,
             *, timeout: float = 10.0,
             mode: str = MODE_MULTIPLICATIVE) -> SessionResult:
     """Dial a responder and run one exchange as the initiator."""
+    _check_session(exponent_bits, timeout, mode)
     with socket.create_connection(_address(host, port), timeout=timeout) as sock:
         return run_session(ROLE_INITIATOR, sock, pub, exponent_bits,
                            timeout=timeout, mode=mode)

@@ -222,26 +222,27 @@ def _annihilator(states, p: int) -> tuple[list[int], list]:
     """(f, basis): the monic f of least degree with f(M)·v = 0, low
     coefficient first, and the Krylov basis v … M^(deg f − 1)·v.
 
-    Eliminates the states v, Mv, M²v, ... mod p, each kept with the
-    polynomial in M that produced it, until one reduces to zero; so it
-    takes deg f + 1 of them.
+    Eliminates the augmented rows [M^k·v | X^k] mod p, k = 0, 1, 2, ...,
+    pivoting in the state block only: a row's polynomial block is the
+    combination of X^0 … X^k that its state block is of the Krylov
+    vectors.  So the first row whose state block reduces to zero holds
+    f in its polynomial block, after deg f + 1 states.
     """
-    rows, basis = [], []                 # (pivot, row, poly), row[pivot] = 1
+    rows, basis = [], []                 # (pivot, row), row[pivot] = 1
     for k, w in enumerate(states):       # at most len(v) + 1 states
-        r, poly = list(w), [0] * k + [1]
-        for pivot, row, prow in rows:
-            c = r[pivot]
-            if c:
+        n = len(w)
+        r = [*w, *[0] * k, 1, *[0] * (n - k)]
+        for pivot, row in rows:
+            if c := r[pivot]:
                 r = [(x - c * y) % p for x, y in zip(r, row)]
-                for i, y in enumerate(prow):
-                    poly[i] = (poly[i] - c * y) % p
-        pivot = next((i for i, x in enumerate(r) if x), None)
-        if pivot is None:
-            return poly, basis
+        for pivot in range(n):
+            if r[pivot]:
+                break
+        else:                            # the state block is zero
+            return r[n:n + k + 1], basis
         basis.append(w)
         inv = pow(r[pivot], -1, p)
-        rows.append((pivot, [x * inv % p for x in r],
-                     [x * inv % p for x in poly]))
+        rows.append((pivot, [x * inv % p for x in r]))
 
 
 def _combine(coefs, vectors, p: int) -> list[int]:
@@ -480,10 +481,12 @@ def seed_search(ps: Params, pattern, trials: int, *, rng_seed: int = 0,
                 side: str = "right", keep: int = 10) -> list[SearchHit]:
     """Sample seed tuples and rank them by composite period.
 
-    Alternates structured candidates (first component 0, small second
-    component, scanning third) with uniform random ones; deterministic
-    for a given rng_seed.  Returns the `keep` best hits, longest period
-    first, ties broken by seed then initial components.
+    Alternates structured candidates (seeds with first component 0,
+    second component 1 or 2 as the seed index is even or odd, and a
+    uniform random third) with uniform random ones, each with a uniform
+    random initial vector; deterministic for a given rng_seed.  Returns
+    the `keep` best hits, longest period first, ties broken by seed then
+    initial components.
     """
     p = ps.modulus.p
     m = ps.modulus
@@ -530,36 +533,30 @@ def byte_stream(config: PrngConfig, nbytes: int) -> bytes:
     and contribute k bits; larger values are rejected.  Power-of-two
     rejection avoids modulo bias for any p.  The bits are the accepted
     values' concatenated, most significant first: eight values make k
-    whole bytes, packed at once.  Outputs are stepped in chunks no larger
-    than the bytes still wanted can use, at most 64·nbytes + 1024 of them.
+    whole bytes, packed at once.  Once the values hold the wanted bits,
+    zeros fill their last group of eight, and the bytes past nbytes are
+    cut.  Outputs are stepped in chunks no larger than the bytes still
+    wanted can use, and a stream whose 64·nbytes + 1024 outputs run out
+    first is refused as degenerate.
     """
     if type(nbytes) is not int or nbytes < 0:
         raise ValueError(f"byte count must be non-negative, got {nbytes}")
-    if nbytes == 0:
-        return b""
-    p = config.modulus.p
-    k = p.bit_length() - 1
+    k = config.modulus.p.bit_length() - 1
     threshold = 1 << k
     out = bytearray()
-    vals: list[int] = []
+    vals: list[int] = []                 # under 8 between chunks
     outputs = iter_outputs(config, 64 * nbytes + 1024)
     while (need := 8 * (nbytes - len(out)) - k * len(vals)) > 0:
         # an output gives at most 3k bits: never step past the need
         chunk = list(islice(outputs, min(1024, -(-need // (3 * k)))))
         if not chunk:
-            break
+            raise RuntimeError("stream too degenerate to extract the requested bytes")
         vals += [v for comps in chunk for v in comps if v < threshold]
+        if k * len(vals) >= 8 * (nbytes - len(out)):
+            vals += [0] * (-len(vals) % 8)
         it = iter(vals)                  # zip stops at the last whole 8
         for a, b, c, d, e, f, g, h in zip(it, it, it, it, it, it, it, it):
             out += ((((((((a << k | b) << k | c) << k | d) << k | e) << k | f)
                      << k | g) << k | h).to_bytes(k, "big"))
         del vals[:len(vals) - len(vals) % 8]
-    acc = 0                              # under 8 values: whole bytes only
-    for v in vals:
-        acc = acc << k | v
-    bits = k * len(vals)
-    out += (acc >> bits % 8).to_bytes(bits // 8, "big")
-    if len(out) >= nbytes:
-        del out[nbytes:]
-        return bytes(out)
-    raise RuntimeError("stream too degenerate to extract the requested bytes")
+    return bytes(out[:nbytes])

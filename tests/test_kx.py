@@ -8,7 +8,7 @@ import pytest
 
 from mlmagma import Params3, Params4, Vector3, Vector4, identity, make_modulus, mul
 from mlmagma.dip import DipInstance, dip_bruteforce
-from mlmagma.kx import (MAGIC, MODE_ADDITIVE, VERSION, BadMagicError,
+from mlmagma.kx import (MAGIC, MODE_ADDITIVE, MODES, VERSION, BadMagicError,
                         BadVersionError, KxDecodeError, KxError, KxKeypair,
                         KxPublicParams, KxSessionError, NonCanonicalValueError,
                         TruncatedMessageError, announce_for, connect,
@@ -159,6 +159,48 @@ def test_exponent_bits_outside_pow_fast_range_rejected_before_drawing():
     with pytest.raises(ValueError, match="exponent_bits must be in"):
         serve(listener, pub, 65)
     assert listener.fileno() == -1  # closed
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(exponent_bits=65), "exponent_bits must be in [2, 64], got 65"),
+    (dict(mode="bogus"), f"mode must be one of {MODES}"),
+    *((dict(timeout=t), "timeout must be a non-negative number of seconds, "
+       f"got {t!r}") for t in (-1, -0.5, None, True, "5", float("nan"))),
+], ids=("bits", "mode", "negative", "negative-float", "None", "bool", "str",
+        "nan"))
+def test_bad_session_arguments_rejected_before_any_io(kwargs, message,
+                                                        monkeypatch):
+    """run_session, serve and connect refuse a secret size outside
+    [2, 64], a mode outside MODES and a timeout that is not a
+    non-negative int or float before they draw a secret, send a byte,
+    accept or dial."""
+    pub = demo_pub()
+    kwargs = {"exponent_bits": 8, **kwargs}
+    for role in ("initiator", "responder"):
+        a, b = socket.socketpair()
+        with a, b:
+            a.settimeout(2)             # a session would time out, not hang
+            rng = random.Random(7)
+            with pytest.raises(ValueError) as info:
+                run_session(role, a, pub, rng=rng, **kwargs)
+            assert str(info.value) == message
+            assert rng.getstate() == random.Random(7).getstate()
+            b.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                b.recv(1)               # no byte reached the peer
+    listener = make_listener("127.0.0.1", 0)
+    listener.settimeout(2)          # accept() would time out, not hang
+    with pytest.raises(ValueError) as info:
+        serve(listener, pub, once=True, **kwargs)
+    assert str(info.value) == message
+    assert listener.fileno() == -1  # closed
+    dials = []
+    monkeypatch.setattr(socket, "create_connection",
+                        lambda *a, **k: dials.append(a))
+    with pytest.raises(ValueError) as info:
+        connect("127.0.0.1", 1, pub, **kwargs)
+    assert str(info.value) == message
+    assert dials == []
 
 
 # --- wire codec ------------------------------------------------------------

@@ -13,7 +13,8 @@ from mlmagma import (Params3, Params4, Vector3, Vector4, identity, make_modulus,
 from mlmagma.cli import main
 from mlmagma.dip import find_long_period_base
 from mlmagma.field import divisors, jordan2, totient
-from mlmagma.magma import ModulusMismatchError, plane, right_mul_stepper
+from mlmagma.magma import (ModulusMismatchError, _plane_of, plane,
+                           right_mul_stepper)
 from mlmagma.orbit import (MEASURES, BudgetExceededError, _plane_walks,
                            _subgroups, _trace_zero, _type_periods,
                            heuristic_search, orbit_length, param_sweep, scan_space,
@@ -208,6 +209,35 @@ def test_split_periods_by_jordan(p):
     for k in divisors(n):
         expected[k] += totient(k)
     assert _type_periods(p)["split"] == dict(expected)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 23, 29, 31, 37, 61, 67, 101, 127])
+def test_split_planes_launch_psi_plus_one_of_period_p_minus_1(p):
+    """Every split class launches exactly ψ(n) + 1 starts of period
+    n = p − 1, ψ = J₂/φ: the ψ(n) − 1 order-n units of _split_launches,
+    whose pass ends on that count and never by running out of rows, and
+    one generator per axis.  So a census counts types[split]·(ψ(n) + 1)
+    walks of period n, plus 1 if a primitive scalar launches, as it does
+    for C08's (6, 1, 1, 1, 2) at p = 23.  A fifth of the random sets have
+    D = E = 0, so L = 0 on every plane and the pass takes the trace-zero
+    skip."""
+    n, m = p - 1, make_modulus(p)
+    psi = jordan2(n) // totient(n)
+    rng = random.Random(f"psi/{p}")
+    sets = [[rng.randrange(p) for _ in range(3)] + [0, 0]]
+    sets += [[rng.randrange(p) for _ in range(5)] for _ in range(4)]
+    excess = []
+    for coefs in sets + [[6, 1, 1, 1, 2]] * (p == 23):
+        ps = Params3(*coefs, m)
+        splits = 0
+        for d in [(0, 1)] + [(1, y) for y in range(p)]:
+            kind, periods, _ = _plane_walks(*_plane_of(d, ps), p)
+            if kind == "split":
+                splits += 1
+                assert dict(periods)[n] == psi + 1, (coefs, d)
+        excess.append(scan_space(ps).count(n, "walk") - splits * (psi + 1))
+    assert set(excess) <= {0, 1}, excess
+    assert p != 23 or excess[-1] == 1
 
 
 CACHE_CASES = [

@@ -262,11 +262,11 @@ def _check_krylov_basis(cfg):
     return len(basis)
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 2**31 - 1))
 @pytest.mark.parametrize("side", SIDES)
 def test_krylov_basis_read_off_the_stream(p, side):
     """The Krylov vectors read as pass states are those of the matrix
-    oracle, 304 configs over the eight cases: 36 drawn per case, and a
+    oracle, 380 configs over the ten cases: 36 drawn per case, and a
     drawn config with the zero (p − 1, 0, 0) as its initial (f = 1) or as
     the seed of its first slot (f = X, or 1 as well)."""
     rng = random.Random(f"krylov/{p}/{side}")
